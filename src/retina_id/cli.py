@@ -27,12 +27,12 @@ from .evaluation import (
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
-    _fmt_num,
-    _sample_angle,
     build_synthetic_gallery,
     far_frr_sweep,
+    fmt_num,
     perturb,
     rotation_protocol,
+    sample_angle,
 )
 from .harris import HarrisParams, detect_corners
 from .imaging import load_image, to_intensity
@@ -251,13 +251,13 @@ def _write_far_frr(args, settings: Settings, spec: ExperimentSpec) -> None:
         for k in range(args.sweep_probes):
             rng = np.random.default_rng(
                 np.random.SeedSequence([spec.rng_seed, 2, i, k]))
-            angle = _sample_angle(spec, rng)
+            angle = sample_angle(spec, rng)
             probes.append((rec.subject_id, encode(perturb(constellations[i], angle, spec, rng))))
     self_totals = [total_si(r.template, r.template, settings.weights).total for r in records]
     thresholds = np.linspace(0.0, 1.05 * max(self_totals), args.sweep_points)
     rows = far_frr_sweep(records, probes, thresholds, settings.weights)
     lines = ["threshold,far_percent,frr_percent"]
-    lines += [f"{_fmt_num(t)},{_fmt_num(far)},{_fmt_num(frr)}" for t, far, frr in rows]
+    lines += [f"{fmt_num(t)},{fmt_num(far)},{fmt_num(frr)}" for t, far, frr in rows]
     Path(args.far_frr_csv).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -42,6 +42,11 @@ class PolarCorner:
             raise ValueError(f"orientation {self.orientation} outside [0, 360)")
 
 
+def valid_amplitudes(v: np.ndarray) -> bool:
+    """True when every slot is 0 or in (0, 360]; NaN fails."""
+    return bool(((v == 0) | ((v > 0) & (v <= 360))).all())
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureTemplate:
     """Three 360-slot amplitude vectors; 0 marks an empty slot, occupied
@@ -53,7 +58,7 @@ class FeatureTemplate:
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.shape != (3, SLOTS):
             raise ValueError(f"expected vectors shaped (3, {SLOTS})")
-        if ((v < 0) | (v > 360)).any():
+        if not valid_amplitudes(v):
             raise ValueError("slot amplitudes must be 0 or in (0, 360]")
         object.__setattr__(self, "vectors", v)
 

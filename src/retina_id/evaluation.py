@@ -101,10 +101,10 @@ class AccuracyReport:
     def to_table(self) -> str:
         """Aligned plain-text accuracy table plus probe bookkeeping."""
         header = ["Times of rotation"] + [str(e.rotations) for e in self.entries] + ["Mean"]
-        raw = ["Accuracy"] + [_fmt_num(e.accuracy) + "%" for e in self.entries]
-        raw.append(_fmt_num(self.mean_accuracy) + "%")
-        norm = ["Accuracy (normalized)"] + [_fmt_num(e.accuracy_normalized) + "%" for e in self.entries]
-        norm.append(_fmt_num(self.mean_accuracy_normalized) + "%")
+        raw = ["Accuracy"] + [fmt_num(e.accuracy) + "%" for e in self.entries]
+        raw.append(fmt_num(self.mean_accuracy) + "%")
+        norm = ["Accuracy (normalized)"] + [fmt_num(e.accuracy_normalized) + "%" for e in self.entries]
+        norm.append(fmt_num(self.mean_accuracy_normalized) + "%")
         widths = [max(len(row[i]) for row in (header, raw, norm)) for i in range(len(header))]
         lines = [
             "   ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -117,12 +117,12 @@ class AccuracyReport:
     def to_csv(self) -> str:
         lines = ["rotations,accuracy_percent"]
         for e in self.entries:
-            lines.append(f"{e.rotations},{_fmt_num(e.accuracy)}")
-        lines.append(f"mean,{_fmt_num(self.mean_accuracy)}")
+            lines.append(f"{e.rotations},{fmt_num(e.accuracy)}")
+        lines.append(f"mean,{fmt_num(self.mean_accuracy)}")
         return "\n".join(lines) + "\n"
 
 
-def _fmt_num(v: float) -> str:
+def fmt_num(v: float) -> str:
     s = f"{v:.6f}".rstrip("0").rstrip(".")
     return s if s else "0"
 
@@ -181,7 +181,7 @@ def build_synthetic_gallery(n_subjects: int, n_corners: int, seed: int):
     return records, constellations
 
 
-def _sample_angle(spec: ExperimentSpec, rng: np.random.Generator) -> float:
+def sample_angle(spec: ExperimentSpec, rng: np.random.Generator) -> float:
     if spec.integer_angles:
         r = int(round(spec.angle_range))
         return float(rng.integers(-r, r + 1))
@@ -204,7 +204,7 @@ def _run_count(records, probe_fn, count: int, spec: ExperimentSpec, weights: Wei
         for trial in range(count):
             rng = np.random.default_rng(
                 np.random.SeedSequence([spec.rng_seed, 1, count, subj_idx, trial]))
-            angle = _sample_angle(spec, rng)
+            angle = sample_angle(spec, rng)
             probe = probe_fn(subj_idx, angle, rng)
             ranked = identify(probe, records, weights)
             if ranked[0][0] == rec.subject_id:
@@ -295,10 +295,10 @@ def rotation_experiment(source, spec: ExperimentSpec, weights: Weights | None = 
 def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
     """False-accept / false-reject rates over verification thresholds.
 
-    `probes` is an iterable of (subject_id, FeatureTemplate); every
-    probe-record pairing is scored once, then each threshold is applied to
-    the same scores, which makes FAR non-increasing and FRR non-decreasing
-    in the threshold by construction.  Returns (threshold, far_pct, frr_pct)
+    `probes` is an iterable of (subject_id, FeatureTemplate); each probe is
+    scored against the whole gallery in one identify call, then each
+    threshold is applied to the same scores, which makes FAR non-increasing
+    and FRR non-decreasing in the threshold by construction.  Returns (threshold, far_pct, frr_pct)
     rows in input threshold order.
     """
     records = list(gallery)
@@ -306,13 +306,11 @@ def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -
     thresholds = [float(t) for t in thresholds]
     if not records or not probes or not thresholds:
         raise ValueError("gallery, probes and thresholds must be non-empty")
-    weights = weights or Weights()
     genuine = []
     impostor = []
     for sid, template in probes:
-        for rec in records:
-            total = total_si(rec.template, template, weights).total
-            (genuine if rec.subject_id == sid else impostor).append(total)
+        for rid, score in identify(template, records, weights):
+            (genuine if rid == sid else impostor).append(score.total)
     gen = np.array(genuine, dtype=np.float64)
     imp = np.array(impostor, dtype=np.float64)
     rows = []

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import SLOTS, FeatureTemplate
+from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
 from .optic_disc import OdCenter
 
 MAGIC = "RETINA-TEMPLATE v1"
@@ -162,7 +162,7 @@ def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
                 row = np.array([float(t) for t in tokens], dtype=np.float64)
             except ValueError:
                 raise TemplateFormatError(source, base + 4 + v, "amplitudes must be numbers") from None
-            if ((row < 0) | (row > 360)).any():
+            if not valid_amplitudes(row):
                 raise TemplateFormatError(source, base + 4 + v, "amplitudes must be 0 or in (0, 360]")
             rows.append(row)
 

@@ -177,6 +177,34 @@ class TestIdentifyVerify:
         assert no.returncode == 1
         assert no.stdout.startswith("reject ann")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_verify_non_finite_threshold_exit_2(self, tmp_path, threshold):
+        gal, images = self.enroll_two(tmp_path)
+        r = run_cli("verify", images["ann"], "ann", "--gallery", gal,
+                    "--od", "80,80", "--threshold", threshold)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "threshold" in r.stderr
+
+    def test_identify_nan_weight_exit_2(self, tmp_path):
+        gal, images = self.enroll_two(tmp_path)
+        r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80", "--w1", "nan")
+        assert r.returncode == 2
+        assert "weights" in r.stderr
+
+    def test_identify_nan_amplitude_in_gallery_exit_2(self, tmp_path):
+        gal, images = self.enroll_two(tmp_path)
+        path = gal / "ben.rtpl"
+        lines = path.read_text().split("\n")
+        tokens = lines[6].split()
+        tokens[0] = "nan"
+        lines[6] = " ".join(tokens)
+        path.write_text("\n".join(lines))
+        r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "ben.rtpl:7:" in r.stderr
+
     def test_verify_unknown_subject_exit_2(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)
         r = run_cli("verify", images["ann"], "zoe", "--gallery", gal,

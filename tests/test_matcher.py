@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from retina_id import matcher
 from retina_id.encoder import FeatureTemplate, PolarCorner, encode
+from retina_id.evaluation import ExperimentSpec, build_synthetic_gallery, far_frr_sweep, perturb
 from retina_id.matcher import MatchScore, Weights, identify, si_class, sim_profile, total_si, verify
 from retina_id.store import GalleryRecord
 
@@ -76,6 +78,15 @@ class TestSimProfile:
         with pytest.raises(ValueError, match="amplitudes"):
             sim_profile(bad, np.zeros(360))
 
+    def test_nan_amplitude_rejected(self):
+        bad = np.zeros(360)
+        bad[5] = math.nan
+        good = random_vector(np.random.default_rng(39), 8)
+        with pytest.raises(ValueError, match="amplitudes"):
+            sim_profile(bad, good)
+        with pytest.raises(ValueError, match="amplitudes"):
+            sim_profile(good, bad)
+
 
 class TestSiClass:
     def test_zero_profile(self):
@@ -147,6 +158,12 @@ class TestTotal:
         with pytest.raises(ValueError, match="weights"):
             Weights(w1=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        for field in ("w1", "w2", "w3"):
+            with pytest.raises(ValueError, match="weights"):
+                Weights(**{field: bad})
+
 
 class TestIdentify:
     def make_gallery(self, rng, n=8):
@@ -176,6 +193,21 @@ class TestIdentify:
         ranked = identify(empty, gallery)
         assert [sid for sid, _ in ranked] == ["aa", "mm", "zz"]
 
+    def test_nan_template_rejected(self):
+        v = random_template(np.random.default_rng(54)).vectors.copy()
+        v[2, np.flatnonzero(v[2])[0]] = math.nan
+        with pytest.raises(ValueError, match="amplitudes"):
+            FeatureTemplate(v)
+
+    def test_nan_record_does_not_rank(self):
+        # A template array changed after validation still cannot corrupt a
+        # ranking: the scorer re-checks every row it scores.
+        rng = np.random.default_rng(55)
+        gallery = self.make_gallery(rng)
+        gallery[0].template.vectors[2, np.flatnonzero(gallery[0].template.vectors[2])[0]] = math.nan
+        with pytest.raises(ValueError, match="amplitudes"):
+            identify(gallery[5].template, gallery)
+
 
 class TestVerify:
     def test_accept_at_threshold_zero(self):
@@ -203,3 +235,89 @@ class TestVerify:
         rec = GalleryRecord(subject_id="sub", template=t)
         with pytest.raises(ValueError, match="threshold"):
             verify(t, rec, -0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        t = random_template(np.random.default_rng(56))
+        rec = GalleryRecord(subject_id="sub", template=t)
+        with pytest.raises(ValueError, match="threshold"):
+            verify(t, rec, bad)
+
+
+def brute_score(enrolled: FeatureTemplate, query: FeatureTemplate, weights: Weights) -> MatchScore:
+    """MatchScore from the plain double-loop profile of every class."""
+    (s1, b1), (s2, b2), (s3, b3) = (
+        si_class(sim_profile_brute(row_in, row_out))
+        for row_in, row_out in zip(enrolled.vectors, query.vectors)
+    )
+    total = weights.w1 * s1 + weights.w2 * s2 + weights.w3 * s3
+    return MatchScore(si1=s1, si2=s2, si3=s3, total=total, best_shift=(b1, b2, b3))
+
+
+class TestBatchedScorer:
+    """identify and far_frr_sweep score a whole gallery per query in runs
+    of rows; every score must equal the per-pair plain double loop exactly."""
+
+    weights = Weights(1.0, 2.5, 4.0)
+
+    @pytest.fixture(scope="class")
+    def gallery(self):
+        records, constellations = build_synthetic_gallery(36, 20, seed=2030)
+        rng = np.random.default_rng(2031)
+        full = rng.uniform(0.0, 360.0, (3, 360))
+        full[full == 0.0] = 360.0
+        records += [
+            GalleryRecord(subject_id="full", template=FeatureTemplate(full)),
+            GalleryRecord(subject_id="empty", template=FeatureTemplate(np.zeros((3, 360)))),
+            # Same template under two ids, listed out of id order.
+            GalleryRecord(subject_id="twin_b", template=records[4].template),
+            GalleryRecord(subject_id="twin_a", template=records[4].template),
+        ]
+        return records, constellations
+
+    @pytest.fixture(scope="class")
+    def query(self, gallery):
+        _, constellations = gallery
+        rng = np.random.default_rng(2032)
+        v = encode(perturb(constellations[4], 9.0, ExperimentSpec(), rng)).vectors.copy()
+        v[1] = 0.0  # one empty class
+        return FeatureTemplate(v)
+
+    def test_gallery_spans_several_runs(self, gallery, query):
+        records, _ = gallery
+        runs = list(matcher._profiles([r.template.vectors for r in records], query.vectors))
+        assert len(runs) >= 4
+        assert max(block.shape[1] for block in runs) > 1
+
+    def test_identify_equals_double_loop(self, gallery, query):
+        records, _ = gallery
+        ranked = identify(query, records, self.weights)
+        assert sorted(sid for sid, _ in ranked) == sorted(r.subject_id for r in records)
+        by_id = dict(ranked)
+        for rec in records:
+            assert by_id[rec.subject_id] == brute_score(rec.template, query, self.weights), rec.subject_id
+        assert by_id["empty"].total == 0.0
+        assert ranked == sorted(ranked, key=lambda item: (-item[1].total, item[0]))
+        ids = [sid for sid, _ in ranked]
+        assert ids.index("twin_b") == ids.index("twin_a") + 1
+
+    def test_far_frr_sweep_equals_per_pair_loop(self, gallery):
+        records, constellations = gallery
+        spec = ExperimentSpec(rng_seed=2033)
+        probes = []
+        for i in range(0, 36, 4):
+            rng = np.random.default_rng(np.random.SeedSequence([2033, i]))
+            probes.append((records[i].subject_id,
+                           encode(perturb(constellations[i], float(rng.uniform(-15, 15)), spec, rng))))
+        thresholds = np.linspace(0.0, 150.0, 40)
+        genuine = []
+        impostor = []
+        for sid, template in probes:
+            for rec in records:
+                total = total_si(rec.template, template, self.weights).total
+                (genuine if rec.subject_id == sid else impostor).append(total)
+        gen = np.array(genuine)
+        imp = np.array(impostor)
+        want = [(float(t), 100.0 * np.count_nonzero(imp >= t) / imp.size,
+                 100.0 * np.count_nonzero(gen < t) / gen.size) for t in thresholds]
+        assert far_frr_sweep(records, probes, thresholds, self.weights) == want

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from retina_id.encoder import FeatureTemplate
+from retina_id.evaluation import build_synthetic_gallery
 from retina_id.optic_disc import OdCenter
 from retina_id.store import (
     DuplicateSubjectError,
@@ -135,6 +136,14 @@ class TestParse:
         with pytest.raises(TemplateFormatError, match=":6:"):
             parse_records("\n".join(lines))
 
+    def test_nan_amplitude_rejected_with_line(self):
+        lines = self.good_text().split("\n")
+        tokens = lines[6].split()
+        tokens[17] = "nan"
+        lines[6] = " ".join(tokens)
+        with pytest.raises(TemplateFormatError, match=":7: amplitudes"):
+            parse_records("\n".join(lines))
+
     def test_truncated_record(self):
         lines = self.good_text().split("\n")
         with pytest.raises(TemplateFormatError, match="end of file"):
@@ -177,6 +186,19 @@ class TestGalleryDir:
         save_template(record(rng, sid="dup"), tmp_path / "a.rtpl")
         save_template(record(rng, sid="dup"), tmp_path / "b.rtpl")
         with pytest.raises(DuplicateSubjectError, match="dup"):
+            load_gallery(tmp_path)
+
+    def test_nan_slot_in_synthetic_gallery_rejected(self, tmp_path):
+        records, _ = build_synthetic_gallery(20, 20, seed=7)
+        for rec in records:
+            save_template(rec, tmp_path / f"{rec.subject_id}.rtpl")
+        path = tmp_path / "s001.rtpl"
+        lines = path.read_text().split("\n")
+        tokens = lines[6].split()
+        tokens[int(np.flatnonzero(records[0].template.vectors[2])[0])] = "nan"
+        lines[6] = " ".join(tokens)
+        path.write_text("\n".join(lines))
+        with pytest.raises(TemplateFormatError, match="s001.rtpl:7:"):
             load_gallery(tmp_path)
 
     def test_gallery_get(self, tmp_path):
