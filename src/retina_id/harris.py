@@ -4,10 +4,16 @@ Pipeline: central-difference gradients, Gaussian-windowed structure tensor,
 the determinant-minus-scaled-trace response, then local-maximum selection
 with a response threshold and a border margin.  All stages are pure
 functions of their inputs and safe to run concurrently on separate maps.
+
+Non-maximum suppression is array code over the above-threshold candidates:
+one gather and compare per neighbour offset, with equal neighbours at
+offsets before (0, 0) in (y, x) order breaking plateaus, then one lexsort.
+Its output is identical to a per-pixel window scan (tests/oracles.py).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +34,12 @@ class HarrisParams:
     border_margin: int = 5
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValueError("k must be positive and finite")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be non-negative and finite")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
         if self.window_radius < 1:
             raise ValueError("window_radius must be at least 1")
         if self.nms_radius < 1:
@@ -127,6 +133,13 @@ def local_maxima(resp: np.ndarray, params: HarrisParams | None = None) -> list[C
     Equal-valued neighbours are resolved in favour of the smallest (y, x),
     so plateaus yield exactly one corner.  Output is sorted by descending
     response, ties by ascending (y, x).
+
+    The test runs on all candidates at once: for each neighbour offset a
+    candidate drops out when that neighbour is larger, or, for offsets
+    that come before (0, 0) in (y, x) order, when it is equal.  The map is
+    padded with -inf, which stands in for the clamped window, and NaN reads
+    as -inf; since candidates are at least threshold >= 0, neither can beat
+    or tie one, just as a NaN never compares true.
     """
     params = params or HarrisParams()
     r = np.asarray(resp, dtype=np.float64)
@@ -135,28 +148,31 @@ def local_maxima(resp: np.ndarray, params: HarrisParams | None = None) -> list[C
     h, w = r.shape
     bm = params.border_margin
     nr = params.nms_radius
-    corners: list[Corner] = []
     if h <= 2 * bm or w <= 2 * bm:
-        return corners
-    interior = r[bm:h - bm, bm:w - bm]
-    for iy, ix in np.argwhere(interior >= params.threshold):
-        y = int(iy) + bm
-        x = int(ix) + bm
-        v = r[y, x]
-        y0 = max(y - nr, 0)
-        x0 = max(x - nr, 0)
-        window = r[y0:min(y + nr + 1, h), x0:min(x + nr + 1, w)]
-        if (window > v).any():
-            continue
-        keep = True
-        for ty, tx in np.argwhere(window == v):
-            if (int(ty) + y0, int(tx) + x0) < (y, x):
-                keep = False
-                break
-        if keep:
-            corners.append(Corner(x=x, y=y, response=float(v)))
-    corners.sort(key=lambda c: (-c.response, c.y, c.x))
-    return corners
+        return []
+    ys, xs = np.nonzero(r[bm:h - bm, bm:w - bm] >= params.threshold)
+    pw = w + 2 * nr
+    padded = np.full((h + 2 * nr, pw), -np.inf)
+    padded[nr:nr + h, nr:nr + w] = r
+    np.copyto(padded, -np.inf, where=np.isnan(padded))
+    flat = padded.ravel()
+    idx = (ys + (bm + nr)) * pw + (xs + (bm + nr))
+    v = flat[idx]
+    for dy in range(-nr, nr + 1):
+        keep = np.ones(idx.size, dtype=bool)
+        for dx in range(-nr, nr + 1):
+            if (dy, dx) == (0, 0):
+                continue
+            nb = flat[idx + (dy * pw + dx)]
+            keep &= (nb < v) if (dy, dx) < (0, 0) else (nb <= v)
+        idx = idx[keep]
+        v = v[keep]
+    ys, xs = np.divmod(idx, pw)
+    order = np.lexsort((xs, ys, -v))
+    return [
+        Corner(x=x - nr, y=y - nr, response=resp_v)
+        for y, x, resp_v in zip(ys[order].tolist(), xs[order].tolist(), v[order].tolist())
+    ]
 
 
 def detect_corners(intensity: np.ndarray, params: HarrisParams | None = None) -> list[Corner]:

@@ -2,7 +2,12 @@
 
 Only the 8-bit portable graymap/pixmap formats are supported: ASCII P2/P3
 and binary P5/P6, with a required maximum sample value of 255.  Decode
-errors carry the byte offset of the offending input.
+errors carry the byte offset of the offending input.  A header whose
+sample count the file is too short to hold is rejected before any pixel
+buffer is allocated.  An ASCII body of plain decimal digits and whitespace
+is decoded in one numpy parse; any other body (comments, signs, too few
+samples, a sample above 255) goes through the token walker, which decodes
+it or reports the offending token's offset.
 
 Coordinate convention, used everywhere in this package: x grows to the
 right, y grows downward, and the origin sits at the centre of the top-left
@@ -23,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_DIGITS = b"0123456789"
 
 
 class ImageFormatError(ValueError):
@@ -82,6 +88,43 @@ def _tokens(data: bytes, start: int):
             i = j
 
 
+def _plain_ascii_samples(body: bytes, count: int) -> np.ndarray | None:
+    """The first `count` samples of an ASCII body made only of decimal
+    digits and whitespace, all in [0, 255]; None for any other body, which
+    the token walker then decodes or rejects with its byte offset."""
+    if body.translate(None, _DIGITS + _WHITESPACE):
+        return None
+    # Here every byte above the whitespace range is a digit.
+    digit = np.frombuffer(body, dtype=np.uint8) > 0x20
+    ends = np.flatnonzero(digit[:-1] > digit[1:])
+    if ends.size + int(digit[-1]) < count:
+        return None
+    cut = int(ends[count - 1]) + 1 if ends.size >= count else len(body)
+    values = np.fromstring(body[:cut], dtype=np.int64, sep=" ")
+    if values.max() > 255:
+        return None
+    return values.astype(np.uint8)
+
+
+def _walk_samples(tok, count: int, data_len: int) -> np.ndarray:
+    """Decode `count` samples one token at a time, reporting the first bad
+    token's byte offset."""
+    samples = np.empty(count, dtype=np.uint8)
+    for idx in range(count):
+        try:
+            raw, off = next(tok)
+        except StopIteration:
+            raise ImageFormatError("unexpected end of pixel data", data_len) from None
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ImageFormatError(f"bad sample {raw.decode('ascii', 'replace')!r}", off) from None
+        if not 0 <= value <= 255:
+            raise ImageFormatError(f"sample {value} outside [0, 255]", off)
+        samples[idx] = value
+    return samples
+
+
 def load_image(path) -> RasterImage:
     """Decode a P2/P3/P5/P6 file.
 
@@ -122,21 +165,12 @@ def load_image(path) -> RasterImage:
 
     count = width * height * channels
     if ascii_mode:
-        samples = np.empty(count, dtype=np.uint8)
-        for idx in range(count):
-            try:
-                raw, off = next(tok)
-            except StopIteration:
-                raise ImageFormatError("unexpected end of pixel data", len(data)) from None
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ImageFormatError(
-                    f"bad sample {raw.decode('ascii', 'replace')!r}", off
-                ) from None
-            if not 0 <= value <= 255:
-                raise ImageFormatError(f"sample {value} outside [0, 255]", off)
-            samples[idx] = value
+        # Each sample takes a digit and the separator before it.
+        if len(data) - header_end < 2 * count:
+            raise ImageFormatError("unexpected end of pixel data", len(data))
+        samples = _plain_ascii_samples(data[header_end:], count)
+        if samples is None:
+            samples = _walk_samples(tok, count, len(data))
     else:
         if header_end >= len(data) or data[header_end] not in _WHITESPACE:
             raise ImageFormatError("expected whitespace after header", header_end)

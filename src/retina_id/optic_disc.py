@@ -5,10 +5,19 @@ image.  A radially symmetric Gaussian bright-blob template matched with
 zero-mean normalised cross-correlation finds it; the normalisation makes
 the score invariant to affine intensity changes.  A coarse stride grid is
 searched first, then refined at stride 1 around the best coarse hit.
+
+The correlation with the template is a separable Gaussian pass; the patch
+sum and sum of squares are box sums made of block-wise running sums
+(cumsum).  Each partial sum covers at most 2 radius + 1 samples along an
+axis, so on maps of 8-bit integers every partial sum is an integer below
+2^53 and the box sums are exact, bit-identical to a direct sum in any
+order.  On other float maps the rounding matches that of a direct
+(2 radius + 1)-term sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +36,9 @@ class OdParams:
     margin: int = 40
 
     def __post_init__(self):
+        for name in ("template_radius", "search_stride", "margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.template_radius < 4:
             raise ValueError("template_radius must be at least 4")
         if self.search_stride < 1:
@@ -68,16 +80,14 @@ def correlation_surface(intensity: np.ndarray, template_radius: int) -> np.ndarr
     m = np.asarray(intensity, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("intensity map must be 2-D")
-    g = _disc_profile(template_radius)
-    template = np.outer(g, g)
+    template = disc_template(template_radius)
     t_mean = template.mean()
     t_var_sum = float(((template - t_mean) ** 2).sum())
     n = template.size
 
-    ones = np.ones_like(g)
-    corr_t = separable_window_sum(m, g)
-    s1 = separable_window_sum(m, ones)
-    s2 = separable_window_sum(m * m, ones)
+    corr_t = separable_window_sum(m, _disc_profile(template_radius))
+    s1 = _box_sum(m, template_radius)
+    s2 = _box_sum(m * m, template_radius)
 
     numerator = corr_t - t_mean * s1
     var_sum = s2 - (s1 * s1) / n
@@ -86,6 +96,36 @@ def correlation_surface(intensity: np.ndarray, template_radius: int) -> np.ndarr
     surface[valid] = numerator[valid] / np.sqrt(var_sum[valid] * t_var_sum)
     np.clip(surface, -1.0, 1.0, out=surface)
     return surface
+
+
+def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
+    """Sum over the (2 radius + 1)-square around each pixel, edges
+    replicated, as a sliding sum down the columns and then along the rows."""
+    k = 2 * radius + 1
+    return _sliding_sum(_sliding_sum(np.pad(arr, radius, mode="edge"), k).T, k).T
+
+
+def _sliding_sum(arr: np.ndarray, k: int) -> np.ndarray:
+    """Sums of every k consecutive rows.
+
+    The rows are cut into blocks of k.  The window starting at row i is the
+    running sum from i to the end of its block plus the running sum of the
+    next block up to row i + k - 1, so every partial sum covers at most k
+    rows: exact for integer samples, and as accurate as a direct k-term
+    sum otherwise, where a whole-map integral image would lose flat patches
+    to cancellation.
+    """
+    n = arr.shape[0]
+    blocks = -(-n // k)
+    prefix = np.zeros((blocks * k,) + arr.shape[1:])
+    prefix[:n] = arr
+    suffix = np.empty_like(prefix)
+    p3 = prefix.reshape((blocks, k) + arr.shape[1:])
+    np.cumsum(p3[:, ::-1], axis=1, out=suffix.reshape(p3.shape)[:, ::-1])
+    np.cumsum(p3, axis=1, out=p3)
+    p3[:, -1] = 0.0  # a window starting on a block edge is its block's suffix alone
+    m = n - k + 1
+    return suffix[:m] + prefix[k - 1:k - 1 + m]
 
 
 def _argmax_lex(surface: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> tuple[int, int] | None:

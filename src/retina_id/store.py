@@ -22,6 +22,7 @@ across a gallery.
 from __future__ import annotations
 
 import fcntl
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -142,6 +143,8 @@ def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
             od_y = float(od_parts[2])
         except ValueError:
             raise TemplateFormatError(source, base + 2, "od coordinates must be numbers") from None
+        if not (math.isfinite(od_x) and math.isfinite(od_y)):
+            raise TemplateFormatError(source, base + 2, "od coordinates must be finite")
         od_source = od_parts[3]
         if od_source not in ("detected", "manual"):
             raise TemplateFormatError(source, base + 2, f"unknown od source {od_source!r}")

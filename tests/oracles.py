@@ -154,3 +154,32 @@ def sim_profile_brute(vin, vout) -> np.ndarray:
                 acc += math.cos(2.0 * ((a - b) * math.pi / 180.0))
         profile[phi - 1] = acc
     return profile
+
+
+def local_maxima_brute(r: np.ndarray, threshold: float, nms_radius: int, border_margin: int):
+    """Per-pixel non-maximum suppression over the clamped Chebyshev window:
+    a candidate survives when no neighbour is larger and no equal neighbour
+    has a smaller (y, x).  Returns (x, y, response) sorted by descending
+    response, then ascending (y, x)."""
+    r = np.asarray(r, dtype=np.float64)
+    h, w = r.shape
+    bm = border_margin
+    nr = nms_radius
+    found = []
+    if h <= 2 * bm or w <= 2 * bm:
+        return found
+    interior = r[bm:h - bm, bm:w - bm]
+    for iy, ix in np.argwhere(interior >= threshold):
+        y = int(iy) + bm
+        x = int(ix) + bm
+        v = r[y, x]
+        y0 = max(y - nr, 0)
+        x0 = max(x - nr, 0)
+        window = r[y0:min(y + nr + 1, h), x0:min(x + nr + 1, w)]
+        if (window > v).any():
+            continue
+        if any((int(ty) + y0, int(tx) + x0) < (y, x) for ty, tx in np.argwhere(window == v)):
+            continue
+        found.append((x, y, float(v)))
+    found.sort(key=lambda c: (-c[2], c[1], c[0]))
+    return found

@@ -78,6 +78,19 @@ class TestDetect:
         loud = run_cli("detect", square_image, "--config", cfg, "--det-threshold", "7e4")
         assert len(loud.stdout.strip().splitlines()) == 4
 
+    def test_nan_k_flag_is_input_error(self, square_image):
+        r = run_cli("detect", square_image, "--k", "nan")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "k must be" in r.stderr
+
+    def test_infinite_sigma_config_is_input_error(self, square_image, tmp_path):
+        cfg = tmp_path / "detector.conf"
+        cfg.write_text("sigma = inf\n")
+        r = run_cli("detect", square_image, "--config", cfg)
+        assert r.returncode == 2
+        assert "sigma must be" in r.stderr
+
     def test_unknown_config_key_is_input_error(self, square_image, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("nonsense = 1\n")
@@ -204,6 +217,17 @@ class TestIdentifyVerify:
         assert r.returncode == 2
         assert r.stdout == ""
         assert "ben.rtpl:7:" in r.stderr
+
+    def test_identify_nan_od_in_gallery_exit_2(self, tmp_path):
+        gal, images = self.enroll_two(tmp_path)
+        path = gal / "ben.rtpl"
+        lines = path.read_text().split("\n")
+        lines[2] = "od nan nan manual"
+        path.write_text("\n".join(lines))
+        r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "ben.rtpl:3: od coordinates must be finite" in r.stderr
 
     def test_verify_unknown_subject_exit_2(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from retina_id.harris import (
     Corner,
@@ -13,7 +16,7 @@ from retina_id.harris import (
     structure_tensor,
 )
 
-from oracles import eigen_response, window_correlate_brute
+from oracles import eigen_response, local_maxima_brute, window_correlate_brute
 
 
 def square_fixture(size=64, lo=10.0, hi=200.0, top=20, left=20, side=24):
@@ -140,6 +143,55 @@ class TestLocalMaxima:
         assert set((c.x, c.y) for c in hi) <= set((c.x, c.y) for c in lo)
 
 
+def nms_params(threshold, nms_radius, border_margin):
+    return HarrisParams(threshold=threshold, nms_radius=nms_radius,
+                        border_margin=border_margin, window_radius=1)
+
+
+def nms_triples(r, params):
+    return [(c.x, c.y, c.response) for c in local_maxima(r, params)]
+
+
+# Few distinct levels make plateaus and equal neighbours common.
+NMS_LEVELS = [0.0, -0.0, 1e4, 2e4, 3e4, np.nan, np.inf, -np.inf]
+
+
+class TestLocalMaximaMatchesBrute:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("nms_radius,border_margin", [(1, 2), (3, 5), (4, 3), (6, 7)])
+    def test_seeded_maps_with_plateaus_nan_and_inf(self, seed, nms_radius, border_margin):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(border_margin * 2 - 1, 48, 2)
+        r = rng.choice(NMS_LEVELS, size=(h, w), p=[0.5, 0.05, 0.15, 0.1, 0.1, 0.04, 0.03, 0.03])
+        for threshold in (0.0, 1e4, 2.5e4):
+            params = nms_params(threshold, nms_radius, border_margin)
+            got = nms_triples(r, params)
+            assert got == local_maxima_brute(r, threshold, nms_radius, border_margin)
+            assert all(type(x) is int and type(y) is int and type(v) is float for x, y, v in got)
+
+    def test_dense_smooth_response_map(self):
+        rng = np.random.default_rng(31)
+        base = rng.integers(0, 256, (96, 80)).astype(np.float64)
+        params = HarrisParams(threshold=1e3)
+        gx, gy = gradients(base)
+        r = response(structure_tensor(gx, gy, params), params.k)
+        got = nms_triples(r, params)
+        assert len(got) > 20
+        assert got == local_maxima_brute(r, params.threshold, params.nms_radius, params.border_margin)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        r=arrays(np.float64, st.tuples(st.integers(3, 24), st.integers(3, 24)),
+                 elements=st.sampled_from(NMS_LEVELS)),
+        threshold=st.sampled_from([0.0, 1e4, 2e4, 3e4]),
+        nms_radius=st.integers(1, 5),
+        border_margin=st.integers(2, 6),
+    )
+    def test_property_matches_brute(self, r, threshold, nms_radius, border_margin):
+        params = nms_params(threshold, nms_radius, border_margin)
+        assert nms_triples(r, params) == local_maxima_brute(r, threshold, nms_radius, border_margin)
+
+
 class TestDetect:
     def test_constant_map_no_corners(self):
         assert detect_corners(np.full((64, 64), 128.0)) == []
@@ -205,3 +257,9 @@ class TestParams:
     def test_negative_k(self):
         with pytest.raises(ValueError, match="k"):
             HarrisParams(k=-0.1)
+
+    @pytest.mark.parametrize("name", ["k", "threshold", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            HarrisParams(**{name: value})

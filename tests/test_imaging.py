@@ -1,6 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from retina_id import imaging
 from retina_id.imaging import (
     ImageFormatError,
     RasterImage,
@@ -78,6 +84,93 @@ class TestLoad:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_image(tmp_path / "nope.pgm")
+
+    @pytest.mark.parametrize("payload", [b"P2 100000 100000 255\n1 2 3\n",
+                                         b"P5 100000 100000 255\n\x01\x02"])
+    def test_huge_declared_size_rejected_before_allocating(self, tmp_path, payload):
+        p = write(tmp_path, "huge.pgm", payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError) as err:
+                load_image(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.offset == len(payload)
+        assert peak < 1 << 20
+
+
+def decode_outcome(path):
+    """Pixels on success, the message and byte offset on a format error."""
+    try:
+        img = load_image(path)
+    except ImageFormatError as exc:
+        return ("error", str(exc), exc.offset)
+    return ("ok", img.pixels.shape, img.pixels.tobytes())
+
+
+def walker_outcome(path):
+    """The same decode with the vectorised ASCII path switched off."""
+    with mock.patch.object(imaging, "_plain_ascii_samples", return_value=None):
+        return decode_outcome(path)
+
+
+ASCII_BODIES = [
+    "P2 3 2 255\n0 255 7\n10 20 30\n",
+    "P2 3 2 255\n0\t255\x0b7\x0c10\r\n20 30",
+    "P2 2 2 255\n0007 010 255 00\n",
+    "P3 2 1 255\n1 2 3 4 5 6 7 8 9 10\n",
+    "P2 2 2 255\n1 2 # note\n3 4\n",
+    "P2 2 2 255\n1 2 3 4 # trailing comment\n",
+    "P2 2 2 255\n1 +5 3 4\n",
+    "P2 2 2 255\n1 1_0 3 4\n",
+    "P2 2 2 255\n1 2 3 4 5 6 junk\n",
+    "P2 2 2 255\n1 -2 3 4\n",
+    "P2 2 2 255\n1 2 256 4\n",
+    "P2 2 2 255\n1 2 3 99999999999999999999999\n",
+    "P2 2 2 255\n1 2 3\n",
+    "P2 2 2 255\n1 2 3 4x\n",
+    "P2 2 2 255\n1 2 3\n\n\n\n",
+    "P2 2 2 255#c\n1 2 3 4\n",
+    "P3 1 1 255\n10 200\n 30",
+]
+
+
+class TestAsciiDecodeMatchesWalker:
+    @pytest.mark.parametrize("body", ASCII_BODIES)
+    def test_outcome_and_error_offset_identical(self, tmp_path, body):
+        p = write(tmp_path, "a.pnm", body)
+        assert decode_outcome(p) == walker_outcome(p)
+
+    def test_plain_body_takes_vectorised_path(self):
+        got = imaging._plain_ascii_samples(b"\n0 255\t17\n3 4", 4)
+        assert got.dtype == np.uint8 and got.tolist() == [0, 255, 17, 3]
+
+    def test_large_plain_p3_matches_walker(self, tmp_path):
+        rng = np.random.default_rng(8)
+        px = rng.integers(0, 256, (37, 41, 3))
+        body = "P3\n41 37\n255\n" + "\n".join(" ".join(map(str, row)) for row in px.reshape(37, -1))
+        p = write(tmp_path, "a.ppm", body)
+        outcome = decode_outcome(p)
+        assert outcome == walker_outcome(p)
+        assert outcome[2] == px.astype(np.uint8).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        magic=st.sampled_from(["P2", "P3"]),
+        width=st.integers(1, 4),
+        height=st.integers(1, 3),
+        tokens=st.lists(st.one_of(
+            st.integers(0, 300).map(str),
+            st.sampled_from(["+5", "1_0", "-1", "007", "#c\n", "x", "1e2", "99999999999999999999"]),
+        ), max_size=40),
+        seps=st.lists(st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "  "]),
+                      min_size=1, max_size=41),
+    )
+    def test_property_matches_walker(self, tmp_path_factory, magic, width, height, tokens, seps):
+        body = "".join(sep + tok for sep, tok in zip(seps, tokens + [""]))
+        p = write(tmp_path_factory.mktemp("pnm"), "a.pnm", f"{magic} {width} {height} 255{body}")
+        assert decode_outcome(p) == walker_outcome(p)
 
 
 class TestSaveRoundTrip:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from retina_id.harris import separable_window_sum
 from retina_id.optic_disc import (
     OdCenter,
     OdParams,
@@ -41,6 +45,69 @@ class TestSurface:
     def test_flat_patches_are_nan(self):
         s = correlation_surface(np.full((60, 60), 9.0), 10)
         assert np.isnan(s).all()
+
+
+def separable_form_surface(m, radius):
+    """Reference surface whose patch sums are separable passes of a ones
+    profile, (2 radius + 1) taps per axis."""
+    m = np.asarray(m, dtype=np.float64)
+    g = np.exp(-(np.arange(-radius, radius + 1.0) ** 2) / (2.0 * (radius / 2.0) ** 2))
+    template = np.outer(g, g)
+    t_mean = template.mean()
+    t_var_sum = float(((template - t_mean) ** 2).sum())
+    ones = np.ones_like(g)
+    corr_t = separable_window_sum(m, g)
+    s1 = separable_window_sum(m, ones)
+    s2 = separable_window_sum(m * m, ones)
+    numerator = corr_t - t_mean * s1
+    var_sum = s2 - (s1 * s1) / template.size
+    surface = np.full(m.shape, np.nan)
+    valid = var_sum > 1e-6
+    surface[valid] = numerator[valid] / np.sqrt(var_sum[valid] * t_var_sum)
+    np.clip(surface, -1.0, 1.0, out=surface)
+    return surface
+
+
+class TestSurfaceMatchesSeparableForm:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("radius", [4, 10, 40])
+    def test_random_uint8_maps_bit_identical(self, seed, radius):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(radius, 3 * radius + 20, 2)
+        m = rng.integers(0, 256, (h, w)).astype(np.float64)
+        got = correlation_surface(m, radius)
+        assert np.array_equal(got, separable_form_surface(m, radius), equal_nan=True)
+
+    @pytest.mark.parametrize("value", [0.0, 9.0, 255.0])
+    def test_constant_maps_bit_identical(self, value):
+        m = np.full((90, 110), value)
+        got = correlation_surface(m, 40)
+        assert np.array_equal(got, separable_form_surface(m, 40), equal_nan=True)
+        assert np.isnan(got).all()
+
+    def test_full_size_uint8_map_bit_identical(self):
+        rng = np.random.default_rng(17)
+        m = rng.integers(0, 256, (584, 565)).astype(np.float64)
+        m[100:300, 200:400] = 255.0
+        got = correlation_surface(m, 40)
+        assert np.array_equal(got, separable_form_surface(m, 40), equal_nan=True)
+
+    def test_float_map_within_rounding(self):
+        rng = np.random.default_rng(23)
+        m = rng.uniform(0.0, 255.0, (120, 130))
+        got = correlation_surface(m, 20)
+        want = separable_form_surface(m, 20)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=arrays(np.uint8, st.tuples(st.integers(1, 40), st.integers(1, 40))),
+        radius=st.integers(1, 12),
+    )
+    def test_property_uint8_bit_identical(self, m, radius):
+        got = correlation_surface(m, radius)
+        assert np.array_equal(got, separable_form_surface(m, radius), equal_nan=True)
 
 
 class TestLocate:
@@ -140,3 +207,9 @@ class TestTemplate:
             OdParams(template_radius=40, margin=30)
         with pytest.raises(ValueError, match="stride"):
             OdParams(search_stride=0)
+
+    @pytest.mark.parametrize("name", ["template_radius", "search_stride", "margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OdParams(**{name: value})

@@ -144,6 +144,13 @@ class TestParse:
         with pytest.raises(TemplateFormatError, match=":7: amplitudes"):
             parse_records("\n".join(lines))
 
+    @pytest.mark.parametrize("coords", ["nan nan", "inf 3", "1 -inf"])
+    def test_non_finite_od_rejected_with_line(self, coords):
+        lines = self.good_text().split("\n")
+        lines[2] = f"od {coords} manual"
+        with pytest.raises(TemplateFormatError, match=":3: od coordinates must be finite"):
+            parse_records("\n".join(lines))
+
     def test_truncated_record(self):
         lines = self.good_text().split("\n")
         with pytest.raises(TemplateFormatError, match="end of file"):
