@@ -11,6 +11,9 @@ border_margin), the optic-disc search parameters (od_template_radius,
 od_search_stride, od_margin), the class weights (w1, w2, w3), gallery and
 seed.  The `--det-threshold` flag maps to the `threshold` config key; the
 bare `--threshold` flag is the verify decision threshold.
+
+`eval` only parses, prints and writes: rotation_protocol and far_frr_csv in
+`evaluation` own the seed tree and build every probe.
 """
 
 from __future__ import annotations
@@ -20,23 +23,18 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .encoder import encode, polarize
 from .evaluation import (
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
     build_synthetic_gallery,
-    far_frr_sweep,
-    fmt_num,
-    perturb,
+    far_frr_csv,
     rotation_protocol,
-    sample_angle,
 )
 from .harris import HarrisParams, detect_corners
 from .imaging import load_image, to_intensity
-from .matcher import Weights, identify, total_si, verify
+from .matcher import Weights, identify, verify
 from .optic_disc import OdParams, locate_od, manual_od, od_from_sidecar
 from .store import (
     EmptyGalleryError,
@@ -182,6 +180,8 @@ def cmd_enroll(args) -> int:
 
 def cmd_identify(args) -> int:
     settings = _resolve_settings(args)
+    if args.top_k < 1:
+        raise ValueError("--top-k must be at least 1")
     gallery = load_gallery(settings.gallery)
     template, _ = _query_template(args.image, settings, args.od)
     ranked = identify(template, gallery, settings.weights)
@@ -221,7 +221,6 @@ def cmd_eval(args) -> int:
     settings = _resolve_settings(args)
     counts = tuple(int(tok) for tok in args.rotations.split(","))
     spec = ExperimentSpec(
-        rotations_per_query=counts[0],
         angle_range=args.angle_range,
         jitter_px=args.jitter_px,
         jitter_deg=args.jitter_deg,
@@ -232,33 +231,18 @@ def cmd_eval(args) -> int:
         source = ImageSource(Path(args.images), settings.harris, settings.od_params)
     else:
         source = SyntheticSource(args.subjects, args.corners)
+    # The sweep runs first, so bad sweep input fails before anything is
+    # printed or written.
+    sweep = None
+    if args.far_frr_csv:
+        sweep = far_frr_csv(source, spec, args.sweep_probes, args.sweep_points, settings.weights)
     report = rotation_protocol(source, spec, counts, settings.weights)
     sys.stdout.write(report.to_table())
     if args.csv:
         Path(args.csv).write_bytes(report.to_csv().encode("utf-8"))
-    if args.far_frr_csv:
-        if args.images:
-            raise ValueError("the FAR/FRR sweep supports synthetic galleries only")
-        _write_far_frr(args, settings, spec)
+    if sweep is not None:
+        Path(args.far_frr_csv).write_bytes(sweep.encode("utf-8"))
     return EXIT_OK
-
-
-def _write_far_frr(args, settings: Settings, spec: ExperimentSpec) -> None:
-    records, constellations = build_synthetic_gallery(
-        args.subjects, args.corners, settings.seed)
-    probes = []
-    for i, rec in enumerate(records):
-        for k in range(args.sweep_probes):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([spec.rng_seed, 2, i, k]))
-            angle = sample_angle(spec, rng)
-            probes.append((rec.subject_id, encode(perturb(constellations[i], angle, spec, rng))))
-    self_totals = [total_si(r.template, r.template, settings.weights).total for r in records]
-    thresholds = np.linspace(0.0, 1.05 * max(self_totals), args.sweep_points)
-    rows = far_frr_sweep(records, probes, thresholds, settings.weights)
-    lines = ["threshold,far_percent,frr_percent"]
-    lines += [f"{fmt_num(t)},{fmt_num(far)},{fmt_num(frr)}" for t, far, frr in rows]
-    Path(args.far_frr_csv).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _build_parser() -> argparse.ArgumentParser:

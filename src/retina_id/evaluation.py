@@ -5,20 +5,28 @@ and a directory of fundus images that are rotated about their optic-disc
 centre and re-detected.  For every gallery subject the harness runs a fixed
 number of randomly rotated probes per configured rotation count, records
 rank-1 identification accuracy (raw and self-match-normalised), and renders
-a three-column accuracy table plus a stable CSV.
+a three-column accuracy table plus a stable CSV.  A FAR/FRR sweep over
+verification thresholds is rendered as CSV for synthetic galleries.
 
 Every random draw derives from the experiment seed through a fixed-shape
-seed tree, so identical specs reproduce byte-identical reports.
+seed tree, so identical specs reproduce byte-identical reports.  Each leaf
+`SeedSequence([seed, *path])` seeds one generator; the three branches are
+`[seed, 0, subject]` for a synthetic gallery constellation, `[seed, 1,
+count, subject, trial]` for the rotation protocol's probes at each count,
+and `[seed, 2, subject, trial]` for the FAR/FRR sweep's probes.  A probe
+draws its angle (sample_angle), then its jitter (perturb, synthetic only);
+subjects are walked in gallery order, trials in order within each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import SLOTS, PolarCorner, encode, polarize
+from .encoder import PolarCorner, encode, polarize
 from .harris import DEFAULT_THRESHOLD, HarrisParams, detect_corners
 from .imaging import load_image, rotate_about, to_intensity
 from .matcher import Weights, identify, total_si
@@ -32,7 +40,6 @@ MAX_DISTANCE = 79.999
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    rotations_per_query: int = 5
     angle_range: float = 15.0
     jitter_px: float = 0.5
     jitter_deg: float = 0.5
@@ -40,12 +47,11 @@ class ExperimentSpec:
     integer_angles: bool = False
 
     def __post_init__(self):
-        if self.rotations_per_query < 1:
-            raise ValueError("rotations_per_query must be at least 1")
-        if self.angle_range <= 0:
-            raise ValueError("angle_range must be positive")
-        if self.jitter_px < 0 or self.jitter_deg < 0:
-            raise ValueError("jitter must be non-negative")
+        if not (math.isfinite(self.angle_range) and self.angle_range > 0):
+            raise ValueError("angle_range must be positive and finite")
+        for name in ("jitter_px", "jitter_deg"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
@@ -84,7 +90,6 @@ class RotationAccuracy:
 class AccuracyReport:
     entries: tuple
     subjects: int
-    gallery_distinct: bool | None = None
 
     @property
     def probes(self) -> int:
@@ -188,10 +193,24 @@ def sample_angle(spec: ExperimentSpec, rng: np.random.Generator) -> float:
     return float(rng.uniform(-spec.angle_range, spec.angle_range))
 
 
-def _run_count(records, probe_fn, count: int, spec: ExperimentSpec, weights: Weights) -> RotationAccuracy:
-    self_totals = {rec.subject_id: total_si(rec.template, rec.template, weights).total
-                   for rec in records}
+def _probes(spec: ExperimentSpec, branch: tuple, records, trials: int, probe_fn):
+    """Yield (subject_id, angle, probe) for the seed-tree leaves
+    [rng_seed, *branch, subject, trial], subject-major."""
+    for subject, rec in enumerate(records):
+        for trial in range(trials):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([spec.rng_seed, *branch, subject, trial]))
+            angle = sample_angle(spec, rng)
+            yield rec.subject_id, angle, probe_fn(subject, angle, rng)
 
+
+def _self_totals(records, weights: Weights) -> dict[str, float]:
+    return {rec.subject_id: total_si(rec.template, rec.template, weights).total
+            for rec in records}
+
+
+def _run_count(records, self_totals, probe_fn, count: int, spec: ExperimentSpec,
+               weights: Weights) -> RotationAccuracy:
     def normalized_key(item):
         sid, ms = item
         st = self_totals[sid]
@@ -200,19 +219,14 @@ def _run_count(records, probe_fn, count: int, spec: ExperimentSpec, weights: Wei
     hits = 0
     hits_norm = 0
     missed = []
-    for subj_idx, rec in enumerate(records):
-        for trial in range(count):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([spec.rng_seed, 1, count, subj_idx, trial]))
-            angle = sample_angle(spec, rng)
-            probe = probe_fn(subj_idx, angle, rng)
-            ranked = identify(probe, records, weights)
-            if ranked[0][0] == rec.subject_id:
-                hits += 1
-            else:
-                missed.append((rec.subject_id, angle))
-            if min(ranked, key=normalized_key)[0] == rec.subject_id:
-                hits_norm += 1
+    for sid, angle, probe in _probes(spec, (1, count), records, count, probe_fn):
+        ranked = identify(probe, records, weights)
+        if ranked[0][0] == sid:
+            hits += 1
+        else:
+            missed.append((sid, angle))
+        if min(ranked, key=normalized_key)[0] == sid:
+            hits_norm += 1
     return RotationAccuracy(rotations=count, trials=count * len(records),
                             hits=hits, hits_normalized=hits_norm,
                             misidentified=tuple(missed))
@@ -249,30 +263,17 @@ def _build_image_gallery(source: ImageSource):
     return records, maps, centers
 
 
-def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
-                      weights: Weights | None = None) -> AccuracyReport:
-    """Run the rotation experiment for each count in `counts` over one
-    shared gallery and merge the results into a single report."""
-    counts = tuple(counts)
-    if not counts or any(c < 1 for c in counts):
-        raise ValueError("counts must be a non-empty sequence of positive ints")
-    weights = weights or Weights()
-    distinct = None
+def _gallery(source, spec: ExperimentSpec):
+    """Gallery records of a probe source plus its probe builder
+    probe_fn(subject, angle, rng) -> FeatureTemplate."""
     if isinstance(source, SyntheticSource):
-        if source.n_subjects < 2:
-            raise ValueError("identification needs at least 2 subjects")
         records, constellations = build_synthetic_gallery(
             source.n_subjects, source.n_corners, spec.rng_seed)
 
         def probe_fn(i, angle, rng):
             return encode(perturb(constellations[i], angle, spec, rng))
-
-        if spec.jitter_px == 0 and spec.jitter_deg == 0:
-            distinct = templates_distinct_under_rotation([r.template for r in records])
     elif isinstance(source, ImageSource):
         records, maps, centers = _build_image_gallery(source)
-        if len(records) < 2:
-            raise ValueError("identification needs at least 2 subjects")
 
         # The rotation itself is the perturbation on the image path; pixel
         # resampling supplies the noise, so spec jitters do not apply here.
@@ -282,14 +283,23 @@ def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
             return encode(polarize(corners, centers[i]))
     else:
         raise TypeError("source must be SyntheticSource or ImageSource")
+    if len(records) < 2:
+        raise ValueError("identification needs at least 2 subjects")
+    return records, probe_fn
 
-    entries = tuple(_run_count(records, probe_fn, c, spec, weights) for c in counts)
-    return AccuracyReport(entries=entries, subjects=len(records), gallery_distinct=distinct)
 
-
-def rotation_experiment(source, spec: ExperimentSpec, weights: Weights | None = None) -> AccuracyReport:
-    """Single-count run using spec.rotations_per_query."""
-    return rotation_protocol(source, spec, counts=(spec.rotations_per_query,), weights=weights)
+def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
+                      weights: Weights | None = None) -> AccuracyReport:
+    """Run the rotation experiment for each count in `counts` over one
+    shared gallery and merge the results into a single report."""
+    counts = tuple(counts)
+    if not counts or any(c < 1 for c in counts):
+        raise ValueError("counts must be a non-empty sequence of positive ints")
+    weights = weights or Weights()
+    records, probe_fn = _gallery(source, spec)
+    self_totals = _self_totals(records, weights)
+    entries = tuple(_run_count(records, self_totals, probe_fn, c, spec, weights) for c in counts)
+    return AccuracyReport(entries=entries, subjects=len(records))
 
 
 def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
@@ -321,25 +331,22 @@ def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -
     return rows
 
 
-def templates_distinct_under_rotation(templates) -> bool:
-    """Conservative pairwise check that no template maps onto another under
-    any rotation (slot shift plus a single consistent amplitude offset).
-    Returns False when some pair could be rotation-identical."""
-    temps = [np.asarray(t.vectors, dtype=np.float64) for t in templates]
-    masks = [t > 0 for t in temps]
-    for i in range(len(temps)):
-        rolled_masks = np.stack([np.roll(masks[i], s, axis=1) for s in range(SLOTS)])
-        rolled_amps = np.stack([np.roll(temps[i], s, axis=1) for s in range(SLOTS)])
-        for j in range(len(temps)):
-            if i == j:
-                continue
-            aligned = np.nonzero((rolled_masks == masks[j]).all(axis=(1, 2)))[0]
-            for s in aligned:
-                occupied = masks[j]
-                if not occupied.any():
-                    return False  # two all-empty templates are identical
-                diffs = (temps[j][occupied] - rolled_amps[s][occupied]) % 360.0
-                spread = (diffs - diffs[0] + 180.0) % 360.0 - 180.0
-                if np.abs(spread).max() < 1e-6:
-                    return False
-    return True
+def far_frr_csv(source: SyntheticSource, spec: ExperimentSpec, probes_per_subject: int,
+                points: int, weights: Weights) -> str:
+    """FAR/FRR sweep of a synthetic gallery as CSV text.
+
+    Each subject gets `probes_per_subject` probes from seed-tree branch 2;
+    the `points` thresholds run evenly from 0 to 1.05 times the largest
+    self-match total.  Rows are `threshold,far_percent,frr_percent`.
+    """
+    if not isinstance(source, SyntheticSource):
+        raise ValueError("the FAR/FRR sweep supports synthetic galleries only")
+    if probes_per_subject < 1 or points < 1:
+        raise ValueError("sweep probes and points must be at least 1")
+    records, probe_fn = _gallery(source, spec)
+    probes = [(sid, probe) for sid, _, probe in _probes(spec, (2,), records, probes_per_subject, probe_fn)]
+    thresholds = np.linspace(0.0, 1.05 * max(_self_totals(records, weights).values()), points)
+    rows = far_frr_sweep(records, probes, thresholds, weights)
+    lines = ["threshold,far_percent,frr_percent"]
+    lines += [f"{fmt_num(t)},{fmt_num(far)},{fmt_num(frr)}" for t, far, frr in rows]
+    return "\n".join(lines) + "\n"

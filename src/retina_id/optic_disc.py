@@ -13,6 +13,11 @@ axis, so on maps of 8-bit integers every partial sum is an integer below
 2^53 and the box sums are exact, bit-identical to a direct sum in any
 order.  On other float maps the rounding matches that of a direct
 (2 radius + 1)-term sum.
+
+A patch is flat when s2 - s1^2 / n is at most max(VARIANCE_FLOOR, 1e-10 s2):
+on float maps the rounding noise of that difference grows with brightness.
+On 8-bit maps it is exactly 0 or at least (n - 1) / n, so the relative
+floor changes nothing there.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harris import separable_window_sum
+from .harris import gaussian_window, separable_window_sum
 
 # Patch variance below this is treated as flat and excluded from matching.
 VARIANCE_FLOOR = 1e-6
@@ -62,20 +67,14 @@ class OdCenter:
 def disc_template(radius: int) -> np.ndarray:
     """Bright-blob template exp(-(u^2+v^2) / (2 (radius/2)^2)) on a
     (2 radius + 1) square."""
-    g = _disc_profile(radius)
+    g = gaussian_window(radius / 2.0, radius)
     return np.outer(g, g)
-
-
-def _disc_profile(radius: int) -> np.ndarray:
-    t = np.arange(-radius, radius + 1, dtype=np.float64)
-    s = radius / 2.0
-    return np.exp(-(t * t) / (2.0 * s * s))
 
 
 def correlation_surface(intensity: np.ndarray, template_radius: int) -> np.ndarray:
     """Zero-mean normalised cross-correlation of the bright-disc template
     against every pixel-centred patch.  Scores are clamped to [-1, 1]; flat
-    patches (variance under VARIANCE_FLOOR) are NaN.  Only centres at least
+    patches (see the module docstring) are NaN.  Only centres at least
     template_radius away from every border carry meaningful values."""
     m = np.asarray(intensity, dtype=np.float64)
     if m.ndim != 2:
@@ -85,14 +84,14 @@ def correlation_surface(intensity: np.ndarray, template_radius: int) -> np.ndarr
     t_var_sum = float(((template - t_mean) ** 2).sum())
     n = template.size
 
-    corr_t = separable_window_sum(m, _disc_profile(template_radius))
+    corr_t = separable_window_sum(m, gaussian_window(template_radius / 2.0, template_radius))
     s1 = _box_sum(m, template_radius)
     s2 = _box_sum(m * m, template_radius)
 
     numerator = corr_t - t_mean * s1
     var_sum = s2 - (s1 * s1) / n
     surface = np.full(m.shape, np.nan)
-    valid = var_sum > VARIANCE_FLOOR
+    valid = var_sum > np.maximum(VARIANCE_FLOOR, 1e-10 * s2)
     surface[valid] = numerator[valid] / np.sqrt(var_sum[valid] * t_var_sum)
     np.clip(surface, -1.0, 1.0, out=surface)
     return surface

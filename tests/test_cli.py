@@ -174,6 +174,14 @@ class TestIdentifyVerify:
         r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80", "--top-k", "1")
         assert len(r.stdout.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_identify_top_k_below_one_exit_2(self, tmp_path, top_k):
+        gal, images = self.enroll_two(tmp_path)
+        r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80", "--top-k", top_k)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--top-k" in r.stderr
+
     def test_identify_empty_gallery_exit_3(self, eye_image, tmp_path):
         r = run_cli("identify", eye_image, "--gallery", tmp_path / "nowhere", "--od", "80,80")
         assert r.returncode == 3
@@ -273,6 +281,60 @@ class TestSynthEval:
         frrs = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(a >= b for a, b in zip(fars, fars[1:]))
         assert all(a <= b for a, b in zip(frrs, frrs[1:]))
+
+    def test_eval_seeded_output_pinned(self, tmp_path):
+        # Exact bytes of a seeded run whose accuracy is below 100%, so the
+        # probe draws, both rankings, the weights and the sweep thresholds
+        # all show in the output.
+        acc = tmp_path / "acc.csv"
+        sweep = tmp_path / "sweep.csv"
+        r = run_cli("eval", "--subjects", "8", "--corners", "4", "--rotations", "2,3",
+                    "--seed", "23", "--jitter-px", "3", "--jitter-deg", "4",
+                    "--angle-range", "40", "--w3", "2", "--csv", acc,
+                    "--far-frr-csv", sweep, "--sweep-points", "5", "--sweep-probes", "2")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == (
+            "Times of rotation       2        3            Mean\n"
+            "Accuracy                68.75%   75%          71.875%\n"
+            "Accuracy (normalized)   62.5%    79.166667%   70.833333%\n"
+            "\n"
+            "subjects: 8   probes: 40\n")
+        assert acc.read_bytes() == b"rotations,accuracy_percent\n2,68.75\n3,75\nmean,71.875\n"
+        assert sweep.read_bytes() == (
+            b"threshold,far_percent,frr_percent\n"
+            b"0,100,0\n6.825,49.107143,25\n13.65,0,62.5\n20.475,0,93.75\n27.3,0,100\n")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--angle-range", "nan"), ("--angle-range", "inf"),
+        ("--jitter-px", "nan"), ("--jitter-deg", "inf"),
+    ])
+    def test_eval_non_finite_spec_is_input_error(self, flag, value):
+        r = run_cli("eval", "--subjects", "3", "--corners", "5", "--rotations", "1", flag, value)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "finite" in r.stderr
+
+    @pytest.mark.parametrize("extra", [
+        ("--images", "IMAGES"),
+        ("--sweep-points", "-1"),
+        ("--sweep-points", "0"),
+        ("--sweep-probes", "0"),
+    ], ids=["images", "points-1", "points0", "probes0"])
+    def test_eval_bad_sweep_input_fails_before_output(self, tmp_path, eye_image, extra):
+        images = tmp_path / "images"
+        images.mkdir()
+        for name in ("a.pgm", "b.pgm"):
+            (images / name).write_bytes(eye_image.read_bytes())
+            (images / f"{name}.od").write_text("80 80\n")
+        extra = [images if tok == "IMAGES" else tok for tok in extra]
+        acc = tmp_path / "acc.csv"
+        r = run_cli("eval", "--subjects", "3", "--corners", "5", "--rotations", "1",
+                    "--csv", acc, "--far-frr-csv", tmp_path / "sweep.csv", *extra)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "error:" in r.stderr
+        assert not acc.exists()
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_missing_subcommand_usage_error(self):
         r = run_cli()

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from retina_id.encoder import FeatureTemplate, encode
+from retina_id.encoder import encode
 from retina_id.evaluation import (
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
     build_synthetic_gallery,
+    far_frr_csv,
     far_frr_sweep,
     perturb,
-    rotation_experiment,
     rotation_protocol,
     synth_constellation,
-    templates_distinct_under_rotation,
 )
-
-from oracles import shift_remap
+from retina_id.matcher import Weights
 
 
 def rng_for(seed):
@@ -89,7 +87,6 @@ class TestRotationProtocol:
         spec = ExperimentSpec(angle_range=15.0, jitter_px=0.0, jitter_deg=0.0,
                               rng_seed=5, integer_angles=True)
         report = rotation_protocol(SyntheticSource(6, 12), spec, counts=(3,))
-        assert report.gallery_distinct is True
         assert report.entries[0].accuracy == 100.0
         assert report.entries[0].misidentified == ()
 
@@ -98,12 +95,6 @@ class TestRotationProtocol:
         report = rotation_protocol(SyntheticSource(5, 8), spec, counts=(4,))
         e = report.entries[0]
         assert e.hits + len(e.misidentified) == e.trials == 20
-
-    def test_single_count_entry_from_spec(self):
-        spec = ExperimentSpec(rotations_per_query=2, rng_seed=7)
-        report = rotation_experiment(SyntheticSource(4, 10), spec)
-        assert [e.rotations for e in report.entries] == [2]
-        assert report.subjects == 4 and report.probes == 8
 
     def test_one_subject_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -137,23 +128,6 @@ class TestRotationProtocol:
         assert lines[0] == "rotations,accuracy_percent"
         assert lines[1].startswith("2,") and lines[2].startswith("3,")
         assert lines[3].startswith("mean,")
-
-
-class TestDistinctness:
-    def test_random_gallery_distinct(self):
-        records, _ = build_synthetic_gallery(6, 12, seed=11)
-        assert templates_distinct_under_rotation([r.template for r in records]) is True
-
-    def test_rotated_copy_flagged(self):
-        records, constellations = build_synthetic_gallery(3, 12, seed=12)
-        templates = [r.template for r in records]
-        spun = FeatureTemplate(shift_remap(templates[0].vectors, 40))
-        assert templates_distinct_under_rotation(templates + [spun]) is False
-
-    def test_exact_duplicate_flagged(self):
-        records, _ = build_synthetic_gallery(2, 12, seed=13)
-        templates = [r.template for r in records]
-        assert templates_distinct_under_rotation(templates + [templates[1]]) is False
 
 
 class TestFarFrr:
@@ -194,6 +168,21 @@ class TestFarFrr:
             far_frr_sweep(records, probes, [])
         with pytest.raises(ValueError, match="non-empty"):
             far_frr_sweep([], probes, [1.0])
+
+
+class TestFarFrrCsv:
+    def test_image_source_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="synthetic galleries only"):
+            far_frr_csv(ImageSource(tmp_path), ExperimentSpec(), 1, 5, Weights())
+
+    @pytest.mark.parametrize("probes,points", [(0, 5), (1, 0), (-1, 5), (1, -1)])
+    def test_counts_below_one_rejected(self, probes, points):
+        with pytest.raises(ValueError, match="at least 1"):
+            far_frr_csv(SyntheticSource(3, 10), ExperimentSpec(), probes, points, Weights())
+
+    def test_one_subject_rejected(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            far_frr_csv(SyntheticSource(1, 10), ExperimentSpec(), 1, 5, Weights())
 
 
 class TestImagePath:
@@ -238,6 +227,10 @@ class TestSpecGuards:
         with pytest.raises(ValueError):
             ExperimentSpec(jitter_px=-0.1)
         with pytest.raises(ValueError):
-            ExperimentSpec(rotations_per_query=0)
-        with pytest.raises(ValueError):
             ExperimentSpec(rng_seed=-1)
+
+    @pytest.mark.parametrize("name", ["angle_range", "jitter_px", "jitter_deg"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            ExperimentSpec(**{name: value})

@@ -1,0 +1,82 @@
+"""Guards on the package's module surface.
+
+The benchmark's tracer (perfbench/tracer.py) wraps package functions by
+(module, name) from outside `src/`, so every name it lists must still exist
+and must still be called through its module global.  Modules also never
+import a sibling's `_private` name.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import retina_id.evaluation as evaluation
+from retina_id.matcher import Weights
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "retina_id"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def tracer_targets() -> dict[str, list[tuple[str, str]]]:
+    """(module, name) pairs of the tracer's WRAPPED and WRAPPED_CONTEXTS."""
+    found = {}
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("WRAPPED", "WRAPPED_CONTEXTS")):
+            found[node.targets[0].id] = [
+                (entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    return found
+
+
+def test_tracer_targets_resolve():
+    targets = tracer_targets()
+    assert set(targets) == {"WRAPPED", "WRAPPED_CONTEXTS"}
+    pairs = targets["WRAPPED"] + targets["WRAPPED_CONTEXTS"]
+    assert len(pairs) > 20
+    missing = [(mod, name) for mod, name in pairs
+               if not callable(getattr(importlib.import_module(f"retina_id.{mod}"), name, None))]
+    assert missing == []
+
+
+def test_evaluation_calls_reach_the_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    eval_spec = evaluation.ExperimentSpec(rng_seed=3)
+    source = evaluation.SyntheticSource(3, 8)
+    with tracer.installed():
+        evaluation.far_frr_csv(source, eval_spec, 1, 4, Weights())
+        evaluation.rotation_protocol(source, eval_spec, counts=(1, 2))
+    names = {span[0] for span in tracer.spans}
+    assert {
+        "evaluation.rotation_protocol", "evaluation.build_synthetic_gallery",
+        "evaluation.perturb", "evaluation.far_frr_sweep", "matcher.total_si",
+        "matcher.identify", "encoder.encode",
+    } <= names
+    # one perturb per sweep probe (3 subjects x 1) and per protocol probe
+    assert sum(span[0] == "evaluation.perturb" for span in tracer.spans) == 3 + 3 * (1 + 2)
+
+
+def imported_names(node) -> list[str]:
+    """Module path parts and names a package-internal import binds."""
+    if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("retina_id")):
+        return (node.module or "").split(".") + [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [part for alias in node.names if alias.name.startswith("retina_id.")
+                for part in alias.name.split(".")]
+    return []
+
+
+def test_no_private_imports_across_modules():
+    offenders = [
+        (path.name, node.lineno, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in imported_names(node)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert offenders == []

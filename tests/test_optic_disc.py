@@ -155,6 +155,16 @@ class TestLocate:
         with pytest.raises(ValueError, match="contrast"):
             locate_od(np.full((128, 128), 77.0), SMALL)
 
+    def test_constant_float_maps_rejected(self):
+        # var_sum of a flat patch is rounding noise that grows with the
+        # patch brightness; an absolute floor alone let some of it through
+        values = np.random.default_rng(31).uniform(0.0, 255.0, 40)
+        for v in values:
+            m = np.full((200, 200), v)
+            assert np.isnan(correlation_surface(m, 40)).all(), v
+            with pytest.raises(ValueError, match="no od contrast"):
+                locate_od(m)
+
     def test_map_smaller_than_margins_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             locate_od(np.zeros((40, 40)), SMALL)
