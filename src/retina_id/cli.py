@@ -5,12 +5,12 @@ Subcommands: detect, enroll, identify, verify, eval, synth.  Exit codes:
 3 empty gallery.
 
 Settings resolve flag > config file > built-in default.  The config file is
-plain `key = value` lines (# comments allowed); recognised keys are the
-detector parameters (k, threshold, sigma, window_radius, nms_radius,
-border_margin), the optic-disc search parameters (od_template_radius,
-od_search_stride, od_margin), the class weights (w1, w2, w3), gallery and
-seed.  The `--det-threshold` flag maps to the `threshold` config key; the
-bare `--threshold` flag is the verify decision threshold.
+plain `key = value` lines (# comments allowed).  The settings are the fields
+of HarrisParams, OdParams and Weights plus `gallery` and `seed`: a config key
+is the field name, with an `od_` prefix for OdParams fields, its flag is the
+key with dashes, and its type and default are the field's.  The one
+exception is the detector's `threshold` key, whose flag is `--det-threshold`
+because the bare `--threshold` flag is the verify decision threshold.
 
 `eval` only parses, prints and writes: rotation_protocol and far_frr_csv in
 `evaluation` own the seed tree and build every probe.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .encoder import encode, polarize
@@ -29,13 +29,14 @@ from .evaluation import (
     ImageSource,
     SyntheticSource,
     build_synthetic_gallery,
+    check_counts,
     far_frr_csv,
     rotation_protocol,
 )
 from .harris import HarrisParams, detect_corners
 from .imaging import load_image, to_intensity
 from .matcher import Weights, identify, verify
-from .optic_disc import OdParams, locate_od, manual_od, od_from_sidecar
+from .optic_disc import OdParams, resolve_od
 from .store import (
     EmptyGalleryError,
     GalleryRecord,
@@ -50,10 +51,15 @@ EXIT_REJECT = 1
 EXIT_INPUT = 2
 EXIT_EMPTY_GALLERY = 3
 
-_CONFIG_KEYS = {
-    "k", "threshold", "sigma", "window_radius", "nms_radius", "border_margin",
-    "od_template_radius", "od_search_stride", "od_margin",
-    "w1", "w2", "w3", "gallery", "seed",
+# config key -> (owner, field name, default); owner None marks the two
+# top-level settings.  Each key is also its flag's parser dest, so verify's
+# decision threshold has a dest of its own.
+_SETTINGS = {
+    **{prefix + f.name: (owner, f.name, f.default)
+       for owner, prefix in ((HarrisParams, ""), (OdParams, "od_"), (Weights, ""))
+       for f in fields(owner)},
+    "gallery": (None, "gallery", "gallery"),
+    "seed": (None, "seed", ExperimentSpec.rng_seed),
 }
 
 
@@ -76,7 +82,7 @@ def _parse_config(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         cfg[key] = value.strip()
     return cfg
@@ -84,38 +90,18 @@ def _parse_config(path: str) -> dict[str, str]:
 
 def _resolve_settings(args) -> Settings:
     cfg = _parse_config(args.config) if args.config else {}
-
-    def pick(key, flag_value, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cast(cfg[key])
-        return default
-
-    hd = HarrisParams()
-    od = OdParams()
-    wd = Weights()
+    values: dict = {}
+    for key, (owner, name, default) in _SETTINGS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = type(default)(cfg[key]) if key in cfg else default
+        values.setdefault(owner, {})[name] = value
     return Settings(
-        harris=HarrisParams(
-            k=pick("k", args.k, float, hd.k),
-            threshold=pick("threshold", args.det_threshold, float, hd.threshold),
-            sigma=pick("sigma", args.sigma, float, hd.sigma),
-            window_radius=pick("window_radius", args.window_radius, int, hd.window_radius),
-            nms_radius=pick("nms_radius", args.nms_radius, int, hd.nms_radius),
-            border_margin=pick("border_margin", args.border_margin, int, hd.border_margin),
-        ),
-        od_params=OdParams(
-            template_radius=pick("od_template_radius", args.od_template_radius, int, od.template_radius),
-            search_stride=pick("od_search_stride", args.od_search_stride, int, od.search_stride),
-            margin=pick("od_margin", args.od_margin, int, od.margin),
-        ),
-        weights=Weights(
-            w1=pick("w1", args.w1, float, wd.w1),
-            w2=pick("w2", args.w2, float, wd.w2),
-            w3=pick("w3", args.w3, float, wd.w3),
-        ),
-        gallery=Path(pick("gallery", args.gallery, str, "gallery")),
-        seed=pick("seed", args.seed, int, 42),
+        harris=HarrisParams(**values[HarrisParams]),
+        od_params=OdParams(**values[OdParams]),
+        weights=Weights(**values[Weights]),
+        gallery=Path(values[None]["gallery"]),
+        seed=values[None]["seed"],
     )
 
 
@@ -126,19 +112,9 @@ def _parse_xy(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _resolve_od(m, image_path, settings: Settings, od_flag):
-    if od_flag:
-        x, y = _parse_xy(od_flag)
-        return manual_od(x, y, m)
-    sidecar = od_from_sidecar(image_path, m)
-    if sidecar is not None:
-        return sidecar
-    return locate_od(m, settings.od_params)
-
-
 def _query_template(image_path, settings: Settings, od_flag):
     m = to_intensity(load_image(image_path))
-    od = _resolve_od(m, image_path, settings, od_flag)
+    od = resolve_od(m, image_path, settings.od_params, _parse_xy(od_flag) if od_flag else None)
     corners = detect_corners(m, settings.harris)
     return encode(polarize(corners, od)), od
 
@@ -164,6 +140,8 @@ def cmd_enroll(args) -> int:
         if existing is not None and existing.get(args.subject_id) is not None:
             raise ValueError(
                 f"subject {args.subject_id!r} already enrolled; gallery unchanged")
+        if target.exists():
+            raise ValueError(f"{target} already exists; gallery unchanged")
         template, od = _query_template(args.image, settings, args.od)
         record = GalleryRecord(
             subject_id=args.subject_id,
@@ -198,9 +176,10 @@ def cmd_verify(args) -> int:
     if record is None:
         raise ValueError(f"subject {args.subject_id!r} not enrolled")
     template, _ = _query_template(args.image, settings, args.od)
-    accepted, score = verify(template, record, args.threshold, settings.weights)
+    accepted, score = verify(template, record, args.decision_threshold, settings.weights)
     verdict = "accept" if accepted else "reject"
-    print(f"{verdict} {args.subject_id} total={score.total:.6g} threshold={args.threshold:.6g}")
+    print(f"{verdict} {args.subject_id} total={score.total:.6g} "
+          f"threshold={args.decision_threshold:.6g}")
     return EXIT_OK if accepted else EXIT_REJECT
 
 
@@ -219,7 +198,7 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     settings = _resolve_settings(args)
-    counts = tuple(int(tok) for tok in args.rotations.split(","))
+    counts = check_counts(int(tok) for tok in args.rotations.split(","))
     spec = ExperimentSpec(
         angle_range=args.angle_range,
         jitter_px=args.jitter_px,
@@ -248,21 +227,11 @@ def cmd_eval(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value settings file")
-    common.add_argument("--gallery", help="gallery directory or .rtpl file")
-    common.add_argument("--seed", type=int, help="rng seed (default 42)")
     common.add_argument("--od", metavar="X,Y", help="manual optic-disc centre")
-    common.add_argument("--k", type=float, help="detector response coefficient")
-    common.add_argument("--det-threshold", type=float, help="detector response threshold")
-    common.add_argument("--sigma", type=float, help="tensor window sigma")
-    common.add_argument("--window-radius", type=int)
-    common.add_argument("--nms-radius", type=int)
-    common.add_argument("--border-margin", type=int)
-    common.add_argument("--od-template-radius", type=int)
-    common.add_argument("--od-search-stride", type=int)
-    common.add_argument("--od-margin", type=int)
-    common.add_argument("--w1", type=float)
-    common.add_argument("--w2", type=float)
-    common.add_argument("--w3", type=float)
+    for key, (_, _, default) in _SETTINGS.items():
+        flag = "--det-threshold" if key == "threshold" else "--" + key.replace("_", "-")
+        common.add_argument(flag, dest=key, type=type(default),
+                            help=f"config key {key} (default {default})")
 
     parser = argparse.ArgumentParser(prog="retina-id",
                                      description="Retinal template identification")
@@ -285,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="one-to-one check against a claim")
     p.add_argument("image")
     p.add_argument("subject_id")
-    p.add_argument("--threshold", type=float, required=True,
-                   help="decision threshold on the total similarity")
+    p.add_argument("--threshold", dest="decision_threshold", metavar="THRESHOLD", type=float,
+                   required=True, help="decision threshold on the total similarity")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", parents=[common], help="write a synthetic gallery")

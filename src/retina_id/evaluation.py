@@ -30,7 +30,7 @@ from .encoder import PolarCorner, encode, polarize
 from .harris import DEFAULT_THRESHOLD, HarrisParams, detect_corners
 from .imaging import load_image, rotate_about, to_intensity
 from .matcher import Weights, identify, total_si
-from .optic_disc import OdCenter, OdParams, locate_od, od_from_sidecar
+from .optic_disc import OdCenter, OdParams, resolve_od
 from .store import GalleryRecord
 
 DEFAULT_COUNTS = (5, 10, 20)
@@ -244,10 +244,9 @@ def _build_image_gallery(source: ImageSource):
         raise ValueError(f"no .pgm/.ppm images under {directory}")
     records = []
     maps = []
-    centers = []
     for f in files:
         m = to_intensity(load_image(f))
-        od = od_from_sidecar(f, m) or locate_od(m, source.od)
+        od = resolve_od(m, f, source.od)
         corners = detect_corners(m, source.harris)
         sid = _sanitize_subject(f.stem)
         if any(r.subject_id == sid for r in records):
@@ -259,8 +258,7 @@ def _build_image_gallery(source: ImageSource):
             od=od,
         ))
         maps.append(m)
-        centers.append(od)
-    return records, maps, centers
+    return records, maps
 
 
 def _gallery(source, spec: ExperimentSpec):
@@ -273,14 +271,15 @@ def _gallery(source, spec: ExperimentSpec):
         def probe_fn(i, angle, rng):
             return encode(perturb(constellations[i], angle, spec, rng))
     elif isinstance(source, ImageSource):
-        records, maps, centers = _build_image_gallery(source)
+        records, maps = _build_image_gallery(source)
 
         # The rotation itself is the perturbation on the image path; pixel
         # resampling supplies the noise, so spec jitters do not apply here.
         def probe_fn(i, angle, rng):
-            rotated = rotate_about(maps[i], (centers[i].x, centers[i].y), angle)
+            od = records[i].od
+            rotated = rotate_about(maps[i], (od.x, od.y), angle)
             corners = detect_corners(rotated, source.harris)
-            return encode(polarize(corners, centers[i]))
+            return encode(polarize(corners, od))
     else:
         raise TypeError("source must be SyntheticSource or ImageSource")
     if len(records) < 2:
@@ -288,13 +287,19 @@ def _gallery(source, spec: ExperimentSpec):
     return records, probe_fn
 
 
+def check_counts(counts) -> tuple:
+    """The rotation counts as a non-empty tuple of positive ints."""
+    counts = tuple(counts)
+    if not counts or any(c < 1 for c in counts):
+        raise ValueError("counts must be a non-empty sequence of positive ints")
+    return counts
+
+
 def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
                       weights: Weights | None = None) -> AccuracyReport:
     """Run the rotation experiment for each count in `counts` over one
     shared gallery and merge the results into a single report."""
-    counts = tuple(counts)
-    if not counts or any(c < 1 for c in counts):
-        raise ValueError("counts must be a non-empty sequence of positive ints")
+    counts = check_counts(counts)
     weights = weights or Weights()
     records, probe_fn = _gallery(source, spec)
     self_totals = _self_totals(records, weights)

@@ -147,7 +147,8 @@ def local_maxima(resp: np.ndarray, params: HarrisParams | None = None) -> list[C
         raise ValueError("response map must be 2-D")
     h, w = r.shape
     bm = params.border_margin
-    nr = params.nms_radius
+    # Offsets past the map's extent would only read padding.
+    nr = min(params.nms_radius, max(h, w) - 1)
     if h <= 2 * bm or w <= 2 * bm:
         return []
     ys, xs = np.nonzero(r[bm:h - bm, bm:w - bm] >= params.threshold)

@@ -195,3 +195,12 @@ def od_from_sidecar(image_path, intensity: np.ndarray) -> OdCenter | None:
     if len(tokens) < 2:
         raise ValueError(f"{sidecar}: expected 'x y'")
     return manual_od(float(tokens[0]), float(tokens[1]), intensity)
+
+
+def resolve_od(intensity: np.ndarray, image_path, params: OdParams | None = None,
+               manual: tuple[float, float] | None = None) -> OdCenter:
+    """The optic-disc centre of one image: the `manual` (x, y) when given,
+    else the image's `.od` sidecar, else detection with `params`."""
+    if manual is not None:
+        return manual_od(*manual, intensity)
+    return od_from_sidecar(image_path, intensity) or locate_od(intensity, params)

@@ -104,13 +104,27 @@ def render_record(record: GalleryRecord) -> str:
         f"od {format_amplitude(record.od.x)} {format_amplitude(record.od.y)} {record.od.source}",
         f"image {record.source_image}".rstrip(),
     ]
-    for row in record.template.vectors:
-        lines.append(" ".join(format_amplitude(v) for v in row))
+    # Python floats format like numpy's, in about half the time.
+    for row in record.template.vectors.tolist():
+        lines.append(" ".join(map(format_amplitude, row)))
     return "\n".join(lines) + "\n"
 
 
 def save_template(record: GalleryRecord, path) -> None:
-    Path(path).write_bytes(render_record(record).encode("utf-8"))
+    """Write a temporary `.tmp` file (never matched by `*.rtpl`) and rename
+    it onto `path`, so a lock-free reader never sees a partial file.  Not
+    fsync'd: a crash can still lose the write."""
+    path = Path(path)
+    data = render_record(record).encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:

@@ -1,13 +1,24 @@
 """End-to-end command-line checks, run through subprocess for honest exit
-codes and stream handling."""
+codes and stream handling; the few that watch the CLI's internal calls run
+`cli.main` in-process."""
 
 import subprocess
 import sys
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from retina_id import cli
+from retina_id.evaluation import build_synthetic_gallery
+from retina_id.harris import HarrisParams
 from retina_id.imaging import RasterImage, save_image
+from retina_id.matcher import Weights
+from retina_id.optic_disc import OdParams
+from retina_id.store import load_gallery, render_record
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv, cwd=None):
@@ -99,6 +110,81 @@ class TestDetect:
         assert "unknown key" in r.stderr
 
 
+# config key, flag, config value, flag value, resolved attribute
+SETTINGS = [
+    ("k", "--k", "0.1", "0.2", "harris.k"),
+    ("threshold", "--det-threshold", "10", "20", "harris.threshold"),
+    ("sigma", "--sigma", "1", "2", "harris.sigma"),
+    ("window_radius", "--window-radius", "2", "3", "harris.window_radius"),
+    ("nms_radius", "--nms-radius", "2", "5", "harris.nms_radius"),
+    ("border_margin", "--border-margin", "7", "9", "harris.border_margin"),
+    ("od_template_radius", "--od-template-radius", "20", "30", "od_params.template_radius"),
+    ("od_search_stride", "--od-search-stride", "2", "3", "od_params.search_stride"),
+    ("od_margin", "--od-margin", "50", "60", "od_params.margin"),
+    ("w1", "--w1", "0.5", "3", "weights.w1"),
+    ("w2", "--w2", "0.5", "3", "weights.w2"),
+    ("w3", "--w3", "0.5", "3", "weights.w3"),
+    ("gallery", "--gallery", "cfg-gallery", "flag-gallery", "gallery"),
+    ("seed", "--seed", "7", "8", "seed"),
+]
+DEFAULTS = cli.Settings(HarrisParams(), OdParams(), Weights(), Path("gallery"), 42)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("key,flag,cfg_value,flag_value,attr", SETTINGS,
+                             ids=[case[0] for case in SETTINGS])
+    def test_flag_beats_config_beats_default(self, tmp_path, key, flag, cfg_value, flag_value, attr):
+        get = attrgetter(attr)
+        cfg = tmp_path / "settings.conf"
+        cfg.write_text(f"{key} = {cfg_value}\n")
+
+        def resolve(*argv):
+            args = cli._build_parser().parse_args(["detect", "x.pgm", *map(str, argv)])
+            return get(cli._resolve_settings(args))
+
+        default = get(DEFAULTS)
+        cast = type(default)
+        assert cast(cfg_value) != default and cast(flag_value) != default
+        assert resolve() == default
+        assert resolve("--config", cfg) == cast(cfg_value)
+        assert resolve(flag, flag_value) == cast(flag_value)
+        assert resolve("--config", cfg, flag, flag_value) == cast(flag_value)
+
+    def test_readme_example_lists_every_key(self, tmp_path, square_image):
+        block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+        keys = [line.split("=", 1)[0].strip() for line in lines if line]
+        assert sorted(keys) == sorted(case[0] for case in SETTINGS)
+        cfg = tmp_path / "readme.conf"
+        cfg.write_text(block)
+        r = run_cli("detect", square_image, "--config", cfg)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == run_cli("detect", square_image).stdout
+
+    def test_verify_threshold_and_detector_threshold_stay_apart(self, eye_image, tmp_path, monkeypatch):
+        gal = tmp_path / "gal"
+        assert cli.main(["enroll", str(eye_image), "alice", "--gallery", str(gal), "--od", "80,80"]) == 0
+        seen = []
+
+        def detect_spy(m, params):
+            seen.append(("det", params.threshold))
+            return detect_corners(m, params)
+
+        def verify_spy(template, record, threshold, weights):
+            seen.append(("verify", threshold))
+            return verify(template, record, threshold, weights)
+
+        detect_corners, verify = cli.detect_corners, cli.verify
+        monkeypatch.setattr(cli, "detect_corners", detect_spy)
+        monkeypatch.setattr(cli, "verify", verify_spy)
+        argv = ["verify", str(eye_image), "alice", "--gallery", str(gal), "--od", "80,80"]
+        cli.main(argv + ["--threshold", "5"])
+        cli.main(argv + ["--det-threshold", "9", "--threshold", "5"])
+        cli.main(argv + ["--threshold", "5", "--det-threshold", "9"])
+        default = HarrisParams().threshold
+        assert seen == [("det", default), ("verify", 5.0)] + [("det", 9.0), ("verify", 5.0)] * 2
+
+
 class TestEnroll:
     def test_enroll_writes_template(self, eye_image, tmp_path):
         gal = tmp_path / "gal"
@@ -116,6 +202,20 @@ class TestEnroll:
         assert r.returncode == 2
         assert "already enrolled" in r.stderr
         assert (gal / "bob.rtpl").read_bytes() == before
+
+    def test_enroll_onto_multi_subject_file_refused(self, eye_image, tmp_path):
+        gal = tmp_path / "gal"
+        gal.mkdir()
+        records, _ = build_synthetic_gallery(2, 10, seed=3)
+        team = gal / "team.rtpl"
+        team.write_text("".join(render_record(rec) for rec in records))
+        before = team.read_bytes()
+        r = run_cli("enroll", eye_image, "team", "--gallery", gal, "--od", "80,80")
+        assert r.returncode == 2
+        assert "already exists" in r.stderr
+        assert team.read_bytes() == before
+        assert sorted(p.name for p in gal.glob("*.rtpl")) == ["team.rtpl"]
+        assert load_gallery(gal).subject_ids == ["s001", "s002"]
 
     def test_invalid_subject_id_rejected(self, eye_image, tmp_path):
         r = run_cli("enroll", eye_image, "no spaces", "--gallery", tmp_path / "g")
@@ -335,6 +435,15 @@ class TestSynthEval:
         assert "error:" in r.stderr
         assert not acc.exists()
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("rotations", ["0", "5,-1"])
+    def test_eval_bad_rotations_fail_before_sweep(self, tmp_path, monkeypatch, rotations):
+        calls = []
+        monkeypatch.setattr(cli, "far_frr_csv", lambda *args: calls.append(args) or "")
+        sweep = tmp_path / "sweep.csv"
+        assert cli.main(["eval", "--rotations", rotations, "--far-frr-csv", str(sweep)]) == 2
+        assert calls == []
+        assert not sweep.exists()
 
     def test_missing_subcommand_usage_error(self):
         r = run_cli()

@@ -179,6 +179,15 @@ class TestLocalMaximaMatchesBrute:
         assert len(got) > 20
         assert got == local_maxima_brute(r, params.threshold, params.nms_radius, params.border_margin)
 
+    @pytest.mark.parametrize("shape", [(24, 24), (23, 17), (9, 26)])
+    def test_radius_wider_than_map(self, shape):
+        # Clamped to the map's extent: 10**9 would otherwise pad by 10**9.
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        r = rng.choice(NMS_LEVELS, size=shape, p=[0.5, 0.05, 0.15, 0.1, 0.1, 0.04, 0.03, 0.03])
+        for nms_radius in (max(shape) - 1, max(shape), 10 ** 9):
+            params = nms_params(1e4, nms_radius, 2)
+            assert nms_triples(r, params) == local_maxima_brute(r, 1e4, nms_radius, 2)
+
     @settings(max_examples=80, deadline=None)
     @given(
         r=arrays(np.float64, st.tuples(st.integers(3, 24), st.integers(3, 24)),

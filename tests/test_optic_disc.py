@@ -13,6 +13,7 @@ from retina_id.optic_disc import (
     locate_od,
     manual_od,
     od_from_sidecar,
+    resolve_od,
 )
 
 from oracles import zncc_surface_brute
@@ -203,6 +204,20 @@ class TestSidecar:
         (tmp_path / "x.pgm.od").write_text("only-one-token")
         with pytest.raises(ValueError):
             od_from_sidecar(img, np.zeros((50, 50)))
+
+
+class TestResolve:
+    def test_manual_then_sidecar_then_detection(self, tmp_path):
+        m = blob_map()
+        img = tmp_path / "x.pgm"
+        assert resolve_od(m, img, SMALL) == locate_od(m, SMALL)
+        (tmp_path / "x.pgm.od").write_text("12 34\n")
+        assert resolve_od(m, img, SMALL) == OdCenter(12.0, 34.0, 1.0, "manual")
+        assert resolve_od(m, img, SMALL, manual=(5.0, 6.0)) == OdCenter(5.0, 6.0, 1.0, "manual")
+
+    def test_manual_centre_checked_against_map(self, tmp_path):
+        with pytest.raises(ValueError, match="outside the map"):
+            resolve_od(blob_map(), tmp_path / "x.pgm", SMALL, manual=(500.0, 6.0))
 
 
 class TestTemplate:

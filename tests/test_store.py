@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -234,3 +238,60 @@ class TestLock:
                     fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             finally:
                 os.close(fd)
+
+
+class TestAtomicSave:
+    def test_reader_never_sees_a_partial_file(self, tmp_path):
+        rng = np.random.default_rng(71)
+        versions = [record(rng, sid="a"), record(rng, sid="a")]
+        path = tmp_path / "a.rtpl"
+        save_template(versions[0], path)
+        stop = threading.Event()
+        reads = []
+        torn = []
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    (got,) = load_gallery(tmp_path).records
+                    reads.append(any(np.array_equal(got.template.vectors, v.template.vectors)
+                                     for v in versions))
+                except (OSError, ValueError) as exc:
+                    torn.append(exc)
+
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers:
+                t.start()
+            for i in range(300):
+                save_template(versions[i % 2], path)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        assert torn == []
+        assert len(reads) > 0 and all(reads)
+
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(72)
+        path = tmp_path / "a.rtpl"
+        save_template(record(rng, sid="a"), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_template(record(rng, sid="a"), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.rtpl"]
+        assert path.read_bytes() == before
+
+    def test_saved_file_mode_follows_umask(self, tmp_path):
+        save_template(record(np.random.default_rng(73), sid="a"), tmp_path / "a.rtpl")
+        (tmp_path / "plain").write_bytes(b"")
+        assert (tmp_path / "a.rtpl").stat().st_mode == (tmp_path / "plain").stat().st_mode
