@@ -12,8 +12,10 @@ key with dashes, and its type and default are the field's.  The one
 exception is the detector's `threshold` key, whose flag is `--det-threshold`
 because the bare `--threshold` flag is the verify decision threshold.
 
-`eval` only parses, prints and writes: rotation_protocol and far_frr_csv in
-`evaluation` own the seed tree and build every probe.
+`synth` and `eval` only parse, print and write.  Eval's spec flags are the
+ExperimentSpec fields other than rng_seed (the `seed` setting), derived like
+the settings but not config keys; `--corners` and `--rotations` default to
+SyntheticSource.n_corners and DEFAULT_COUNTS.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 
 from .encoder import encode, polarize
 from .evaluation import (
+    DEFAULT_COUNTS,
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
@@ -61,6 +64,7 @@ _SETTINGS = {
     "gallery": (None, "gallery", "gallery"),
     "seed": (None, "seed", ExperimentSpec.rng_seed),
 }
+_SPEC_FIELDS = [f for f in fields(ExperimentSpec) if f.name != "rng_seed"]
 
 
 @dataclass
@@ -185,8 +189,6 @@ def cmd_verify(args) -> int:
 
 def cmd_synth(args) -> int:
     settings = _resolve_settings(args)
-    if args.subjects < 1:
-        raise ValueError("--subjects must be at least 1")
     records, _ = build_synthetic_gallery(args.subjects, args.corners, settings.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,13 +201,8 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     settings = _resolve_settings(args)
     counts = check_counts(int(tok) for tok in args.rotations.split(","))
-    spec = ExperimentSpec(
-        angle_range=args.angle_range,
-        jitter_px=args.jitter_px,
-        jitter_deg=args.jitter_deg,
-        rng_seed=settings.seed,
-        integer_angles=args.integer_angles,
-    )
+    spec = ExperimentSpec(rng_seed=settings.seed,
+                          **{f.name: getattr(args, f.name) for f in _SPEC_FIELDS})
     if args.images:
         source = ImageSource(Path(args.images), settings.harris, settings.od_params)
     else:
@@ -260,19 +257,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common], help="write a synthetic gallery")
     p.add_argument("--subjects", type=int, required=True)
-    p.add_argument("--corners", type=int, default=20)
+    p.add_argument("--corners", type=int, default=SyntheticSource.n_corners)
     p.add_argument("--out", default="gallery")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", parents=[common], help="rotation-accuracy experiment")
     p.add_argument("--subjects", type=int, default=50)
-    p.add_argument("--corners", type=int, default=20)
-    p.add_argument("--rotations", default="5,10,20",
+    p.add_argument("--corners", type=int, default=SyntheticSource.n_corners)
+    p.add_argument("--rotations", default=",".join(map(str, DEFAULT_COUNTS)),
                    help="comma-separated probe counts per subject")
-    p.add_argument("--angle-range", type=float, default=15.0)
-    p.add_argument("--jitter-px", type=float, default=0.5)
-    p.add_argument("--jitter-deg", type=float, default=0.5)
-    p.add_argument("--integer-angles", action="store_true")
+    for f in _SPEC_FIELDS:
+        # type=bool would read "--integer-angles False" as true.
+        kind = {"action": "store_true"} if type(f.default) is bool else {"type": type(f.default)}
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kind)
     p.add_argument("--images", help="directory of .pgm/.ppm images (default: synthetic)")
     p.add_argument("--csv", help="write the accuracy table as CSV")
     p.add_argument("--far-frr-csv", help="write a verification threshold sweep")

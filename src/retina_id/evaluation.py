@@ -16,26 +16,33 @@ count, subject, trial]` for the rotation protocol's probes at each count,
 and `[seed, 2, subject, trial]` for the FAR/FRR sweep's probes.  A probe
 draws its angle (sample_angle), then its jitter (perturb, synthetic only);
 subjects are walked in gallery order, trials in order within each.
+
+Synthetic distances stay inside the encoder's GATE_RADIUS; an image stem's
+characters outside the store's subject-id rule become `_`.  MAX_CORNERS and
+MAX_SWEEP_POINTS bound the counts that size an allocation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import PolarCorner, encode, polarize
-from .harris import DEFAULT_THRESHOLD, HarrisParams, detect_corners
+from .encoder import GATE_RADIUS, SLOTS, PolarCorner, encode, polarize
+from .harris import DEFAULT_THRESHOLD, HarrisParams, detect_corners, is_finite
 from .imaging import load_image, rotate_about, to_intensity
 from .matcher import Weights, identify, total_si
 from .optic_disc import OdCenter, OdParams, resolve_od
-from .store import GalleryRecord
+from .store import GalleryRecord, valid_subject_id
 
 DEFAULT_COUNTS = (5, 10, 20)
 MIN_DISTANCE = 5.0
-MAX_DISTANCE = 79.999
+MAX_DISTANCE = GATE_RADIUS - 1e-3
+# No more corners than template slots: a corner changes a template only by
+# filling an empty slot.
+MAX_CORNERS = 3 * SLOTS
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -47,10 +54,10 @@ class ExperimentSpec:
     integer_angles: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.angle_range) and self.angle_range > 0):
+        if not (is_finite(self.angle_range) and self.angle_range > 0):
             raise ValueError("angle_range must be positive and finite")
         for name in ("jitter_px", "jitter_deg"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+            if not (is_finite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be non-negative and finite")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
@@ -133,13 +140,13 @@ def fmt_num(v: float) -> str:
 
 
 def synth_constellation(n_corners: int, rng: np.random.Generator) -> list[PolarCorner]:
-    """Random constellation: distances uniform [5, 79], orientations uniform
-    [0, 360), responses uniform over a decade above the detector threshold.
-    Draw order (distances, orientations, responses) is part of the
-    reproducibility contract."""
-    if n_corners < 1:
-        raise ValueError("n_corners must be at least 1")
-    distances = rng.uniform(MIN_DISTANCE, 79.0, n_corners)
+    """Random constellation of 1 to MAX_CORNERS corners: distances uniform
+    [MIN_DISTANCE, GATE_RADIUS - 1], orientations uniform [0, 360), responses
+    uniform over a decade above the detector threshold.  Draw order
+    (distances, orientations, responses) is part of the reproducibility contract."""
+    if not 1 <= n_corners <= MAX_CORNERS:
+        raise ValueError(f"n_corners must be between 1 and {MAX_CORNERS}")
+    distances = rng.uniform(MIN_DISTANCE, GATE_RADIUS - 1.0, n_corners)
     orientations = rng.uniform(0.0, 360.0, n_corners) % 360.0
     responses = rng.uniform(DEFAULT_THRESHOLD, 10.0 * DEFAULT_THRESHOLD, n_corners)
     return [
@@ -233,7 +240,7 @@ def _run_count(records, self_totals, probe_fn, count: int, spec: ExperimentSpec,
 
 
 def _sanitize_subject(stem: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch in "_-" else "_" for ch in stem)
+    cleaned = "".join(ch if valid_subject_id(ch) else "_" for ch in stem)
     return cleaned[:64] or "img"
 
 
@@ -341,13 +348,15 @@ def far_frr_csv(source: SyntheticSource, spec: ExperimentSpec, probes_per_subjec
     """FAR/FRR sweep of a synthetic gallery as CSV text.
 
     Each subject gets `probes_per_subject` probes from seed-tree branch 2;
-    the `points` thresholds run evenly from 0 to 1.05 times the largest
-    self-match total.  Rows are `threshold,far_percent,frr_percent`.
+    `points` thresholds (at most MAX_SWEEP_POINTS) run evenly from 0 to 1.05
+    times the largest self-match total.  Rows are `threshold,far_percent,frr_percent`.
     """
     if not isinstance(source, SyntheticSource):
         raise ValueError("the FAR/FRR sweep supports synthetic galleries only")
     if probes_per_subject < 1 or points < 1:
         raise ValueError("sweep probes and points must be at least 1")
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep points must be at most {MAX_SWEEP_POINTS}")
     records, probe_fn = _gallery(source, spec)
     probes = [(sid, probe) for sid, _, probe in _probes(spec, (2,), records, probes_per_subject, probe_fn)]
     thresholds = np.linspace(0.0, 1.05 * max(_self_totals(records, weights).values()), points)

@@ -13,13 +13,19 @@ Its output is identical to a per-pixel window scan (tests/oracles.py).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_K = 0.17
 DEFAULT_THRESHOLD = 7e4
+
+
+def is_finite(value) -> bool:
+    """True for a number in the float range.  It compares without converting,
+    so an int too large for a float is False rather than an OverflowError."""
+    return -sys.float_info.max <= value <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -34,11 +40,11 @@ class HarrisParams:
     border_margin: int = 5
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
+        if not (is_finite(self.k) and self.k > 0):
             raise ValueError("k must be positive and finite")
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+        if not (is_finite(self.threshold) and self.threshold >= 0):
             raise ValueError("threshold must be non-negative and finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
+        if not (is_finite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be positive and finite")
         if self.window_radius < 1:
             raise ValueError("window_radius must be at least 1")

@@ -22,13 +22,12 @@ floor changes nothing there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .harris import gaussian_window, separable_window_sum
+from .harris import gaussian_window, is_finite, separable_window_sum
 
 # Patch variance below this is treated as flat and excluded from matching.
 VARIANCE_FLOOR = 1e-6
@@ -42,7 +41,7 @@ class OdParams:
 
     def __post_init__(self):
         for name in ("template_radius", "search_stride", "margin"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.template_radius < 4:
             raise ValueError("template_radius must be at least 4")

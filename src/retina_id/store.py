@@ -102,7 +102,7 @@ def render_record(record: GalleryRecord) -> str:
         MAGIC,
         f"subject {record.subject_id}",
         f"od {format_amplitude(record.od.x)} {format_amplitude(record.od.y)} {record.od.source}",
-        f"image {record.source_image}".rstrip(),
+        f"image {record.source_image}" if record.source_image else "image",
     ]
     # Python floats format like numpy's, in about half the time.
     for row in record.template.vectors.tolist():

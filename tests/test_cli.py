@@ -2,16 +2,25 @@
 codes and stream handling; the few that watch the CLI's internal calls run
 `cli.main` in-process."""
 
+import re
 import subprocess
 import sys
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from retina_id import cli
-from retina_id.evaluation import build_synthetic_gallery
+from retina_id.evaluation import (
+    DEFAULT_COUNTS,
+    MAX_CORNERS,
+    MAX_SWEEP_POINTS,
+    ExperimentSpec,
+    SyntheticSource,
+    build_synthetic_gallery,
+)
 from retina_id.harris import HarrisParams
 from retina_id.imaging import RasterImage, save_image
 from retina_id.matcher import Weights
@@ -101,6 +110,21 @@ class TestDetect:
         r = run_cli("detect", square_image, "--config", cfg)
         assert r.returncode == 2
         assert "sigma must be" in r.stderr
+
+    def test_huge_int_od_flag_is_input_error(self, square_image):
+        # detect never reads the OD setting, but every command builds it.
+        r = run_cli("detect", square_image, "--od-margin", "9" * 400)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "margin must be finite" in r.stderr
+
+    def test_huge_int_od_config_is_input_error(self, square_image, tmp_path):
+        cfg = tmp_path / "od.conf"
+        cfg.write_text(f"od_search_stride = {'9' * 400}\n")
+        r = run_cli("detect", square_image, "--config", cfg)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "search_stride must be finite" in r.stderr
 
     def test_unknown_config_key_is_input_error(self, square_image, tmp_path):
         cfg = tmp_path / "bad.conf"
@@ -448,3 +472,100 @@ class TestSynthEval:
     def test_missing_subcommand_usage_error(self):
         r = run_cli()
         assert r.returncode == 2
+
+
+# Flags listed by `--help` and the parsed defaults of the subcommands whose
+# inputs the evaluation module owns, recorded before their flags were
+# derived from ExperimentSpec, SyntheticSource and DEFAULT_COUNTS.
+COMMON_FLAGS = ["--border-margin", "--config", "--det-threshold", "--gallery", "--help", "--k",
+                "--nms-radius", "--od", "--od-margin", "--od-search-stride",
+                "--od-template-radius", "--seed", "--sigma", "--w1", "--w2", "--w3",
+                "--window-radius", "-h"]
+HELP_FLAGS = {
+    "eval": COMMON_FLAGS + ["--angle-range", "--corners", "--csv", "--far-frr-csv", "--images",
+                            "--integer-angles", "--jitter-deg", "--jitter-px", "--rotations",
+                            "--subjects", "--sweep-points", "--sweep-probes"],
+    "synth": COMMON_FLAGS + ["--corners", "--out", "--subjects"],
+}
+OWN_DEFAULTS = {
+    "eval": {"subjects": 50, "corners": 20, "rotations": "5,10,20", "angle_range": 15.0,
+             "jitter_px": 0.5, "jitter_deg": 0.5, "integer_angles": False, "images": None,
+             "csv": None, "far_frr_csv": None, "sweep_points": 100, "sweep_probes": 3},
+    "synth": {"subjects": 1, "corners": 20, "out": "gallery"},
+}
+
+
+class TestEvalInputs:
+    @pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+    def test_help_flags_unchanged(self, command):
+        r = run_cli(command, "--help")
+        assert r.returncode == 0
+        flags = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", r.stdout))
+        assert flags == set(HELP_FLAGS[command])
+
+    @pytest.mark.parametrize("command", sorted(OWN_DEFAULTS))
+    def test_parsed_defaults_unchanged(self, command):
+        extra = ["--subjects", "1"] if command == "synth" else []
+        parsed = vars(cli._build_parser().parse_args([command, *extra]))
+        del parsed["func"]
+        assert parsed == {"command": command, "config": None, "od": None,
+                          **dict.fromkeys(case[0] for case in SETTINGS),
+                          **OWN_DEFAULTS[command]}
+
+    def protocol_calls(self, monkeypatch, argv):
+        calls = []
+
+        def protocol(source, spec, counts, weights):
+            calls.append((source, spec, counts))
+            return SimpleNamespace(to_table=lambda: "")
+
+        monkeypatch.setattr(cli, "rotation_protocol", protocol)
+        assert cli.main(["eval", *argv]) == 0
+        return calls
+
+    def test_eval_defaults_come_from_the_library(self, monkeypatch):
+        assert self.protocol_calls(monkeypatch, []) == [(
+            SyntheticSource(50, SyntheticSource.n_corners),
+            ExperimentSpec(rng_seed=ExperimentSpec.rng_seed),
+            DEFAULT_COUNTS,
+        )]
+
+    @pytest.mark.parametrize("argv,field", [
+        (["--angle-range", "7"], {"angle_range": 7.0}),
+        (["--jitter-px", "0.25"], {"jitter_px": 0.25}),
+        (["--jitter-deg", "2"], {"jitter_deg": 2.0}),
+        (["--integer-angles"], {"integer_angles": True}),
+        (["--seed", "5"], {"rng_seed": 5}),
+    ], ids=["angle-range", "jitter-px", "jitter-deg", "integer-angles", "seed"])
+    def test_eval_spec_flags_reach_the_spec(self, monkeypatch, argv, field):
+        [(_, spec, _)] = self.protocol_calls(monkeypatch, argv)
+        assert spec == ExperimentSpec(**field)
+
+    def test_synth_corners_default_from_the_library(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "build_synthetic_gallery",
+                            lambda *args: calls.append(args) or ([], []))
+        assert cli.main(["synth", "--subjects", "2", "--out", str(tmp_path / "g")]) == 0
+        assert calls == [(2, SyntheticSource.n_corners, ExperimentSpec.rng_seed)]
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_corners_above_bound_exit_2(self, tmp_path, command):
+        out = tmp_path / "out"
+        extra = (["--subjects", "1", "--out", out] if command == "synth"
+                 else ["--subjects", "3", "--rotations", "1", "--csv", out])
+        r = run_cli(command, "--corners", MAX_CORNERS + 1, *extra)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"n_corners must be between 1 and {MAX_CORNERS}" in r.stderr
+        assert not out.exists()
+
+    def test_sweep_points_above_bound_exit_2(self, tmp_path):
+        acc = tmp_path / "acc.csv"
+        sweep = tmp_path / "sweep.csv"
+        r = run_cli("eval", "--subjects", "3", "--corners", "5", "--rotations", "1",
+                    "--csv", acc, "--far-frr-csv", sweep,
+                    "--sweep-points", MAX_SWEEP_POINTS + 1)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"at most {MAX_SWEEP_POINTS}" in r.stderr
+        assert not acc.exists() and not sweep.exists()

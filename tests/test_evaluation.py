@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from retina_id import evaluation
 from retina_id.encoder import encode
 from retina_id.evaluation import (
+    MAX_CORNERS,
+    MAX_SWEEP_POINTS,
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
@@ -36,6 +39,16 @@ class TestSynth:
     def test_zero_corners_rejected(self):
         with pytest.raises(ValueError, match="n_corners"):
             synth_constellation(0, rng_for(72))
+
+    def test_corner_bound(self):
+        # No count above the template's slot total can change a template,
+        # and an unbounded count sizes an unbounded draw.
+        assert len(synth_constellation(MAX_CORNERS, rng_for(73))) == MAX_CORNERS
+        rng = rng_for(74)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_CORNERS}"):
+            synth_constellation(MAX_CORNERS + 1, rng)
+        assert rng.bit_generator.state == state
 
     def test_gallery_ids_and_determinism(self):
         r1, c1 = build_synthetic_gallery(4, 10, seed=9)
@@ -184,6 +197,15 @@ class TestFarFrrCsv:
         with pytest.raises(ValueError, match="at least 2"):
             far_frr_csv(SyntheticSource(1, 10), ExperimentSpec(), 1, 5, Weights())
 
+    def test_points_above_bound_rejected_before_gallery(self, monkeypatch):
+        def no_gallery(*args):
+            raise AssertionError("gallery built before the points check")
+
+        monkeypatch.setattr(evaluation, "build_synthetic_gallery", no_gallery)
+        with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_POINTS}"):
+            far_frr_csv(SyntheticSource(3, 5), ExperimentSpec(), 1, MAX_SWEEP_POINTS + 1,
+                        Weights())
+
 
 class TestImagePath:
     def make_image(self, tmp_path, name, marks):
@@ -214,6 +236,17 @@ class TestImagePath:
         assert report.subjects == 2
         assert report.entries[0].trials == 6
         assert report.entries[0].accuracy == 100.0
+
+    @pytest.mark.parametrize("stem", ["café", "x²", "٣d"])
+    def test_non_ascii_name_becomes_valid_id(self, tmp_path, stem):
+        # Letters and digits outside ASCII fail the store's id rule, so each
+        # becomes `_`.
+        self.make_image(tmp_path, f"{stem}.pgm", [(40, 0), (55, 95), (62, 200)])
+        self.make_image(tmp_path, "plain.pgm", [(45, 48), (58, 140), (66, 275)])
+        report = rotation_protocol(ImageSource(tmp_path), ExperimentSpec(angle_range=10.0),
+                                   counts=(1,))
+        assert report.subjects == 2
+        assert report.entries[0].trials == 2
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="images"):

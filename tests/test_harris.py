@@ -272,3 +272,10 @@ class TestParams:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be"):
             HarrisParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["k", "threshold", "sigma"])
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["huge", "-huge"])
+    def test_int_beyond_float_range_rejected(self, name, value):
+        # Converting an int this large to float would overflow.
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            HarrisParams(**{name: value})

@@ -238,3 +238,10 @@ class TestTemplate:
     def test_non_finite_params_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             OdParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["template_radius", "search_stride", "margin"])
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["huge", "-huge"])
+    def test_int_beyond_float_range_rejected(self, name, value):
+        # Converting an int this large to float would overflow.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OdParams(**{name: value})
