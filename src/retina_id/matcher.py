@@ -38,12 +38,12 @@ and sim_profile are one-row calls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
+from .harris import is_finite
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Weights:
     w3: float = 4.0
 
     def __post_init__(self):
-        if not all(math.isfinite(w) and w >= 0 for w in (self.w1, self.w2, self.w3)):
+        if not all(is_finite(w) and w >= 0 for w in (self.w1, self.w2, self.w3)):
             raise ValueError("class weights must be finite and non-negative")
 
 
@@ -203,7 +203,7 @@ def identify(query: FeatureTemplate, gallery, weights: Weights | None = None) ->
 
 def verify(query: FeatureTemplate, enrolled, threshold: float, weights: Weights | None = None) -> tuple[bool, MatchScore]:
     """One-to-one check: accept when the total reaches the threshold."""
-    if not (math.isfinite(threshold) and threshold >= 0):
+    if not (is_finite(threshold) and threshold >= 0):
         raise ValueError("threshold must be finite and non-negative")
     score = total_si(enrolled.template, query, weights)
     return score.total >= threshold, score

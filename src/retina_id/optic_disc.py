@@ -5,14 +5,18 @@ image.  A radially symmetric Gaussian bright-blob template matched with
 zero-mean normalised cross-correlation finds it; the normalisation makes
 the score invariant to affine intensity changes.  A coarse stride grid is
 searched first, then refined at stride 1 around the best coarse hit.
+The surface is evaluated only at the requested cells (the grid, then the
+box), with the same arithmetic per cell as on the whole map.
 
-The correlation with the template is a separable Gaussian pass; the patch
-sum and sum of squares are box sums made of block-wise running sums
-(cumsum).  Each partial sum covers at most 2 radius + 1 samples along an
+The correlation with the template is a separable Gaussian pass over the
+columns, then the rows, that those cells read.  The patch sum and sum of
+squares are box sums made of block-wise running sums (cumsum) over the
+blocks of 2 radius + 1 rows, at fixed boundaries, that hold those cells'
+windows.  Each partial sum covers at most 2 radius + 1 samples along an
 axis, so on maps of 8-bit integers every partial sum is an integer below
 2^53 and the box sums are exact, bit-identical to a direct sum in any
 order.  On other float maps the rounding matches that of a direct
-(2 radius + 1)-term sum.
+(2 radius + 1)-term sum, whatever cells are requested.
 
 A patch is flat when s2 - s1^2 / n is at most max(VARIANCE_FLOOR, 1e-10 s2):
 on float maps the rounding noise of that difference grows with brightness.
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harris import gaussian_window, is_finite, separable_window_sum
+from .harris import gaussian_window, is_finite
 
 # Patch variance below this is treated as flat and excluded from matching.
 VARIANCE_FLOOR = 1e-6
@@ -70,48 +74,74 @@ def disc_template(radius: int) -> np.ndarray:
     return np.outer(g, g)
 
 
-def correlation_surface(intensity: np.ndarray, template_radius: int) -> np.ndarray:
+def correlation_surface(intensity: np.ndarray, template_radius: int,
+                        rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
     """Zero-mean normalised cross-correlation of the bright-disc template
-    against every pixel-centred patch.  Scores are clamped to [-1, 1]; flat
-    patches (see the module docstring) are NaN.  Only centres at least
-    template_radius away from every border carry meaningful values."""
+    against the pixel-centred patches at surface[rows, cols], computing
+    only those cells.  Scores are clamped to [-1, 1]; flat patches (see the
+    module docstring) are NaN.  Only centres at least template_radius away
+    from every border carry meaningful values."""
     m = np.asarray(intensity, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("intensity map must be 2-D")
-    template = disc_template(template_radius)
+    ys, xs = range(m.shape[0])[rows], range(m.shape[1])[cols]
+    if not (ys and xs and ys.step > 0 and xs.step > 0):
+        raise ValueError("rows and cols must select cells in increasing order")
+    r = template_radius
+    k = 2 * r + 1
+    # Cell (y, x) is the window padded[y:y + k, x:x + k].  Crop to the windows
+    # read, from a multiple of k, so _sliding_sum's blocks keep their edges.
+    y0, x0 = ys[0] // k * k, xs[0] // k * k
+    region = np.pad(m, r, mode="edge")[y0:ys[-1] + k, x0:xs[-1] + k]
+    ys = range(ys.start - y0, ys.stop - y0, ys.step)
+    xs = range(xs.start - x0, xs.stop - x0, xs.step)
+    template = disc_template(r)
     t_mean = template.mean()
     t_var_sum = float(((template - t_mean) ** 2).sum())
-    n = template.size
 
-    corr_t = separable_window_sum(m, gaussian_window(template_radius / 2.0, template_radius))
-    s1 = _box_sum(m, template_radius)
-    s2 = _box_sum(m * m, template_radius)
+    corr_t = _gaussian_pass(region, gaussian_window(r / 2.0, r), ys, xs)
+    # Patch sums of the samples and of their squares: a sliding sum down
+    # the columns, then along the rows.
+    s1, s2 = (_sliding_sum(_sliding_sum(a, k, ys).T, k, xs).T for a in (region, region * region))
 
     numerator = corr_t - t_mean * s1
-    var_sum = s2 - (s1 * s1) / n
-    surface = np.full(m.shape, np.nan)
+    var_sum = s2 - (s1 * s1) / template.size
+    surface = np.full(var_sum.shape, np.nan)
     valid = var_sum > np.maximum(VARIANCE_FLOOR, 1e-10 * s2)
     surface[valid] = numerator[valid] / np.sqrt(var_sum[valid] * t_var_sum)
     np.clip(surface, -1.0, 1.0, out=surface)
     return surface
 
 
-def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the (2 radius + 1)-square around each pixel, edges
-    replicated, as a sliding sum down the columns and then along the rows."""
-    k = 2 * radius + 1
-    return _sliding_sum(_sliding_sum(np.pad(arr, radius, mode="edge"), k).T, k).T
+def _taps(cells: range, shift: int) -> slice:
+    """The cells' indices moved by shift, as a slice (a view, not a gather)."""
+    return slice(cells.start + shift, cells.stop + shift, cells.step)
 
 
-def _sliding_sum(arr: np.ndarray, k: int) -> np.ndarray:
-    """Sums of every k consecutive rows.
+def _gaussian_pass(region: np.ndarray, profile: np.ndarray, ys: range, xs: range) -> np.ndarray:
+    """harris.separable_window_sum's taps, in its order, for the windows at
+    cells (ys, xs) only; each horizontal tap is a strided view of the rows
+    of a transposed copy."""
+    across = np.ascontiguousarray(region[ys.start:, xs.start:].T)
+    rows = np.zeros((len(xs), across.shape[1]))
+    for t, tap in enumerate(profile):
+        rows += tap * across[_taps(xs, t - xs.start)]
+    rows = np.ascontiguousarray(rows.T)
+    out = np.zeros((len(ys), len(xs)))
+    for t, tap in enumerate(profile):
+        out += tap * rows[_taps(ys, t - ys.start)]
+    return out
 
-    The rows are cut into blocks of k.  The window starting at row i is the
-    running sum from i to the end of its block plus the running sum of the
-    next block up to row i + k - 1, so every partial sum covers at most k
-    rows: exact for integer samples, and as accurate as a direct k-term
-    sum otherwise, where a whole-map integral image would lose flat patches
-    to cancellation.
+
+def _sliding_sum(arr: np.ndarray, k: int, starts: range) -> np.ndarray:
+    """Sums of the k consecutive rows from each of starts.
+
+    The rows are cut into blocks of k from row 0.  The window starting at
+    row i is the running sum from i to the end of its block plus the
+    running sum of the next block up to row i + k - 1, so every partial sum
+    covers at most k rows: exact for integer samples, and as accurate as a
+    direct k-term sum otherwise, where a whole-map integral image would
+    lose flat patches to cancellation.  Callers may crop arr at block edges.
     """
     n = arr.shape[0]
     blocks = -(-n // k)
@@ -122,23 +152,21 @@ def _sliding_sum(arr: np.ndarray, k: int) -> np.ndarray:
     np.cumsum(p3[:, ::-1], axis=1, out=suffix.reshape(p3.shape)[:, ::-1])
     np.cumsum(p3, axis=1, out=p3)
     p3[:, -1] = 0.0  # a window starting on a block edge is its block's suffix alone
-    m = n - k + 1
-    return suffix[:m] + prefix[k - 1:k - 1 + m]
+    return suffix[_taps(starts, 0)] + prefix[_taps(starts, k - 1)]
 
 
-def _argmax_lex(surface: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> tuple[int, int] | None:
-    """Highest-scoring (y, x) over the candidate grid; ties and equal maxima
-    resolve to the smallest (y, x).  None when every candidate is flat."""
-    sub = surface[np.ix_(ys, xs)]
+def _argmax_lex(sub: np.ndarray, rows: slice, cols: slice) -> tuple[int, int, float] | None:
+    """Best (y, x, score) of sub = surface[rows, cols], ties to the smallest
+    (y, x); None when every cell is flat."""
     if np.all(np.isnan(sub)):
         return None
-    flat = int(np.nanargmax(sub))
-    iy, ix = divmod(flat, sub.shape[1])
-    return int(ys[iy]), int(xs[ix])
+    iy, ix = divmod(int(np.nanargmax(sub)), sub.shape[1])
+    return rows.start + iy * (rows.step or 1), cols.start + ix * (cols.step or 1), float(sub[iy, ix])
 
 
 def locate_od(intensity: np.ndarray, params: OdParams | None = None) -> OdCenter:
-    """Coarse-to-fine template search for the optic-disc centre.
+    """Coarse-to-fine template search for the optic-disc centre: the
+    stride grid inside the margins, then the box around its best cell.
 
     Raises ValueError when the map is too small for the margin or when no
     candidate patch has contrast (e.g. an all-constant map).
@@ -150,27 +178,17 @@ def locate_od(intensity: np.ndarray, params: OdParams | None = None) -> OdCenter
     h, w = m.shape
     if w <= 2 * params.margin or h <= 2 * params.margin:
         raise ValueError("map too small for optic-disc search")
-    surface = correlation_surface(m, params.template_radius)
-
-    lo = params.margin
-    x_hi = w - params.margin  # exclusive
-    y_hi = h - params.margin
-    coarse = _argmax_lex(
-        surface,
-        np.arange(lo, y_hi, params.search_stride),
-        np.arange(lo, x_hi, params.search_stride),
-    )
+    lo, s, r = params.margin, params.search_stride, params.template_radius
+    y_hi, x_hi = h - lo, w - lo  # exclusive
+    grid = slice(lo, y_hi, s), slice(lo, x_hi, s)
+    coarse = _argmax_lex(correlation_surface(m, r, *grid), *grid)
     if coarse is None:
         raise ValueError("no od contrast")
-    by, bx = coarse
-    s = params.search_stride
-    refined = _argmax_lex(
-        surface,
-        np.arange(max(by - s, lo), min(by + s, y_hi - 1) + 1),
-        np.arange(max(bx - s, lo), min(bx + s, x_hi - 1) + 1),
-    )
-    ry, rx = refined  # box contains the valid coarse best, never None
-    return OdCenter(x=float(rx), y=float(ry), score=float(surface[ry, rx]), source="detected")
+    by, bx, _ = coarse
+    box = (slice(max(by - s, lo), min(by + s, y_hi - 1) + 1),
+           slice(max(bx - s, lo), min(bx + s, x_hi - 1) + 1))
+    ry, rx, score = _argmax_lex(correlation_surface(m, r, *box), *box)  # box holds a valid cell
+    return OdCenter(x=float(rx), y=float(ry), score=score, source="detected")
 
 
 def manual_od(x: float, y: float, intensity: np.ndarray) -> OdCenter:
@@ -185,13 +203,13 @@ def manual_od(x: float, y: float, intensity: np.ndarray) -> OdCenter:
 
 
 def od_from_sidecar(image_path, intensity: np.ndarray) -> OdCenter | None:
-    """Honour an operator-placed `<image>.od` sidecar holding `x y` on one
-    line; returns None when the sidecar is absent."""
+    """Honour an operator-placed `<image>.od` sidecar holding exactly the two
+    tokens `x y`; returns None when the sidecar is absent."""
     sidecar = Path(str(image_path) + ".od")
     if not sidecar.exists():
         return None
     tokens = sidecar.read_text(encoding="utf-8").split()
-    if len(tokens) < 2:
+    if len(tokens) != 2:
         raise ValueError(f"{sidecar}: expected 'x y'")
     return manual_od(float(tokens[0]), float(tokens[1]), intensity)
 

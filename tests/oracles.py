@@ -183,3 +183,92 @@ def local_maxima_brute(r: np.ndarray, threshold: float, nms_radius: int, border_
         found.append((x, y, float(v)))
     found.sort(key=lambda c: (-c[2], c[1], c[0]))
     return found
+
+
+def od_surface_full(m: np.ndarray, radius: int) -> np.ndarray:
+    """The optic-disc correlation surface over the whole map, in the
+    whole-map form: one full separable Gaussian pass (horizontal, then
+    vertical, taps in order) and full block-wise box sums.
+    optic_disc.correlation_surface must match it cell for cell, bit for
+    bit, at whatever cells it is asked for."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("intensity map must be 2-D")
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    sigma = radius / 2.0
+    g = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    template = np.outer(g, g)
+    t_mean = template.mean()
+    t_var_sum = float(((template - t_mean) ** 2).sum())
+    h, w = m.shape
+    padded = np.pad(m, radius, mode="edge")
+    rows = np.zeros((h + 2 * radius, w), dtype=np.float64)
+    for k in range(g.size):
+        rows += g[k] * padded[:, k:k + w]
+    corr_t = np.zeros((h, w), dtype=np.float64)
+    for k in range(g.size):
+        corr_t += g[k] * rows[k:k + h, :]
+    s1 = _box_sum_full(m, radius)
+    s2 = _box_sum_full(m * m, radius)
+    numerator = corr_t - t_mean * s1
+    var_sum = s2 - (s1 * s1) / template.size
+    surface = np.full(m.shape, np.nan)
+    valid = var_sum > np.maximum(1e-6, 1e-10 * s2)
+    surface[valid] = numerator[valid] / np.sqrt(var_sum[valid] * t_var_sum)
+    np.clip(surface, -1.0, 1.0, out=surface)
+    return surface
+
+
+def _box_sum_full(arr: np.ndarray, radius: int) -> np.ndarray:
+    """Sum over the (2 radius + 1)-square around each pixel, edges
+    replicated: a sliding sum down the columns, then along the rows."""
+    k = 2 * radius + 1
+    return _sliding_sum_full(_sliding_sum_full(np.pad(arr, radius, mode="edge"), k).T, k).T
+
+
+def _sliding_sum_full(arr: np.ndarray, k: int) -> np.ndarray:
+    """Sums of every k consecutive rows, each the running sum from its first
+    row to the end of its block of k plus the next block's running sum up
+    to its last row (blocks cut from row 0)."""
+    n = arr.shape[0]
+    blocks = -(-n // k)
+    prefix = np.zeros((blocks * k,) + arr.shape[1:])
+    prefix[:n] = arr
+    suffix = np.empty_like(prefix)
+    p3 = prefix.reshape((blocks, k) + arr.shape[1:])
+    np.cumsum(p3[:, ::-1], axis=1, out=suffix.reshape(p3.shape)[:, ::-1])
+    np.cumsum(p3, axis=1, out=p3)
+    p3[:, -1] = 0.0
+    m = n - k + 1
+    return suffix[:m] + prefix[k - 1:k - 1 + m]
+
+
+def locate_od_full(m: np.ndarray, params):
+    """Coarse-to-fine optic-disc search read off the whole-map surface: the
+    best stride-grid cell inside the margins, then the best cell of the
+    (2 stride + 1) box around it, ties to the smallest (y, x).  Returns an
+    optic_disc.OdCenter."""
+    from retina_id.optic_disc import OdCenter
+
+    m = np.asarray(m, dtype=np.float64)
+    h, w = m.shape
+    if w <= 2 * params.margin or h <= 2 * params.margin:
+        raise ValueError("map too small for optic-disc search")
+    surface = od_surface_full(m, params.template_radius)
+    lo, s = params.margin, params.search_stride
+    y_hi, x_hi = h - lo, w - lo
+
+    def best(ys, xs):
+        sub = surface[np.ix_(ys, xs)]
+        if np.all(np.isnan(sub)):
+            return None
+        iy, ix = divmod(int(np.nanargmax(sub)), sub.shape[1])
+        return int(ys[iy]), int(xs[ix])
+
+    coarse = best(np.arange(lo, y_hi, s), np.arange(lo, x_hi, s))
+    if coarse is None:
+        raise ValueError("no od contrast")
+    by, bx = coarse
+    ry, rx = best(np.arange(max(by - s, lo), min(by + s, y_hi - 1) + 1),
+                  np.arange(max(bx - s, lo), min(bx + s, x_hi - 1) + 1))
+    return OdCenter(x=float(rx), y=float(ry), score=float(surface[ry, rx]), source="detected")

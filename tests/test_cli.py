@@ -252,6 +252,15 @@ class TestEnroll:
         assert r.returncode == 0, r.stderr
         assert "od 80 80 manual" in (gal / "carol.rtpl").read_text()
 
+    @pytest.mark.parametrize("text", ["80 80 junk\n", "1 2 3 4\n"])
+    def test_sidecar_with_extra_tokens_exit_2(self, eye_image, tmp_path, text):
+        (tmp_path / "eye.pgm.od").write_text(text)
+        gal = tmp_path / "gal"
+        r = run_cli("enroll", eye_image, "carol", "--gallery", gal)
+        assert r.returncode == 2
+        assert "eye.pgm.od: expected 'x y'" in r.stderr
+        assert not (gal / "carol.rtpl").exists()
+
     def test_auto_detected_od_recorded(self, eye_image, tmp_path):
         gal = tmp_path / "gal"
         r = run_cli("enroll", eye_image, "dave", "--gallery", gal,

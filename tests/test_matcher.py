@@ -164,6 +164,13 @@ class TestTotal:
             with pytest.raises(ValueError, match="weights"):
                 Weights(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [10 ** 400, -10 ** 400], ids=["huge", "-huge"])
+    def test_int_beyond_float_range_rejected(self, bad):
+        # Converting an int this large to float would overflow.
+        for field in ("w1", "w2", "w3"):
+            with pytest.raises(ValueError, match="weights"):
+                Weights(**{field: bad})
+
 
 class TestIdentify:
     def make_gallery(self, rng, n=8):
@@ -239,6 +246,13 @@ class TestVerify:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_threshold_rejected(self, bad):
         t = random_template(np.random.default_rng(56))
+        rec = GalleryRecord(subject_id="sub", template=t)
+        with pytest.raises(ValueError, match="threshold"):
+            verify(t, rec, bad)
+
+    @pytest.mark.parametrize("bad", [10 ** 400, -10 ** 400], ids=["huge", "-huge"])
+    def test_int_beyond_float_range_threshold_rejected(self, bad):
+        t = random_template(np.random.default_rng(57))
         rec = GalleryRecord(subject_id="sub", template=t)
         with pytest.raises(ValueError, match="threshold"):
             verify(t, rec, bad)

@@ -16,7 +16,7 @@ from retina_id.optic_disc import (
     resolve_od,
 )
 
-from oracles import zncc_surface_brute
+from oracles import locate_od_full, od_surface_full, zncc_surface_brute
 
 
 def blob_map(size=128, bg=20.0, peak=200.0, scale=10.0, cx=90, cy=40):
@@ -111,6 +111,136 @@ class TestSurfaceMatchesSeparableForm:
         assert np.array_equal(got, separable_form_surface(m, radius), equal_nan=True)
 
 
+def cell_maps(shape):
+    """Named maps for the per-cell checks: 8-bit, float and constant."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    return {
+        "uint8": rng.integers(0, 256, shape).astype(np.float64),
+        "float": rng.uniform(0.0, 255.0, shape),
+        "const0": np.zeros(shape),
+        "const9": np.full(shape, 9.0),
+        "const255": np.full(shape, 255.0),
+        "const_float": np.full(shape, 100.3),
+        "disc": np.round(blob_map(max(shape), cx=shape[1] // 3, cy=shape[0] // 2, scale=7.0))[:shape[0], :shape[1]],
+    }
+
+
+def cell_selections(shape, radius):
+    """Row/column slices for strides 1 to 7: the locate_od grid, runs that
+    start and end inside a block of 2 radius + 1 rows, refinement boxes
+    clipped at the margins as locate_od clips them, and single cells."""
+    h, w = shape
+    r = radius
+    sels = [(slice(None), slice(None)), (slice(0, 1), slice(w - 1, w)), (slice(h - 1, h), slice(0, 1))]
+    for s in range(1, 8):
+        sels.append((slice(r, h - r, s), slice(r, w - r, s)))
+        sels.append((slice(r + s + 2, h - 3 - s, s), slice(2 * r + 2 - s, w - 2 * s - 1, s)))
+        for cy, cx in ((r, r), (h - r - 1, w - r - 1), (r, w - r - 1), (h // 2 + s, w // 3 - s)):
+            sels.append((slice(max(cy - s, r), min(cy + s, h - r - 1) + 1),
+                         slice(max(cx - s, r), min(cx + s, w - r - 1) + 1)))
+    return sels
+
+
+class TestCellsMatchWholeMap:
+    """correlation_surface(m, r, rows, cols) is the whole-map surface's
+    [rows, cols], bit for bit, and locate_od is the search read off the
+    whole-map surface (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("radius", [4, 12])
+    @pytest.mark.parametrize("kind", ["uint8", "float", "const0", "const9", "const255", "const_float", "disc"])
+    def test_sub_surface_bit_identical(self, kind, radius):
+        shape = (97, 131)
+        m = cell_maps(shape)[kind]
+        full = od_surface_full(m, radius)
+        for rows, cols in cell_selections(shape, radius):
+            got = correlation_surface(m, radius, rows, cols)
+            assert np.array_equal(got, full[rows, cols], equal_nan=True), (rows, cols)
+
+    @pytest.mark.parametrize("kind", ["uint8", "float"])
+    def test_full_size_map_bit_identical(self, kind):
+        rng = np.random.default_rng(41)
+        m = cell_maps((584, 565))[kind]
+        m[150:260, 300:410] += np.round(blob_map(110, cx=55, cy=55, scale=20.0, bg=0.0, peak=90.0))
+        full = od_surface_full(m, 40)
+        for s in (1, 4, 7):
+            grid = slice(40, 584 - 40, s), slice(40, 565 - 40, s)
+            assert np.array_equal(correlation_surface(m, 40, *grid), full[grid], equal_nan=True)
+        for cy, cx in rng.integers(40, 525, (4, 2)):
+            box = slice(cy - 4, cy + 5), slice(cx - 4, cx + 5)
+            assert np.array_equal(correlation_surface(m, 40, *box), full[box], equal_nan=True)
+
+    @pytest.mark.parametrize("rows, cols", [
+        (slice(None, None, -1), slice(None)), (slice(None), slice(9, 2, -2)),
+        (slice(5, 5), slice(None)), (slice(None), slice(200, None)),
+    ])
+    def test_backward_or_empty_selection_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="increasing order"):
+            correlation_surface(blob_map(size=64), 8, rows, cols)
+
+    @pytest.mark.parametrize("stride", range(1, 8))
+    def test_planted_disc(self, stride):
+        m = np.round(blob_map(size=150, cx=97, cy=58, scale=9.0))
+        params = OdParams(template_radius=16, search_stride=stride, margin=20)
+        od = locate_od(m, params)
+        assert od == locate_od_full(m, params)
+        assert abs(od.x - 97) <= 1 and abs(od.y - 58) <= 1
+
+    @pytest.mark.parametrize("second", [(40, 100), (100, 40)])
+    def test_tie_goes_to_smallest_yx(self, second):
+        # two identical 8-bit discs, both on the stride grid: every score
+        # of one equals the other's, so the smaller (y, x) must win
+        m = np.full((140, 140), 20.0)
+        disc = np.round(blob_map(size=33, bg=0.0, cx=16, cy=16, scale=5.0))
+        for cy, cx in ((40, 40), second):
+            m[cy - 16:cy + 17, cx - 16:cx + 17] += disc
+        params = OdParams(template_radius=12, search_stride=4, margin=12)
+        od = locate_od(m, params)
+        assert od == locate_od_full(m, params)
+        assert (od.y, od.x) == (40.0, 40.0)
+        cells = [correlation_surface(m, 12, slice(y, y + 1), slice(x, x + 1)) for y, x in ((40, 40), second)]
+        assert cells[0] == cells[1]
+
+    @pytest.mark.parametrize("stride", [1, 3, 5])
+    def test_margin_equal_to_template_radius(self, stride):
+        m = np.round(blob_map(size=90, cx=14, cy=75, scale=6.0))
+        params = OdParams(template_radius=12, search_stride=stride, margin=12)
+        assert locate_od(m, params) == locate_od_full(m, params)
+
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_map_just_wider_than_twice_margin(self, extra):
+        rng = np.random.default_rng(extra)
+        for shape in ((2 * 16 + extra, 70), (70, 2 * 16 + extra)):
+            m = rng.integers(0, 256, shape).astype(np.float64)
+            params = OdParams(template_radius=8, search_stride=2, margin=16)
+            assert locate_od(m, params) == locate_od_full(m, params)
+
+    @pytest.mark.parametrize("stride", [60, 61, 1000])
+    def test_stride_larger_than_grid(self, stride):
+        # the grid is the one cell (20, 20); the box spans the whole search area
+        m = np.round(blob_map(size=100, cx=30, cy=26, scale=8.0))
+        params = OdParams(template_radius=10, search_stride=stride, margin=20)
+        assert locate_od(m, params) == locate_od_full(m, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.one_of(
+            arrays(np.uint8, st.tuples(st.integers(1, 30), st.integers(1, 30))),
+            arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                   elements=st.floats(0.0, 255.0)),
+        ),
+        radius=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_property_any_cells(self, m, radius, data):
+        h, w = m.shape
+        starts = data.draw(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)))
+        stops = data.draw(st.tuples(st.integers(starts[0] + 1, h), st.integers(starts[1] + 1, w)))
+        steps = data.draw(st.tuples(st.integers(1, 7), st.integers(1, 7)))
+        rows, cols = (slice(a, b, c) for a, b, c in zip(starts, stops, steps))
+        got = correlation_surface(m, radius, rows, cols)
+        assert np.array_equal(got, od_surface_full(m, radius)[rows, cols], equal_nan=True)
+
+
 class TestLocate:
     def test_finds_bright_blob(self):
         m = blob_map()
@@ -197,6 +327,13 @@ class TestSidecar:
         (tmp_path / "x.pgm.od").write_text("12 34\n")
         od = od_from_sidecar(img, np.zeros((50, 50)))
         assert od == OdCenter(12.0, 34.0, 1.0, "manual")
+
+    @pytest.mark.parametrize("text", ["12 34 junk", "1 2 3 4", "12 34\n56\n", "12"])
+    def test_sidecar_needs_exactly_two_tokens(self, tmp_path, text):
+        img = tmp_path / "x.pgm"
+        (tmp_path / "x.pgm.od").write_text(text)
+        with pytest.raises(ValueError, match="x.pgm.od: expected 'x y'"):
+            od_from_sidecar(img, np.zeros((50, 50)))
 
     def test_malformed_sidecar_rejected(self, tmp_path):
         img = tmp_path / "x.pgm"
