@@ -12,7 +12,9 @@ key with dashes, and its type and default are the field's.  The one
 exception is the detector's `threshold` key, whose flag is `--det-threshold`
 because the bare `--threshold` flag is the verify decision threshold.
 
-`synth` and `eval` only parse, print and write.  Eval's spec flags are the
+`enroll` and `synth` write only through `store.add_records`, `synth` to
+`--out` or else the `gallery` setting.  `synth` and `eval` only parse, print
+and write.  Eval's spec flags are the
 ExperimentSpec fields other than rng_seed (the `seed` setting), derived like
 the settings but not config keys; `--corners` and `--rotations` default to
 SyntheticSource.n_corners and DEFAULT_COUNTS.
@@ -40,14 +42,7 @@ from .harris import HarrisParams, detect_corners
 from .imaging import load_image, to_intensity
 from .matcher import Weights, identify, verify
 from .optic_disc import OdParams, resolve_od
-from .store import (
-    EmptyGalleryError,
-    GalleryRecord,
-    gallery_lock,
-    load_gallery,
-    save_template,
-    valid_subject_id,
-)
+from .store import EmptyGalleryError, GalleryRecord, add_records, load_gallery
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -133,27 +128,9 @@ def cmd_detect(args) -> int:
 
 def cmd_enroll(args) -> int:
     settings = _resolve_settings(args)
-    if not valid_subject_id(args.subject_id):
-        raise ValueError(f"invalid subject_id {args.subject_id!r}")
-    with gallery_lock(settings.gallery):
-        target = settings.gallery / f"{args.subject_id}.rtpl"
-        try:
-            existing = load_gallery(settings.gallery)
-        except EmptyGalleryError:
-            existing = None
-        if existing is not None and existing.get(args.subject_id) is not None:
-            raise ValueError(
-                f"subject {args.subject_id!r} already enrolled; gallery unchanged")
-        if target.exists():
-            raise ValueError(f"{target} already exists; gallery unchanged")
-        template, od = _query_template(args.image, settings, args.od)
-        record = GalleryRecord(
-            subject_id=args.subject_id,
-            template=template,
-            source_image=Path(args.image).name,
-            od=od,
-        )
-        save_template(record, target)
+    template, od = _query_template(args.image, settings, args.od)
+    record = GalleryRecord(args.subject_id, template, Path(args.image).name, od)
+    add_records(settings.gallery, [record])
     n1, n2, n3 = template.nonzero_counts()
     print(f"enrolled {args.subject_id} from {Path(args.image).name} "
           f"(od {od.x:.6g},{od.y:.6g} {od.source}; slots {n1}/{n2}/{n3})")
@@ -190,10 +167,8 @@ def cmd_verify(args) -> int:
 def cmd_synth(args) -> int:
     settings = _resolve_settings(args)
     records, _ = build_synthetic_gallery(args.subjects, args.corners, settings.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for rec in records:
-        save_template(rec, out / f"{rec.subject_id}.rtpl")
+    out = settings.gallery if args.out is None else Path(args.out)
+    add_records(out, records)
     print(f"wrote {len(records)} synthetic templates to {out}")
     return EXIT_OK
 
@@ -258,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common], help="write a synthetic gallery")
     p.add_argument("--subjects", type=int, required=True)
     p.add_argument("--corners", type=int, default=SyntheticSource.n_corners)
-    p.add_argument("--out", default="gallery")
+    p.add_argument("--out", help="gallery directory (default: the gallery setting)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", parents=[common], help="rotation-accuracy experiment")

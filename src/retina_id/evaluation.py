@@ -34,7 +34,7 @@ from .harris import DEFAULT_THRESHOLD, HarrisParams, detect_corners, is_finite
 from .imaging import load_image, rotate_about, to_intensity
 from .matcher import Weights, identify, total_si
 from .optic_disc import OdCenter, OdParams, resolve_od
-from .store import GalleryRecord, valid_subject_id
+from .store import Gallery, GalleryRecord, valid_subject_id
 
 DEFAULT_COUNTS = (5, 10, 20)
 MIN_DISTANCE = 5.0
@@ -255,17 +255,14 @@ def _build_image_gallery(source: ImageSource):
         m = to_intensity(load_image(f))
         od = resolve_od(m, f, source.od)
         corners = detect_corners(m, source.harris)
-        sid = _sanitize_subject(f.stem)
-        if any(r.subject_id == sid for r in records):
-            raise ValueError(f"duplicate subject id {sid!r} from {f.name}")
         records.append(GalleryRecord(
-            subject_id=sid,
+            subject_id=_sanitize_subject(f.stem),
             template=encode(polarize(corners, od)),
             source_image=f.name,
             od=od,
         ))
         maps.append(m)
-    return records, maps
+    return Gallery(records).records, maps
 
 
 def _gallery(source, spec: ExperimentSpec):

@@ -13,6 +13,7 @@ Its output is identical to a per-pixel window scan (tests/oracles.py).
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ class HarrisParams:
             raise ValueError("threshold must be non-negative and finite")
         if not (is_finite(self.sigma) and self.sigma > 0):
             raise ValueError("sigma must be positive and finite")
+        for name in ("window_radius", "nms_radius", "border_margin"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.window_radius < 1:
             raise ValueError("window_radius must be at least 1")
         if self.nms_radius < 1:

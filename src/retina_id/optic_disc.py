@@ -26,6 +26,7 @@ floor changes nothing there.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,8 @@ class OdParams:
         for name in ("template_radius", "search_stride", "margin"):
             if not is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.template_radius < 4:
             raise ValueError("template_radius must be at least 4")
         if self.search_stride < 1:

@@ -12,11 +12,11 @@ Records live in line-oriented UTF-8 text files with LF newlines, extension
     <360 space-separated class-3 slot amplitudes>
 
 Blank lines between blocks are ignored.  Amplitudes print with at most nine
-fractional digits, trailing zeros trimmed, a bare `0` for empty slots;
+fractional digits, trailing zeros trimmed, a bare `0` only for empty slots;
 values quantised to that precision round-trip exactly.  A gallery is either
 one such file or a directory whose `*.rtpl` files are loaded in lexicographic
-filename order.  Subject ids match [A-Za-z0-9_-]{1,64} and must be unique
-across a gallery.
+filename order.  `Gallery` keeps subject ids, [A-Za-z0-9_-]{1,64}, unique;
+`add_records` alone writes gallery directories.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +71,16 @@ class GalleryRecord:
             raise ValueError("source_image must be a single line")
 
 
-@dataclass
 class Gallery:
-    records: list = field(default_factory=list)
+    """Records in load order; a repeated subject id raises DuplicateSubjectError."""
+
+    def __init__(self, records=()):
+        self.records = tuple(records)
+        self._by_id = {}
+        for r in self.records:
+            if r.subject_id in self._by_id:
+                raise DuplicateSubjectError(f"duplicate subject_id {r.subject_id!r}")
+            self._by_id[r.subject_id] = r
 
     def __iter__(self):
         return iter(self.records)
@@ -86,15 +93,13 @@ class Gallery:
         return [r.subject_id for r in self.records]
 
     def get(self, subject_id: str):
-        for r in self.records:
-            if r.subject_id == subject_id:
-                return r
-        return None
+        return self._by_id.get(subject_id)
 
 
 def format_amplitude(value: float) -> str:
     s = f"{value:.9f}".rstrip("0").rstrip(".")
-    return s if s else "0"
+    # Below the precision, a positive value (an occupied slot) must not print as 0.
+    return "0.000000001" if s == "0" and value > 0 else s
 
 
 def render_record(record: GalleryRecord) -> str:
@@ -213,11 +218,6 @@ def load_gallery(path) -> Gallery:
         raise EmptyGalleryError(f"gallery {p} does not exist")
     if not records:
         raise EmptyGalleryError(f"no records under {p}")
-    seen = set()
-    for r in records:
-        if r.subject_id in seen:
-            raise DuplicateSubjectError(f"duplicate subject_id {r.subject_id!r}")
-        seen.add(r.subject_id)
     return Gallery(records)
 
 
@@ -233,3 +233,23 @@ def gallery_lock(directory):
     finally:
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
+
+
+def add_records(directory, records) -> None:
+    """Write each record to `<directory>/<id>.rtpl` under gallery_lock.  Every
+    record is checked first: an enrolled id, an id repeated among `records` or
+    an existing file raises ValueError and leaves the gallery unchanged."""
+    directory = Path(directory)
+    targets = {directory / f"{r.subject_id}.rtpl": r for r in Gallery(records)}
+    with gallery_lock(directory):
+        try:
+            enrolled = load_gallery(directory)
+        except EmptyGalleryError:
+            enrolled = Gallery()
+        for target, r in targets.items():
+            if enrolled.get(r.subject_id) is not None:
+                raise ValueError(f"subject {r.subject_id!r} already enrolled; gallery unchanged")
+            if target.exists():
+                raise ValueError(f"{target} already exists; gallery unchanged")
+        for target, r in targets.items():
+            save_template(r, target)

@@ -5,6 +5,7 @@ codes and stream handling; the few that watch the CLI's internal calls run
 import re
 import subprocess
 import sys
+import threading
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +26,7 @@ from retina_id.harris import HarrisParams
 from retina_id.imaging import RasterImage, save_image
 from retina_id.matcher import Weights
 from retina_id.optic_disc import OdParams
-from retina_id.store import load_gallery, render_record
+from retina_id.store import gallery_lock, load_gallery, render_record
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -385,9 +386,70 @@ class TestSynthEval:
         assert r.returncode == 0
         assert sorted(p.name for p in out.glob("*.rtpl")) == ["s001.rtpl", "s002.rtpl", "s003.rtpl"]
 
+    def test_synth_onto_enrolled_id_exit_2_and_unchanged(self, tmp_path):
+        gal = tmp_path / "gal"
+        gal.mkdir()
+        records, _ = build_synthetic_gallery(2, 10, seed=3)
+        (gal / "team.rtpl").write_text("".join(render_record(rec) for rec in records))
+        before = {p.name: p.read_bytes() for p in gal.iterdir()}
+        r = run_cli("synth", "--subjects", "3", "--out", gal, "--seed", "5")
+        assert r.returncode == 2
+        assert "already enrolled" in r.stderr
+        assert {p.name: p.read_bytes() for p in gal.iterdir() if p.name != ".lock"} == before
+        assert load_gallery(gal).subject_ids == ["s001", "s002"]
+
+    def test_synth_onto_existing_file_exit_2_and_unchanged(self, tmp_path):
+        gal = tmp_path / "gal"
+        gal.mkdir()
+        records, _ = build_synthetic_gallery(1, 10, seed=3)
+        (gal / "s002.rtpl").write_text(render_record(records[0]).replace("s001", "other"))
+        before = {p.name: p.read_bytes() for p in gal.iterdir()}
+        r = run_cli("synth", "--subjects", "3", "--out", gal, "--seed", "5")
+        assert r.returncode == 2
+        assert "s002.rtpl already exists" in r.stderr
+        assert {p.name: p.read_bytes() for p in gal.iterdir() if p.name != ".lock"} == before
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_synth_writes_to_gallery_setting(self, tmp_path, monkeypatch, how):
+        monkeypatch.chdir(tmp_path)
+        gal = tmp_path / "D"
+        if how == "flag":
+            extra = ["--gallery", str(gal)]
+        else:
+            (tmp_path / "cfg").write_text(f"gallery = {gal}\n")
+            extra = ["--config", "cfg"]
+        assert cli.main(["synth", "--subjects", "2", *extra]) == 0
+        assert load_gallery(gal).subject_ids == ["s001", "s002"]
+        assert not (tmp_path / "gallery").exists()
+
+    def test_synth_waits_for_the_gallery_lock(self, tmp_path):
+        gal = tmp_path / "gal"
+        codes = []
+        writer = threading.Thread(
+            target=lambda: codes.append(cli.main(["synth", "--subjects", "1", "--out", str(gal)])))
+        with gallery_lock(gal):
+            writer.start()
+            writer.join(timeout=1.0)
+            assert writer.is_alive()
+            assert not (gal / "s001.rtpl").exists()
+        writer.join(timeout=30)
+        assert codes == [0]
+        assert load_gallery(gal).subject_ids == ["s001"]
+
     def test_synth_zero_subjects_usage_error(self, tmp_path):
         r = run_cli("synth", "--subjects", "0", "--out", tmp_path / "g")
         assert r.returncode == 2
+
+    def test_eval_images_sharing_an_id_exit_2(self, eye_image, tmp_path):
+        images = tmp_path / "imgs"
+        images.mkdir()
+        for name in ("a.pgm", "a.ppm"):
+            (images / name).write_bytes(eye_image.read_bytes())
+            (images / f"{name}.od").write_text("80 80\n")
+        r = run_cli("eval", "--images", images, "--rotations", "1")
+        assert r.returncode == 2
+        assert "duplicate subject" in r.stderr and "'a'" in r.stderr
+        assert r.stdout == ""
 
     def test_eval_table_and_seeded_csv_identical(self, tmp_path):
         args = ("eval", "--subjects", "6", "--corners", "12", "--rotations", "2,3",
@@ -500,7 +562,7 @@ OWN_DEFAULTS = {
     "eval": {"subjects": 50, "corners": 20, "rotations": "5,10,20", "angle_range": 15.0,
              "jitter_px": 0.5, "jitter_deg": 0.5, "integer_angles": False, "images": None,
              "csv": None, "far_frr_csv": None, "sweep_points": 100, "sweep_probes": 3},
-    "synth": {"subjects": 1, "corners": 20, "out": "gallery"},
+    "synth": {"subjects": 1, "corners": 20, "out": None},
 }
 
 

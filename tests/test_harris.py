@@ -279,3 +279,13 @@ class TestParams:
         # Converting an int this large to float would overflow.
         with pytest.raises(ValueError, match=f"{name} must be"):
             HarrisParams(**{name: value})
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"window_radius": 2.5, "border_margin": 6}, "window_radius"),
+        ({"nms_radius": 1.5}, "nms_radius"),
+        ({"border_margin": 5.5}, "border_margin"),
+        ({"nms_radius": 3.0}, "nms_radius"),
+    ])
+    def test_non_integer_sizes_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            HarrisParams(**kwargs)

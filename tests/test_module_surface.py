@@ -3,7 +3,8 @@
 The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 (module, name) from outside `src/`, so every name it lists must still exist
 and must still be called through its module global.  Modules also never
-import a sibling's `_private` name.
+import a sibling's `_private` name, and only `store` calls the gallery
+writer's parts, so every write goes through `store.add_records`.
 """
 
 import ast
@@ -12,6 +13,7 @@ import importlib.util
 from pathlib import Path
 
 import retina_id.evaluation as evaluation
+import retina_id.store as store
 from retina_id.matcher import Weights
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,5 +80,40 @@ def test_no_private_imports_across_modules():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         for name in imported_names(node)
         if name.startswith("_") and not name.startswith("__")
+    ]
+    assert offenders == []
+
+
+def test_store_writes_reach_the_tracer(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    records, _ = evaluation.build_synthetic_gallery(2, 8, seed=3)
+    with tracer.installed():
+        store.add_records(tmp_path, records)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("store.gallery_lock") == 1
+    assert names.count("store.load_gallery") == 1
+    assert names.count("store.save_template") == 2
+
+
+def called_names(node) -> list[str]:
+    """The called name of a call node: `f(...)` and `mod.f(...)` give `f`."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name):
+            return [node.func.id]
+        if isinstance(node.func, ast.Attribute):
+            return [node.func.attr]
+    return []
+
+
+def test_only_store_writes_galleries():
+    offenders = [
+        (path.name, node.lineno, name)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "store.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in called_names(node)
+        if name in ("save_template", "gallery_lock")
     ]
     assert offenders == []

@@ -382,3 +382,13 @@ class TestTemplate:
         # Converting an int this large to float would overflow.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             OdParams(**{name: value})
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"template_radius": 10.5, "margin": 20}, "template_radius"),
+        ({"search_stride": 2.5}, "search_stride"),
+        ({"margin": 40.5}, "margin"),
+        ({"margin": 40.0}, "margin"),
+    ])
+    def test_non_integer_params_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OdParams(**kwargs)

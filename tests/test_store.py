@@ -5,8 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from retina_id.encoder import FeatureTemplate
+from retina_id.encoder import FeatureTemplate, encode, polarize
 from retina_id.evaluation import build_synthetic_gallery
+from retina_id.harris import Corner
 from retina_id.optic_disc import OdCenter
 from retina_id.store import (
     DuplicateSubjectError,
@@ -14,6 +15,7 @@ from retina_id.store import (
     Gallery,
     GalleryRecord,
     TemplateFormatError,
+    add_records,
     format_amplitude,
     gallery_lock,
     load_gallery,
@@ -109,6 +111,17 @@ class TestRoundTrip:
         path = tmp_path / "c.rtpl"
         save_template(rec, path)
         assert load_gallery(path).records[0].source_image == ""
+
+    def test_occupied_slot_below_precision_stays_occupied(self):
+        # An OD centre 1e-10 px off the corner's row puts the corner at an
+        # orientation of about 2.9e-10 degrees.
+        od = OdCenter(80.0, 80.0000000001, 1.0, "manual")
+        template = encode(polarize([Corner(x=100, y=80, response=1.0)], od))
+        assert template.nonzero_counts() == (2, 0, 0)
+        (loaded,) = parse_records(render_record(GalleryRecord("tiny", template)))
+        assert loaded.template.nonzero_counts() == (2, 0, 0)
+        assert format_amplitude(1e-300) == "0.000000001"
+        assert format_amplitude(1e-9) == "0.000000001"
 
 
 class TestParse:
@@ -212,11 +225,31 @@ class TestGalleryDir:
         with pytest.raises(TemplateFormatError, match="s001.rtpl:7:"):
             load_gallery(tmp_path)
 
+    def test_gallery_rejects_repeated_id(self):
+        rng = np.random.default_rng(68)
+        with pytest.raises(DuplicateSubjectError, match="'twin'"):
+            Gallery([record(rng, sid="twin"), record(rng, sid="solo"), record(rng, sid="twin")])
+
     def test_gallery_get(self, tmp_path):
         self.fill(tmp_path, ["x1", "x2"])
         g = load_gallery(tmp_path)
         assert g.get("x2").subject_id == "x2"
         assert g.get("nope") is None
+
+
+class TestAddRecords:
+    def test_writes_one_file_per_record(self, tmp_path):
+        records, _ = build_synthetic_gallery(3, 10, seed=4)
+        add_records(tmp_path / "new", records)
+        assert sorted(p.name for p in (tmp_path / "new").glob("*.rtpl")) == [
+            "s001.rtpl", "s002.rtpl", "s003.rtpl"]
+        assert load_gallery(tmp_path / "new").subject_ids == ["s001", "s002", "s003"]
+
+    def test_repeated_id_in_batch_writes_nothing(self, tmp_path):
+        rng = np.random.default_rng(69)
+        with pytest.raises(DuplicateSubjectError, match="'a'"):
+            add_records(tmp_path, [record(rng, sid="a"), record(rng, sid="b"), record(rng, sid="a")])
+        assert list(tmp_path.glob("*.rtpl")) == []
 
 
 class TestLock:
