@@ -11,10 +11,12 @@ is the field name, with an `od_` prefix for OdParams fields, its flag is the
 key with dashes, and its type and default are the field's.  The one
 exception is the detector's `threshold` key, whose flag is `--det-threshold`
 because the bare `--threshold` flag is the verify decision threshold.
+Each command takes only the flags of the settings it reads, but checks a
+whole config file.  Only full flag names parse.
 
-`enroll` and `synth` write only through `store.add_records`, `synth` to
-`--out` or else the `gallery` setting.  `synth` and `eval` only parse, print
-and write.  Eval's spec flags are the
+`enroll` and `synth` write only through `store.add_records`, to the
+`gallery` setting (`synth --out` is another spelling of `--gallery`).
+`synth` and `eval` only parse, print and write.  Eval's spec flags are the
 ExperimentSpec fields other than rng_seed (the `seed` setting), derived like
 the settings but not config keys; `--corners` and `--rotations` default to
 SyntheticSource.n_corners and DEFAULT_COUNTS.
@@ -42,7 +44,7 @@ from .harris import HarrisParams, detect_corners
 from .imaging import load_image, to_intensity
 from .matcher import Weights, identify, verify
 from .optic_disc import OdParams, resolve_od
-from .store import EmptyGalleryError, GalleryRecord, add_records, load_gallery
+from .store import EmptyGalleryError, GalleryRecord, add_records, load_gallery, valid_subject_id
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -91,7 +93,7 @@ def _resolve_settings(args) -> Settings:
     cfg = _parse_config(args.config) if args.config else {}
     values: dict = {}
     for key, (owner, name, default) in _SETTINGS.items():
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is None:
             value = type(default)(cfg[key]) if key in cfg else default
         values.setdefault(owner, {})[name] = value
@@ -167,9 +169,8 @@ def cmd_verify(args) -> int:
 def cmd_synth(args) -> int:
     settings = _resolve_settings(args)
     records, _ = build_synthetic_gallery(args.subjects, args.corners, settings.seed)
-    out = settings.gallery if args.out is None else Path(args.out)
-    add_records(out, records)
-    print(f"wrote {len(records)} synthetic templates to {out}")
+    add_records(settings.gallery, records)
+    print(f"wrote {len(records)} synthetic templates to {settings.gallery}")
     return EXIT_OK
 
 
@@ -196,47 +197,59 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value settings file")
-    common.add_argument("--od", metavar="X,Y", help="manual optic-disc centre")
-    for key, (_, _, default) in _SETTINGS.items():
-        flag = "--det-threshold" if key == "threshold" else "--" + key.replace("_", "-")
-        common.add_argument(flag, dest=key, type=type(default),
-                            help=f"config key {key} (default {default})")
+def _subject_id(text: str) -> str:
+    if not valid_subject_id(text):
+        raise argparse.ArgumentTypeError(f"invalid subject_id {text!r}")
+    return text
 
-    parser = argparse.ArgumentParser(prog="retina-id",
+
+def _build_parser() -> argparse.ArgumentParser:
+    # One parent parser per settings group: the --config and --od flags, then
+    # each _SETTINGS key under its owner (gallery and seed are groups of one).
+    groups = {name: argparse.ArgumentParser(add_help=False)
+              for name in ("config", "od", HarrisParams, OdParams, Weights, "gallery", "seed")}
+    groups["config"].add_argument("--config", help="key = value settings file")
+    groups["od"].add_argument("--od", metavar="X,Y", help="manual optic-disc centre")
+    for key, (owner, name, default) in _SETTINGS.items():
+        flag = "--det-threshold" if key == "threshold" else "--" + key.replace("_", "-")
+        groups[owner or name].add_argument(flag, dest=key, type=type(default),
+                                           help=f"config key {key} (default {default})")
+    config, od, harris, od_params, weights, gallery, seed = groups.values()
+    query = [config, od, harris, od_params, gallery]
+
+    parser = argparse.ArgumentParser(prog="retina-id", allow_abbrev=False,
                                      description="Retinal template identification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", parents=[common], help="print detected corners")
-    p.add_argument("image")
-    p.set_defaults(func=cmd_detect)
+    def add(name, parents, func, help):
+        p = sub.add_parser(name, parents=parents, allow_abbrev=False, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("enroll", parents=[common], help="add a subject to the gallery")
+    p = add("detect", [config, harris], cmd_detect, "print detected corners")
     p.add_argument("image")
-    p.add_argument("subject_id")
-    p.set_defaults(func=cmd_enroll)
 
-    p = sub.add_parser("identify", parents=[common], help="rank gallery subjects for a probe")
+    p = add("enroll", query, cmd_enroll, "add a subject to the gallery")
+    p.add_argument("image")
+    p.add_argument("subject_id", type=_subject_id)
+
+    p = add("identify", query + [weights], cmd_identify, "rank gallery subjects for a probe")
     p.add_argument("image")
     p.add_argument("--top-k", type=int, default=5)
-    p.set_defaults(func=cmd_identify)
 
-    p = sub.add_parser("verify", parents=[common], help="one-to-one check against a claim")
+    p = add("verify", query + [weights], cmd_verify, "one-to-one check against a claim")
     p.add_argument("image")
-    p.add_argument("subject_id")
+    p.add_argument("subject_id", type=_subject_id)
     p.add_argument("--threshold", dest="decision_threshold", metavar="THRESHOLD", type=float,
                    required=True, help="decision threshold on the total similarity")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("synth", parents=[common], help="write a synthetic gallery")
+    p = add("synth", [config, gallery, seed], cmd_synth, "write a synthetic gallery")
     p.add_argument("--subjects", type=int, required=True)
     p.add_argument("--corners", type=int, default=SyntheticSource.n_corners)
-    p.add_argument("--out", help="gallery directory (default: the gallery setting)")
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--out", dest="gallery", help="same as --gallery")
 
-    p = sub.add_parser("eval", parents=[common], help="rotation-accuracy experiment")
+    p = add("eval", [config, harris, od_params, weights, seed], cmd_eval,
+            "rotation-accuracy experiment")
     p.add_argument("--subjects", type=int, default=50)
     p.add_argument("--corners", type=int, default=SyntheticSource.n_corners)
     p.add_argument("--rotations", default=",".join(map(str, DEFAULT_COUNTS)),
@@ -250,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--far-frr-csv", help="write a verification threshold sweep")
     p.add_argument("--sweep-points", type=int, default=100)
     p.add_argument("--sweep-probes", type=int, default=3)
-    p.set_defaults(func=cmd_eval)
 
     return parser
 

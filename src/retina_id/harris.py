@@ -52,6 +52,9 @@ class HarrisParams:
                 raise ValueError(f"{name} must be an integer")
         if self.window_radius < 1:
             raise ValueError("window_radius must be at least 1")
+        # gaussian_window's window_radius^2 / (2 sigma^2) must stay finite.
+        if self.window_radius > self.sigma * sys.float_info.max ** 0.5:
+            raise ValueError("sigma is too small for window_radius")
         if self.nms_radius < 1:
             raise ValueError("nms_radius must be at least 1")
         if self.border_margin < self.window_radius + 1:

@@ -112,12 +112,13 @@ class TestDetect:
         assert r.returncode == 2
         assert "sigma must be" in r.stderr
 
-    def test_huge_int_od_flag_is_input_error(self, square_image):
-        # detect never reads the OD setting, but every command builds it.
-        r = run_cli("detect", square_image, "--od-margin", "9" * 400)
+    def test_huge_int_od_flag_is_input_error(self, square_image, tmp_path):
+        r = run_cli("enroll", square_image, "a", "--gallery", tmp_path / "g",
+                    "--od-margin", "9" * 400)
         assert r.returncode == 2
         assert r.stdout == ""
         assert "margin must be finite" in r.stderr
+        assert not (tmp_path / "g").exists()
 
     def test_huge_int_od_config_is_input_error(self, square_image, tmp_path):
         cfg = tmp_path / "od.conf"
@@ -163,8 +164,16 @@ class TestSettings:
         cfg = tmp_path / "settings.conf"
         cfg.write_text(f"{key} = {cfg_value}\n")
 
+        # a command whose flags include this setting's flag
+        if key == "seed":
+            command = ["eval"]
+        elif cli._SETTINGS[key][0] is HarrisParams:
+            command = ["detect", "x.pgm"]
+        else:
+            command = ["identify", "x.pgm"]
+
         def resolve(*argv):
-            args = cli._build_parser().parse_args(["detect", "x.pgm", *map(str, argv)])
+            args = cli._build_parser().parse_args([*command, *map(str, argv)])
             return get(cli._resolve_settings(args))
 
         default = get(DEFAULTS)
@@ -545,24 +554,36 @@ class TestSynthEval:
         assert r.returncode == 2
 
 
-# Flags listed by `--help` and the parsed defaults of the subcommands whose
-# inputs the evaluation module owns, recorded before their flags were
-# derived from ExperimentSpec, SyntheticSource and DEFAULT_COUNTS.
-COMMON_FLAGS = ["--border-margin", "--config", "--det-threshold", "--gallery", "--help", "--k",
-                "--nms-radius", "--od", "--od-margin", "--od-search-stride",
-                "--od-template-radius", "--seed", "--sigma", "--w1", "--w2", "--w3",
-                "--window-radius", "-h"]
+# Flags listed by `--help`: each command offers the flags of only the settings
+# it reads.  The parsed defaults of the subcommands whose inputs the
+# evaluation module owns were recorded before their flags were derived from
+# ExperimentSpec, SyntheticSource and DEFAULT_COUNTS.
+BASE_FLAGS = ["--config", "--help", "-h"]
+HARRIS_FLAGS = ["--border-margin", "--det-threshold", "--k", "--nms-radius", "--sigma",
+                "--window-radius"]
+OD_PARAM_FLAGS = ["--od-margin", "--od-search-stride", "--od-template-radius"]
+WEIGHT_FLAGS = ["--w1", "--w2", "--w3"]
+QUERY_FLAGS = BASE_FLAGS + HARRIS_FLAGS + OD_PARAM_FLAGS + ["--od", "--gallery"]
 HELP_FLAGS = {
-    "eval": COMMON_FLAGS + ["--angle-range", "--corners", "--csv", "--far-frr-csv", "--images",
-                            "--integer-angles", "--jitter-deg", "--jitter-px", "--rotations",
-                            "--subjects", "--sweep-points", "--sweep-probes"],
-    "synth": COMMON_FLAGS + ["--corners", "--out", "--subjects"],
+    "detect": BASE_FLAGS + HARRIS_FLAGS,
+    "enroll": QUERY_FLAGS,
+    "identify": QUERY_FLAGS + WEIGHT_FLAGS + ["--top-k"],
+    "verify": QUERY_FLAGS + WEIGHT_FLAGS + ["--threshold"],
+    "eval": BASE_FLAGS + HARRIS_FLAGS + OD_PARAM_FLAGS + WEIGHT_FLAGS + [
+        "--seed", "--angle-range", "--corners", "--csv", "--far-frr-csv", "--images",
+        "--integer-angles", "--jitter-deg", "--jitter-px", "--rotations", "--subjects",
+        "--sweep-points", "--sweep-probes"],
+    "synth": BASE_FLAGS + ["--gallery", "--seed", "--corners", "--out", "--subjects"],
+}
+SETTING_DESTS = {
+    "eval": [case[0] for case in SETTINGS if case[0] != "gallery"],
+    "synth": ["gallery", "seed"],
 }
 OWN_DEFAULTS = {
     "eval": {"subjects": 50, "corners": 20, "rotations": "5,10,20", "angle_range": 15.0,
              "jitter_px": 0.5, "jitter_deg": 0.5, "integer_angles": False, "images": None,
              "csv": None, "far_frr_csv": None, "sweep_points": 100, "sweep_probes": 3},
-    "synth": {"subjects": 1, "corners": 20, "out": None},
+    "synth": {"subjects": 1, "corners": 20},
 }
 
 
@@ -579,8 +600,8 @@ class TestEvalInputs:
         extra = ["--subjects", "1"] if command == "synth" else []
         parsed = vars(cli._build_parser().parse_args([command, *extra]))
         del parsed["func"]
-        assert parsed == {"command": command, "config": None, "od": None,
-                          **dict.fromkeys(case[0] for case in SETTINGS),
+        assert parsed == {"command": command, "config": None,
+                          **dict.fromkeys(SETTING_DESTS[command]),
                           **OWN_DEFAULTS[command]}
 
     def protocol_calls(self, monkeypatch, argv):
@@ -640,3 +661,61 @@ class TestEvalInputs:
         assert r.stdout == ""
         assert f"at most {MAX_SWEEP_POINTS}" in r.stderr
         assert not acc.exists() and not sweep.exists()
+
+
+class TestFlagSurface:
+    """Each command parses the flags of only the settings it reads, and only
+    by their full names."""
+
+    def test_eval_images_with_manual_od_exit_2(self, tmp_path, eye_image):
+        images = tmp_path / "imgs"
+        images.mkdir()
+        (images / "a.pgm").write_bytes(eye_image.read_bytes())
+        acc = tmp_path / "acc.csv"
+        r = run_cli("eval", "--images", images, "--rotations", "1", "--csv", acc, "--od", "5,5")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "unrecognized arguments: --od 5,5" in r.stderr
+        assert not acc.exists()
+
+    def test_synth_detector_flag_exit_2(self, tmp_path):
+        out = tmp_path / "G"
+        r = run_cli("synth", "--subjects", "1", "--k", "0.2", "--out", out)
+        assert r.returncode == 2
+        assert "unrecognized arguments: --k 0.2" in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "IMG", "--w1", "3"],
+        ["enroll", "IMG", "a", "--seed", "3"],
+        ["identify", "IMG", "--top", "1"],
+    ], ids=["detect-w1", "enroll-seed", "identify-prefix"])
+    def test_unread_or_abbreviated_flag_exit_2(self, tmp_path, monkeypatch, capsys,
+                                               eye_image, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(eye_image) if tok == "IMG" else tok for tok in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert not (tmp_path / "gallery").exists()
+
+    @pytest.mark.parametrize("command", ["enroll", "verify"])
+    def test_invalid_subject_id_fails_before_any_file_is_read(self, tmp_path, monkeypatch,
+                                                              capsys, command):
+        for name in ("load_image", "load_gallery"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        argv = [command, "eye.pgm", "bad id", "--gallery", str(tmp_path / "g")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + (["--threshold", "1"] if command == "verify" else []))
+        assert exc.value.code == 2
+        assert "invalid subject_id 'bad id'" in capsys.readouterr().err
+
+    def test_synth_out_is_the_gallery_setting(self):
+        parse = cli._build_parser().parse_args
+        args = parse(["synth", "--subjects", "1", "--out", "A"])
+        assert "out" not in vars(args)
+        assert cli._resolve_settings(args).gallery == Path("A")
+        assert parse(["synth", "--subjects", "1", "--gallery", "B", "--out", "A"]).gallery == "A"
+        assert parse(["synth", "--subjects", "1", "--out", "A", "--gallery", "B"]).gallery == "B"

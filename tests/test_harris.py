@@ -289,3 +289,15 @@ class TestParams:
     def test_non_integer_sizes_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             HarrisParams(**kwargs)
+
+    @pytest.mark.parametrize("sigma", [1.5e-239, 1e-160, 5e-324])
+    def test_sigma_too_small_for_the_window_rejected(self, sigma):
+        # 2 sigma^2 underflows to 0, or t^2 / (2 sigma^2) overflows.
+        with pytest.raises(ValueError, match="sigma is too small for window_radius"):
+            HarrisParams(sigma=sigma)
+
+    def test_tiny_accepted_sigma_gives_a_finite_window(self):
+        params = HarrisParams(sigma=1e-153)
+        window = gaussian_window(params.sigma, params.window_radius)
+        assert window.tolist() == [0.0] * 4 + [1.0] + [0.0] * 4
+        detect_corners(square_fixture(), params)
