@@ -264,11 +264,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-points", type=int, default=100)
     p.add_argument("--sweep-probes", type=int, default=3)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # Show the usage of the subcommand that refused the flag.
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except EmptyGalleryError as exc:

@@ -6,7 +6,7 @@ centre and re-detected.  For every gallery subject the harness runs a fixed
 number of randomly rotated probes per configured rotation count, records
 rank-1 identification accuracy (raw and self-match-normalised), and renders
 a three-column accuracy table plus a stable CSV.  A FAR/FRR sweep over
-verification thresholds is rendered as CSV for synthetic galleries.
+verification thresholds is rendered as CSV for either source.
 
 Every random draw derives from the experiment seed through a fixed-shape
 seed tree, so identical specs reproduce byte-identical reports.  Each leaf
@@ -340,16 +340,14 @@ def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -
     return rows
 
 
-def far_frr_csv(source: SyntheticSource, spec: ExperimentSpec, probes_per_subject: int,
+def far_frr_csv(source, spec: ExperimentSpec, probes_per_subject: int,
                 points: int, weights: Weights) -> str:
-    """FAR/FRR sweep of a synthetic gallery as CSV text.
+    """FAR/FRR sweep of a probe source's gallery as CSV text.
 
     Each subject gets `probes_per_subject` probes from seed-tree branch 2;
     `points` thresholds (at most MAX_SWEEP_POINTS) run evenly from 0 to 1.05
     times the largest self-match total.  Rows are `threshold,far_percent,frr_percent`.
     """
-    if not isinstance(source, SyntheticSource):
-        raise ValueError("the FAR/FRR sweep supports synthetic galleries only")
     if probes_per_subject < 1 or points < 1:
         raise ValueError("sweep probes and points must be at least 1")
     if points > MAX_SWEEP_POINTS:

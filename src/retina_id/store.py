@@ -11,7 +11,8 @@ Records live in line-oriented UTF-8 text files with LF newlines, extension
     <360 space-separated class-2 slot amplitudes>
     <360 space-separated class-3 slot amplitudes>
 
-Blank lines between blocks are ignored.  Amplitudes print with at most nine
+Blank lines between blocks are ignored; a provenance holds no carriage return.
+An amplitude reads as `float()` reads it.  Amplitudes print with at most nine
 fractional digits, trailing zeros trimmed, a bare `0` only for empty slots;
 values quantised to that precision round-trip exactly.  A gallery is either
 one such file or a directory whose `*.rtpl` files are loaded in lexicographic
@@ -172,8 +173,10 @@ def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
         if image_line != "image" and not image_line.startswith("image "):
             raise TemplateFormatError(source, base + 3, "expected 'image <provenance>'")
         source_image = image_line[len("image "):] if image_line.startswith("image ") else ""
+        if "\r" in source_image:
+            raise TemplateFormatError(source, base + 3, "provenance must not hold a carriage return")
 
-        rows = []
+        vectors = np.empty((3, SLOTS), dtype=np.float64)
         for v in range(3):
             tokens = lines[i + 4 + v].split()
             if len(tokens) != SLOTS:
@@ -181,19 +184,18 @@ def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
                     source, base + 4 + v,
                     f"expected {SLOTS} amplitudes, found {len(tokens)}")
             try:
-                row = np.array([float(t) for t in tokens], dtype=np.float64)
+                vectors[v] = tokens  # numpy casts each str token as float() does
             except ValueError:
                 raise TemplateFormatError(source, base + 4 + v, "amplitudes must be numbers") from None
-            if not valid_amplitudes(row):
+            if not valid_amplitudes(vectors[v]):
                 raise TemplateFormatError(source, base + 4 + v, "amplitudes must be 0 or in (0, 360]")
-            rows.append(row)
 
         # The file format does not carry the detection score; a manual centre
         # is authoritative (1.0), a detected one is marked unknown (0.0).
         od = OdCenter(od_x, od_y, 1.0 if od_source == "manual" else 0.0, od_source)
         records.append(GalleryRecord(
             subject_id=subject_id,
-            template=FeatureTemplate(np.stack(rows)),
+            template=FeatureTemplate(vectors),
             source_image=source_image,
             od=od,
         ))

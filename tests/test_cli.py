@@ -23,7 +23,7 @@ from retina_id.evaluation import (
     build_synthetic_gallery,
 )
 from retina_id.harris import HarrisParams
-from retina_id.imaging import RasterImage, save_image
+from retina_id.imaging import RasterImage, load_image, save_image
 from retina_id.matcher import Weights
 from retina_id.optic_disc import OdParams
 from retina_id.store import gallery_lock, load_gallery, render_record
@@ -380,6 +380,19 @@ class TestIdentifyVerify:
         assert r.stdout == ""
         assert "ben.rtpl:3: od coordinates must be finite" in r.stderr
 
+    def test_identify_carriage_return_in_provenance_exit_2(self, tmp_path):
+        gal, images = self.enroll_two(tmp_path)
+        path = gal / "ben.rtpl"
+        lines = path.read_text().split("\n")
+        lines[3] = "image syn\rthetic"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        # The gallery is read with universal newlines, so on disk the CR ends
+        # the line; the error still names the file and a line.
+        assert re.search(r"ben\.rtpl:\d+: ", r.stderr)
+
     def test_verify_unknown_subject_exit_2(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)
         r = run_cli("verify", images["ann"], "zoe", "--gallery", gal,
@@ -486,6 +499,26 @@ class TestSynthEval:
         assert all(a >= b for a, b in zip(fars, fars[1:]))
         assert all(a <= b for a, b in zip(frrs, frrs[1:]))
 
+    def test_eval_image_far_frr_sweep(self, tmp_path, eye_image):
+        images = tmp_path / "images"
+        images.mkdir()
+        pixels = load_image(eye_image).pixels
+        for name, m in (("a.pgm", pixels), ("b.pgm", pixels.T.copy())):
+            save_image(RasterImage(m), images / name)
+            (images / f"{name}.od").write_text("80 80\n")
+        out = tmp_path / "sweep.csv"
+        r = run_cli("eval", "--images", images, "--rotations", "1", "--angle-range", "10",
+                    "--far-frr-csv", out, "--sweep-points", "5")
+        assert r.returncode == 0, r.stderr
+        assert "subjects: 2" in r.stdout
+        lines = out.read_text().splitlines()
+        assert lines[0] == "threshold,far_percent,frr_percent"
+        assert len(lines) == 6
+        fars = [float(l.split(",")[1]) for l in lines[1:]]
+        frrs = [float(l.split(",")[2]) for l in lines[1:]]
+        assert all(a >= b for a, b in zip(fars, fars[1:]))
+        assert all(a <= b for a, b in zip(frrs, frrs[1:]))
+
     def test_eval_seeded_output_pinned(self, tmp_path):
         # Exact bytes of a seeded run whose accuracy is below 100%, so the
         # probe draws, both rankings, the weights and the sweep thresholds
@@ -519,18 +552,11 @@ class TestSynthEval:
         assert "finite" in r.stderr
 
     @pytest.mark.parametrize("extra", [
-        ("--images", "IMAGES"),
         ("--sweep-points", "-1"),
         ("--sweep-points", "0"),
         ("--sweep-probes", "0"),
-    ], ids=["images", "points-1", "points0", "probes0"])
-    def test_eval_bad_sweep_input_fails_before_output(self, tmp_path, eye_image, extra):
-        images = tmp_path / "images"
-        images.mkdir()
-        for name in ("a.pgm", "b.pgm"):
-            (images / name).write_bytes(eye_image.read_bytes())
-            (images / f"{name}.od").write_text("80 80\n")
-        extra = [images if tok == "IMAGES" else tok for tok in extra]
+    ], ids=["points-1", "points0", "probes0"])
+    def test_eval_bad_sweep_input_fails_before_output(self, tmp_path, extra):
         acc = tmp_path / "acc.csv"
         r = run_cli("eval", "--subjects", "3", "--corners", "5", "--rotations", "1",
                     "--csv", acc, "--far-frr-csv", tmp_path / "sweep.csv", *extra)
@@ -700,6 +726,18 @@ class TestFlagSurface:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
         assert not (tmp_path / "gallery").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--od", "5,5"],
+        ["identify", "IMG", "--top", "1"],
+    ], ids=["eval-od", "identify-prefix"])
+    def test_unknown_flag_shows_subcommand_usage(self, tmp_path, monkeypatch, capsys,
+                                                 eye_image, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(eye_image) if tok == "IMG" else tok for tok in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: retina-id {argv[0]} ")
 
     @pytest.mark.parametrize("command", ["enroll", "verify"])
     def test_invalid_subject_id_fails_before_any_file_is_read(self, tmp_path, monkeypatch,

@@ -184,10 +184,6 @@ class TestFarFrr:
 
 
 class TestFarFrrCsv:
-    def test_image_source_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="synthetic galleries only"):
-            far_frr_csv(ImageSource(tmp_path), ExperimentSpec(), 1, 5, Weights())
-
     @pytest.mark.parametrize("probes,points", [(0, 5), (1, 0), (-1, 5), (1, -1)])
     def test_counts_below_one_rejected(self, probes, points):
         with pytest.raises(ValueError, match="at least 1"):
@@ -251,6 +247,20 @@ class TestImagePath:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="images"):
             rotation_protocol(ImageSource(tmp_path), ExperimentSpec(), counts=(2,))
+
+    def test_far_frr_sweep(self, tmp_path):
+        self.make_image(tmp_path, "subj_a.pgm", [(40, 0), (55, 95), (62, 200)])
+        self.make_image(tmp_path, "subj_b.pgm", [(45, 48), (58, 140), (66, 275)])
+        csv = far_frr_csv(ImageSource(tmp_path), ExperimentSpec(angle_range=10.0), 2, 7,
+                          Weights())
+        lines = csv.splitlines()
+        assert lines[0] == "threshold,far_percent,frr_percent"
+        assert len(lines) == 8
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        fars = [far for _, far, _ in rows]
+        frrs = [frr for _, _, frr in rows]
+        assert all(a >= b for a, b in zip(fars, fars[1:]))
+        assert all(a <= b for a, b in zip(frrs, frrs[1:]))
 
 
 class TestSpecGuards:

@@ -168,6 +168,14 @@ class TestParse:
         with pytest.raises(TemplateFormatError, match=":3: od coordinates must be finite"):
             parse_records("\n".join(lines))
 
+    def test_carriage_return_in_provenance_rejected_with_line(self):
+        # GalleryRecord refuses the character; the parser names the line first.
+        lines = self.good_text().split("\n")
+        lines[3] = "image syn\rthetic"
+        with pytest.raises(TemplateFormatError, match=":4: provenance") as exc:
+            parse_records("\n".join(lines))
+        assert exc.value.lineno == 4
+
     def test_truncated_record(self):
         lines = self.good_text().split("\n")
         with pytest.raises(TemplateFormatError, match="end of file"):

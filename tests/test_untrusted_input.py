@@ -3,8 +3,9 @@
 Random bytes used as a PNM file, an `.rtpl` body, a `--config` file or an
 `.od` sidecar make the library raise nothing but ValueError subclasses, and
 an in-process `cli.main` on the same file exits with the documented code:
-2 for bad input, 3 for a gallery without records, 0 otherwise.  Valid
-records survive a render/parse round trip unchanged.
+2 for bad input, 3 for a gallery without records, 0 otherwise.  An amplitude
+token reads as `float()` reads it.  Valid records survive a render/parse
+round trip unchanged.
 
 Hypothesis rejects function-scoped fixtures under @given, so each example
 makes its files in a fresh TemporaryDirectory.
@@ -28,6 +29,7 @@ from retina_id.optic_disc import OdCenter, od_from_sidecar
 from retina_id.store import (
     EmptyGalleryError,
     GalleryRecord,
+    TemplateFormatError,
     load_gallery,
     parse_records,
     render_record,
@@ -185,3 +187,30 @@ class TestRoundTrip:
             assert (got.subject_id, got.source_image, got.od) == \
                 (want.subject_id, want.source_image, want.od)
             assert np.array_equal(got.template.vectors, want.template.vectors)
+
+
+# Pieces of number spellings, plus characters that float() accepts (Arabic-
+# Indic digits, single underscores) or rejects (NUL).
+TOKEN = st.lists(st.sampled_from([*"0123456789.e+-_", "nan", "inf", "\x00", "\u0663"]),
+                 min_size=1, max_size=8).map("".join)
+
+
+class TestAmplitudeToken:
+    @settings(max_examples=300, deadline=None)
+    @given(TOKEN, st.integers(0, SLOTS - 1))
+    def test_token_reads_as_float(self, token, slot):
+        lines = RECORD.decode("utf-8").split("\n")
+        tokens = lines[6].split()
+        tokens[slot] = token
+        lines[6] = " ".join(tokens)
+        try:
+            want = float(token)
+        except ValueError:
+            want = None
+        valid = want is not None and (want == 0 or 0 < want <= 360)
+        try:
+            got = parse_records("\n".join(lines))[0].template.vectors[2, slot]
+        except TemplateFormatError as exc:
+            assert not valid and exc.lineno == 7
+        else:
+            assert valid and got.tobytes() == np.float64(want).tobytes()
