@@ -5,7 +5,7 @@ templates around the optic-disc centre, and rotation-tolerant circular
 correlation matching, plus persistence, an evaluation harness and a CLI.
 """
 
-from .encoder import FeatureTemplate, PolarCorner, classify, encode, polarize
+from .encoder import FeatureTemplate, PolarCorner, classify, encode, gated_template, polarize
 from .harris import Corner, HarrisParams, detect_corners
 from .imaging import ImageFormatError, RasterImage, load_image, rotate_about, save_image, to_intensity
 from .matcher import MatchScore, Weights, identify, sim_profile, si_class, total_si, verify
@@ -18,7 +18,7 @@ __all__ = [
     "Corner", "FeatureTemplate", "Gallery", "GalleryRecord", "HarrisParams",
     "ImageFormatError", "MatchScore", "OdCenter", "OdParams", "PolarCorner",
     "RasterImage", "Weights", "classify", "detect_corners", "encode",
-    "identify", "load_gallery", "load_image", "locate_od", "manual_od",
+    "gated_template", "identify", "load_gallery", "load_image", "locate_od", "manual_od",
     "polarize", "rotate_about", "save_image", "save_template", "si_class",
     "sim_profile", "to_intensity", "total_si", "verify",
 ]

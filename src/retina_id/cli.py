@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .encoder import encode, polarize
+from .encoder import gated_template
 from .evaluation import (
     DEFAULT_COUNTS,
     ExperimentSpec,
@@ -116,8 +116,7 @@ def _parse_xy(text: str) -> tuple[float, float]:
 def _query_template(image_path, settings: Settings, od_flag):
     m = to_intensity(load_image(image_path))
     od = resolve_od(m, image_path, settings.od_params, _parse_xy(od_flag) if od_flag else None)
-    corners = detect_corners(m, settings.harris)
-    return encode(polarize(corners, od)), od
+    return gated_template(m, od, settings.harris), od
 
 
 def cmd_detect(args) -> int:

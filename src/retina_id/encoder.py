@@ -14,6 +14,10 @@ orientation 0 is stored as amplitude 360 so that an occupied slot is always
 nonzero.  Stronger corners paint first and occupied slots are never
 overwritten, which makes the template a pure function of the corner
 multiset.
+
+`gated_template` is the whole image-to-template chain for one map and its
+optic-disc centre: it detects corners only in the smallest pixel box that
+holds the gate, then polarizes and encodes them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .harris import HarrisParams, detect_corners
 
 SLOTS = 360
 GATE_RADIUS = 80.0
@@ -115,3 +121,18 @@ def encode(polar_corners) -> FeatureTemplate:
             if row[slot] == 0.0:
                 row[slot] = amplitude
     return FeatureTemplate(vectors)
+
+
+def gated_template(intensity: np.ndarray, od, params: HarrisParams | None = None) -> FeatureTemplate:
+    """The template of one intensity map about the od centre.
+
+    Corners are detected only in the smallest integer box that holds every
+    pixel closer than GATE_RADIUS to od (detect_corners clips it to the
+    map).  detect_corners returns exactly the whole map's corners there and
+    polarize drops the rest anyway, so the template is the whole-map
+    chain's, bit for bit.
+    """
+    def span(c):
+        return slice(max(math.floor(c - GATE_RADIUS) + 1, 0), max(math.ceil(c + GATE_RADIUS), 0))
+
+    return encode(polarize(detect_corners(intensity, params, span(od.y), span(od.x)), od))

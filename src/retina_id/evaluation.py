@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import GATE_RADIUS, SLOTS, PolarCorner, encode, polarize
-from .harris import DEFAULT_THRESHOLD, HarrisParams, detect_corners, is_finite
+from .encoder import GATE_RADIUS, SLOTS, PolarCorner, encode, gated_template
+from .harris import DEFAULT_THRESHOLD, HarrisParams, is_finite
 from .imaging import load_image, rotate_about, to_intensity
 from .matcher import Weights, identify, total_si
 from .optic_disc import OdCenter, OdParams, resolve_od
@@ -254,10 +254,9 @@ def _build_image_gallery(source: ImageSource):
     for f in files:
         m = to_intensity(load_image(f))
         od = resolve_od(m, f, source.od)
-        corners = detect_corners(m, source.harris)
         records.append(GalleryRecord(
             subject_id=_sanitize_subject(f.stem),
-            template=encode(polarize(corners, od)),
+            template=gated_template(m, od, source.harris),
             source_image=f.name,
             od=od,
         ))
@@ -282,8 +281,7 @@ def _gallery(source, spec: ExperimentSpec):
         def probe_fn(i, angle, rng):
             od = records[i].od
             rotated = rotate_about(maps[i], (od.x, od.y), angle)
-            corners = detect_corners(rotated, source.harris)
-            return encode(polarize(corners, od))
+            return gated_template(rotated, od, source.harris)
     else:
         raise TypeError("source must be SyntheticSource or ImageSource")
     if len(records) < 2:

@@ -5,6 +5,10 @@ the determinant-minus-scaled-trace response, then local-maximum selection
 with a response threshold and a border margin.  All stages are pure
 functions of their inputs and safe to run concurrently on separate maps.
 
+`detect_corners` runs the stages only on the box it is asked for plus the
+margin they read: the image chain (encoder.gated_template) asks for the
+optic-disc gate's box, the `detect` command for the whole map.
+
 Non-maximum suppression is array code over the above-threshold candidates:
 one gather and compare per neighbour offset, with equal neighbours at
 offsets before (0, 0) in (y, x) order breaking plateaus, then one lexsort.
@@ -102,20 +106,23 @@ def gaussian_window(sigma: float, radius: int) -> np.ndarray:
     return np.exp(-(t * t) / (2.0 * sigma * sigma))
 
 
-def separable_window_sum(arr: np.ndarray, profile: np.ndarray) -> np.ndarray:
-    """Correlate a 2-D array with the outer product of a 1-D profile,
-    replicating edges.  Implemented as a horizontal then vertical pass with
-    a fixed tap order, so results are deterministic across runs."""
-    arr = np.asarray(arr, dtype=np.float64)
-    h, w = arr.shape
-    r = (profile.size - 1) // 2
-    padded = np.pad(arr, r, mode="edge")
-    rows = np.zeros((h + 2 * r, w), dtype=np.float64)
-    for k in range(profile.size):
-        rows += profile[k] * padded[:, k:k + w]
-    out = np.zeros((h, w), dtype=np.float64)
-    for k in range(profile.size):
-        out += profile[k] * rows[k:k + h, :]
+def gaussian_pass(region: np.ndarray, profile: np.ndarray, ys: range, xs: range) -> np.ndarray:
+    """Correlate with the outer product of a 1-D profile at cells (ys, xs)
+    only: cell (y, x) is the window region[y:y + n, x:x + n], n = profile.size.
+
+    A horizontal then a vertical pass, taps in profile order, so every cell
+    is bit-identical whatever cells are asked for.  Each horizontal tap is
+    a strided view of the rows of a transposed copy.
+    """
+    ny, nx = ys.stop - ys.start, xs.stop - xs.start
+    across = np.ascontiguousarray(region[ys.start:, xs.start:].T)
+    rows = np.zeros((len(xs), across.shape[1]))
+    for t, tap in enumerate(profile):
+        rows += tap * across[t:t + nx:xs.step]
+    rows = np.ascontiguousarray(rows.T)
+    out = np.zeros((len(ys), len(xs)))
+    for t, tap in enumerate(profile):
+        out += tap * rows[t:t + ny:ys.step]
     return out
 
 
@@ -125,12 +132,12 @@ def structure_tensor(gx: np.ndarray, gy: np.ndarray, params: HarrisParams | None
     gy = np.asarray(gy, dtype=np.float64)
     if gx.shape != gy.shape:
         raise ValueError("gradient grids differ in shape")
-    profile = gaussian_window(params.sigma, params.window_radius)
-    return StructureTensorField(
-        a=separable_window_sum(gx * gx, profile),
-        b=separable_window_sum(gy * gy, profile),
-        c=separable_window_sum(gx * gy, profile),
-    )
+    r = params.window_radius
+    profile = gaussian_window(params.sigma, r)
+    cells = range(gx.shape[0]), range(gx.shape[1])
+    a, b, c = (gaussian_pass(np.pad(u * v, r, mode="edge"), profile, *cells)
+               for u, v in ((gx, gx), (gy, gy), (gx, gy)))
+    return StructureTensorField(a=a, b=b, c=c)
 
 
 def response(field: StructureTensorField, k: float = DEFAULT_K) -> np.ndarray:
@@ -189,13 +196,35 @@ def local_maxima(resp: np.ndarray, params: HarrisParams | None = None) -> list[C
     ]
 
 
-def detect_corners(intensity: np.ndarray, params: HarrisParams | None = None) -> list[Corner]:
-    """Full detection pipeline on one intensity map."""
+def detect_corners(intensity: np.ndarray, params: HarrisParams | None = None,
+                   rows: slice = slice(None), cols: slice = slice(None)) -> list[Corner]:
+    """Full detection pipeline on one intensity map, returning only the
+    corners in the box map[rows, cols] (by default the whole map).
+
+    The stages run on the box padded by max(nms_radius + window_radius + 1,
+    border_margin) and clipped to the map.  A corner in the box reads the
+    response within nms_radius, each response reads gradients within
+    window_radius, and each gradient one pixel further, so every value it
+    reads is the whole map's, bit for bit.  The crop's own edges lie at
+    least border_margin from the box unless they are the map's edges, so
+    the border margin and the NMS padding act as on the whole map.  The
+    result is the whole map's corners inside the box, in the same order.
+    """
     params = params or HarrisParams()
     m = np.asarray(intensity, dtype=np.float64)
     need = 2 * params.border_margin + 1
     if m.ndim != 2 or m.shape[0] < max(need, 3) or m.shape[1] < max(need, 3):
         raise ValueError("map too small for corner detection")
-    gx, gy = gradients(m)
+    ys, xs = range(m.shape[0])[rows], range(m.shape[1])[cols]
+    if ys.step != 1 or xs.step != 1:
+        raise ValueError("rows and cols must select a contiguous box")
+    if not (ys and xs):
+        return []
+    pad = max(params.nms_radius + params.window_radius + 1, params.border_margin)
+    y0, x0 = max(ys.start - pad, 0), max(xs.start - pad, 0)
+    crop = m[y0:ys.stop + pad, x0:xs.stop + pad]
+    gx, gy = gradients(crop)
     field = structure_tensor(gx, gy, params)
-    return local_maxima(response(field, params.k), params)
+    found = local_maxima(response(field, params.k), params)
+    return [Corner(x=c.x + x0, y=c.y + y0, response=c.response)
+            for c in found if c.y + y0 in ys and c.x + x0 in xs]

@@ -8,14 +8,14 @@ searched first, then refined at stride 1 around the best coarse hit.
 The surface is evaluated only at the requested cells (the grid, then the
 box), with the same arithmetic per cell as on the whole map.
 
-The correlation with the template is a separable Gaussian pass over the
-columns, then the rows, that those cells read.  The patch sum and sum of
-squares are box sums made of block-wise running sums (cumsum) over the
-blocks of 2 radius + 1 rows, at fixed boundaries, that hold those cells'
-windows.  Each partial sum covers at most 2 radius + 1 samples along an
-axis, so on maps of 8-bit integers every partial sum is an integer below
-2^53 and the box sums are exact, bit-identical to a direct sum in any
-order.  On other float maps the rounding matches that of a direct
+The correlation with the template is a separable Gaussian pass
+(harris.gaussian_pass) over the columns, then the rows, that those cells
+read.  The patch sum and sum of squares are box sums made of block-wise
+running sums (cumsum) over the blocks of 2 radius + 1 rows, at fixed
+boundaries, that hold those cells' windows.  Each partial sum covers at
+most 2 radius + 1 samples along an axis, so on maps of 8-bit integers
+every partial sum is an integer below 2^53 and the box sums are exact,
+bit-identical to a direct sum in any order.  On other float maps the rounding matches that of a direct
 (2 radius + 1)-term sum, whatever cells are requested.
 
 A patch is flat when s2 - s1^2 / n is at most max(VARIANCE_FLOOR, 1e-10 s2):
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harris import gaussian_window, is_finite
+from .harris import gaussian_pass, gaussian_window, is_finite
 
 # Patch variance below this is treated as flat and excluded from matching.
 VARIANCE_FLOOR = 1e-6
@@ -68,6 +68,8 @@ class OdCenter:
     def __post_init__(self):
         if self.source not in ("detected", "manual"):
             raise ValueError(f"unknown od source {self.source!r}")
+        if not (is_finite(self.x) and is_finite(self.y)):
+            raise ValueError("od centre must be finite")
 
 
 def disc_template(radius: int) -> np.ndarray:
@@ -102,7 +104,7 @@ def correlation_surface(intensity: np.ndarray, template_radius: int,
     t_mean = template.mean()
     t_var_sum = float(((template - t_mean) ** 2).sum())
 
-    corr_t = _gaussian_pass(region, gaussian_window(r / 2.0, r), ys, xs)
+    corr_t = gaussian_pass(region, gaussian_window(r / 2.0, r), ys, xs)
     # Patch sums of the samples and of their squares: a sliding sum down
     # the columns, then along the rows.
     s1, s2 = (_sliding_sum(_sliding_sum(a, k, ys).T, k, xs).T for a in (region, region * region))
@@ -119,21 +121,6 @@ def correlation_surface(intensity: np.ndarray, template_radius: int,
 def _taps(cells: range, shift: int) -> slice:
     """The cells' indices moved by shift, as a slice (a view, not a gather)."""
     return slice(cells.start + shift, cells.stop + shift, cells.step)
-
-
-def _gaussian_pass(region: np.ndarray, profile: np.ndarray, ys: range, xs: range) -> np.ndarray:
-    """harris.separable_window_sum's taps, in its order, for the windows at
-    cells (ys, xs) only; each horizontal tap is a strided view of the rows
-    of a transposed copy."""
-    across = np.ascontiguousarray(region[ys.start:, xs.start:].T)
-    rows = np.zeros((len(xs), across.shape[1]))
-    for t, tap in enumerate(profile):
-        rows += tap * across[_taps(xs, t - xs.start)]
-    rows = np.ascontiguousarray(rows.T)
-    out = np.zeros((len(ys), len(xs)))
-    for t, tap in enumerate(profile):
-        out += tap * rows[_taps(ys, t - ys.start)]
-    return out
 
 
 def _sliding_sum(arr: np.ndarray, k: int, starts: range) -> np.ndarray:

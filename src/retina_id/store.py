@@ -11,7 +11,11 @@ Records live in line-oriented UTF-8 text files with LF newlines, extension
     <360 space-separated class-2 slot amplitudes>
     <360 space-separated class-3 slot amplitudes>
 
-Blank lines between blocks are ignored; a provenance holds no carriage return.
+Lines end in LF alone.  Files are read without newline translation, so a CR
+stays part of its line: a CRLF file fails at its first line, a CR in a
+magic, subject or image line fails at that line, and in an od or amplitude
+line it separates tokens as any whitespace does.  Blank lines between
+blocks are ignored; a provenance holds no carriage return.
 An amplitude reads as `float()` reads it.  Amplitudes print with at most nine
 fractional digits, trailing zeros trimmed, a bare `0` only for empty slots;
 values quantised to that precision round-trip exactly.  A gallery is either
@@ -187,15 +191,20 @@ def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
                 vectors[v] = tokens  # numpy casts each str token as float() does
             except ValueError:
                 raise TemplateFormatError(source, base + 4 + v, "amplitudes must be numbers") from None
-            if not valid_amplitudes(vectors[v]):
-                raise TemplateFormatError(source, base + 4 + v, "amplitudes must be 0 or in (0, 360]")
+        # FeatureTemplate checks the amplitudes, once; only a failure looks for
+        # the first bad row, to name its line.
+        try:
+            template = FeatureTemplate(vectors)
+        except ValueError:
+            bad = next(v for v in range(3) if not valid_amplitudes(vectors[v]))
+            raise TemplateFormatError(source, base + 4 + bad, "amplitudes must be 0 or in (0, 360]") from None
 
         # The file format does not carry the detection score; a manual centre
         # is authoritative (1.0), a detected one is marked unknown (0.0).
         od = OdCenter(od_x, od_y, 1.0 if od_source == "manual" else 0.0, od_source)
         records.append(GalleryRecord(
             subject_id=subject_id,
-            template=FeatureTemplate(vectors),
+            template=template,
             source_image=source_image,
             od=od,
         ))
@@ -212,10 +221,10 @@ def load_gallery(path) -> Gallery:
     """
     p = Path(path)
     if p.is_file():
-        records = parse_records(p.read_text(encoding="utf-8"), str(p))
+        records = parse_records(p.read_bytes().decode("utf-8"), str(p))
     elif p.is_dir():
         files = sorted(p.glob("*.rtpl"), key=lambda f: f.name)
-        records = [r for f in files for r in parse_records(f.read_text(encoding="utf-8"), str(f))]
+        records = [r for f in files for r in parse_records(f.read_bytes().decode("utf-8"), str(f))]
     else:
         raise EmptyGalleryError(f"gallery {p} does not exist")
     if not records:

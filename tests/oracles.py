@@ -51,6 +51,43 @@ def window_correlate_brute(arr: np.ndarray, sigma: float, radius: int) -> np.nda
     return out
 
 
+def separable_window_sum(arr: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """Correlate a 2-D array with the outer product of a 1-D profile over the
+    whole array, replicating edges: a full horizontal then vertical pass,
+    taps in profile order.  harris.gaussian_pass must match it bit for bit
+    at whatever cells it is asked for."""
+    arr = np.asarray(arr, dtype=np.float64)
+    h, w = arr.shape
+    r = (profile.size - 1) // 2
+    padded = np.pad(arr, r, mode="edge")
+    rows = np.zeros((h + 2 * r, w), dtype=np.float64)
+    for k in range(profile.size):
+        rows += profile[k] * padded[:, k:k + w]
+    out = np.zeros((h, w), dtype=np.float64)
+    for k in range(profile.size):
+        out += profile[k] * rows[k:k + h, :]
+    return out
+
+
+def detect_corners_full(m: np.ndarray, params=None):
+    """Corner detection over the whole map: gradients, the whole-map
+    structure tensor from separable_window_sum, the response and
+    non-maximum suppression.  harris.detect_corners asked for a box must
+    return exactly these corners that lie in it, in this order."""
+    from retina_id.harris import (
+        HarrisParams, StructureTensorField, gaussian_window, gradients, local_maxima, response)
+
+    params = params or HarrisParams()
+    gx, gy = gradients(m)
+    profile = gaussian_window(params.sigma, params.window_radius)
+    field = StructureTensorField(
+        a=separable_window_sum(gx * gx, profile),
+        b=separable_window_sum(gy * gy, profile),
+        c=separable_window_sum(gx * gy, profile),
+    )
+    return local_maxima(response(field, params.k), params)
+
+
 def eigen_response(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: float) -> np.ndarray:
     """Corner response from the closed-form eigenvalues of the 2x2 tensor
     [[a, c], [c, b]]: alpha*beta - k*(alpha+beta)^2."""

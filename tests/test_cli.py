@@ -200,16 +200,16 @@ class TestSettings:
         assert cli.main(["enroll", str(eye_image), "alice", "--gallery", str(gal), "--od", "80,80"]) == 0
         seen = []
 
-        def detect_spy(m, params):
+        def detect_spy(m, od, params):
             seen.append(("det", params.threshold))
-            return detect_corners(m, params)
+            return gated_template(m, od, params)
 
         def verify_spy(template, record, threshold, weights):
             seen.append(("verify", threshold))
             return verify(template, record, threshold, weights)
 
-        detect_corners, verify = cli.detect_corners, cli.verify
-        monkeypatch.setattr(cli, "detect_corners", detect_spy)
+        gated_template, verify = cli.gated_template, cli.verify
+        monkeypatch.setattr(cli, "gated_template", detect_spy)
         monkeypatch.setattr(cli, "verify", verify_spy)
         argv = ["verify", str(eye_image), "alice", "--gallery", str(gal), "--od", "80,80"]
         cli.main(argv + ["--threshold", "5"])
@@ -389,9 +389,9 @@ class TestIdentifyVerify:
         r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80")
         assert r.returncode == 2
         assert r.stdout == ""
-        # The gallery is read with universal newlines, so on disk the CR ends
-        # the line; the error still names the file and a line.
-        assert re.search(r"ben\.rtpl:\d+: ", r.stderr)
+        # The gallery is read without newline translation: the CR stays in
+        # the image line, which the error names.
+        assert "ben.rtpl:4: provenance" in r.stderr
 
     def test_verify_unknown_subject_exit_2(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)

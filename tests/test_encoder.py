@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +13,16 @@ from retina_id.encoder import (
     PolarCorner,
     classify,
     encode,
+    gated_template,
     polarize,
 )
-from retina_id.harris import Corner
-from retina_id.optic_disc import OdCenter
+from retina_id.harris import Corner, HarrisParams
+from retina_id.imaging import load_image, to_intensity
+from retina_id.optic_disc import OdCenter, locate_od, manual_od, resolve_od
 
-from oracles import paint_pulses_brute, shift_remap
+from oracles import detect_corners_full, paint_pulses_brute, shift_remap
+
+FUNDUS = Path(__file__).resolve().parent.parent / "perfbench" / "fundus.py"
 
 OD = OdCenter(100.0, 100.0, 1.0, "manual")
 
@@ -184,3 +191,45 @@ class TestTemplateType:
     def test_orientation_domain_guard(self):
         with pytest.raises(ValueError, match="orientation"):
             PolarCorner(10.0, 360.0, 1e5)
+
+
+def load_fundus():
+    """perfbench/fundus.py, the benchmark's seeded DRIVE-size image generator."""
+    if "perfbench_fundus" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_fundus", FUNDUS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_fundus"]
+
+
+class TestGatedTemplate:
+    """gated_template detects corners only in the gate's box, yet gives the
+    whole-map chain's template bit for bit."""
+
+    @pytest.mark.parametrize("regime,seed", [("SPARSE", 1), ("DENSE", 2), ("DENSE", 3), ("SPARSE", 4)])
+    def test_drive_size_captures_match_the_whole_map_chain(self, regime, seed, tmp_path):
+        fundus = load_fundus()
+        rng = np.random.default_rng(seed)
+        scene, (cx, cy) = fundus.make_scene(rng, getattr(fundus, regime))
+        image = tmp_path / "eye.pgm"
+        image.write_bytes(fundus.pgm_bytes(fundus.capture(scene, (cx, cy), rng, getattr(fundus, regime)), False))
+        m = to_intensity(load_image(image))
+        # A sidecar off the whole pixels moves the gate box's fractional edges.
+        Path(f"{image}.od").write_text(f"{cx + 0.5} {cy - 0.25}\n", encoding="ascii")
+        full = detect_corners_full(m)
+        ods = [locate_od(m), resolve_od(m, image), manual_od(3.0, m.shape[0] - 7.0, m),
+               manual_od(m.shape[1] - 1.0, 0.0, m)]
+        assert ods[0].source == "detected" and ods[1].source == "manual"
+        for od in ods:
+            got = gated_template(m, od)
+            assert got.vectors.tobytes() == encode(polarize(full, od)).vectors.tobytes()
+        assert sum(gated_template(m, ods[0]).nonzero_counts()) > 0
+
+    def test_params_reach_the_detector(self):
+        m = np.full((200, 220), 10.0)
+        m[60:140, 70:150] = 200.0
+        od = OdCenter(110.0, 100.0, 1.0, "manual")
+        for params in (HarrisParams(), HarrisParams(threshold=1e9), HarrisParams(nms_radius=1)):
+            want = encode(polarize(detect_corners_full(m, params), od))
+            assert gated_template(m, od, params).vectors.tobytes() == want.vectors.tobytes()

@@ -8,15 +8,21 @@ from retina_id.harris import (
     Corner,
     HarrisParams,
     detect_corners,
+    gaussian_pass,
     gaussian_window,
     gradients,
     local_maxima,
     response,
-    separable_window_sum,
     structure_tensor,
 )
 
-from oracles import eigen_response, local_maxima_brute, window_correlate_brute
+from oracles import (
+    detect_corners_full,
+    eigen_response,
+    local_maxima_brute,
+    separable_window_sum,
+    window_correlate_brute,
+)
 
 
 def square_fixture(size=64, lo=10.0, hi=200.0, top=20, left=20, side=24):
@@ -256,6 +262,137 @@ class TestDetect:
     def test_too_small_map_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             detect_corners(np.zeros((8, 8)))
+
+
+class TestGaussianPass:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_cells_bit_identical_to_the_whole_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(6, 40, 2)
+        radius = int(rng.integers(1, 6))
+        arr = rng.normal(size=(h, w)) * 10.0 ** rng.integers(-3, 4)
+        profile = gaussian_window(float(rng.uniform(0.5, 3.0)), radius)
+        want = separable_window_sum(arr, profile)
+        padded = np.pad(arr, radius, mode="edge")
+        for _ in range(5):
+            y0, x0 = rng.integers(0, h), rng.integers(0, w)
+            ys = range(y0, int(rng.integers(y0 + 1, h + 1)), int(rng.integers(1, 5)))
+            xs = range(x0, int(rng.integers(x0 + 1, w + 1)), int(rng.integers(1, 5)))
+            got = gaussian_pass(padded, profile, ys, xs)
+            assert got.tobytes() == want[np.ix_(ys, xs)].tobytes()
+
+
+def in_box(corners, shape, rows, cols):
+    ys, xs = range(shape[0])[rows], range(shape[1])[cols]
+    return [(c.x, c.y, c.response) for c in corners if c.y in ys and c.x in xs]
+
+
+def triples(corners):
+    return [(c.x, c.y, c.response) for c in corners]
+
+
+def edge_boxes(h, w):
+    """Boxes clipped at each edge and each corner of an h x w map, boxes
+    reaching past it, single cells (inside, at the margin, at a corner),
+    and the whole map."""
+    top, bottom, mid_y = slice(0, 9), slice(h - 9, h), slice(h // 2 - 4, h // 2 + 4)
+    left, right, mid_x = slice(0, 7), slice(w - 7, w + 5), slice(w // 2 - 3, w // 2 + 5)
+    boxes = [(r, c) for r in (top, bottom, mid_y) for c in (left, right, mid_x)]
+    boxes += [(slice(y, y + 1), slice(x, x + 1))
+              for y, x in ((h // 2, w // 2), (8, 8), (0, 0), (h - 1, w - 1))]
+    boxes += [(slice(None), slice(None)), (slice(0, h), slice(2, w - 2))]
+    return boxes
+
+
+class TestCroppedDetector:
+    """detect_corners(m, p, rows, cols) is the whole map's detection,
+    restricted to the box, bit for bit and in order."""
+
+    @pytest.mark.parametrize("nms_radius", [1, 2, 3, 4])
+    @pytest.mark.parametrize("window_radius", [2, 3, 4])
+    @pytest.mark.parametrize("border_margin", [6, 7, 8])
+    def test_boxes_match_the_whole_map(self, nms_radius, window_radius, border_margin):
+        rng = np.random.default_rng(nms_radius * 100 + window_radius * 10 + border_margin)
+        m = rng.integers(0, 256, (int(rng.integers(56, 72)), int(rng.integers(56, 72)))).astype(np.float64)
+        params = HarrisParams(threshold=2e5, nms_radius=nms_radius, window_radius=window_radius,
+                              border_margin=border_margin, sigma=float(rng.uniform(0.8, 2.0)))
+        full = detect_corners_full(m, params)
+        assert len(full) >= 10
+        for rows, cols in edge_boxes(*m.shape):
+            assert triples(detect_corners(m, params, rows, cols)) == in_box(full, m.shape, rows, cols)
+
+    @pytest.mark.parametrize("nms_radius,window_radius,border_margin",
+                             [(2, 4, 6), (3, 4, 7), (4, 4, 8), (4, 3, 6), (3, 2, 6)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_ties_at_the_nms_reach(self, nms_radius, window_radius, border_margin, transpose):
+        # Rows (or columns) repeat with period nms_radius, so a cell ties with
+        # the cells nms_radius away across them: at a box's edges those decide
+        # the plateau only if their responses are exact.
+        rng = np.random.default_rng(nms_radius * 10 + window_radius)
+        m = np.tile(rng.integers(0, 256, (nms_radius, 60)).astype(np.float64), (16, 1))
+        params = HarrisParams(threshold=1e4, nms_radius=nms_radius, window_radius=window_radius,
+                              border_margin=border_margin)
+        m = m.T if transpose else m
+        full = detect_corners_full(m, params)
+        for a in range(border_margin + 1, 30):
+            for edge in (slice(a, a + 1), slice(a, a + 2 * nms_radius)):
+                box = (slice(border_margin + 4, 50), edge) if transpose else (edge, slice(border_margin + 4, 50))
+                assert triples(detect_corners(m, params, *box)) == in_box(full, m.shape, *box)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maps_with_nan_and_inf(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.integers(0, 256, (48, 52)).astype(np.float64)
+        holes = rng.random(m.shape)
+        m[holes < 0.01] = np.nan
+        m[(holes >= 0.01) & (holes < 0.015)] = np.inf
+        m[(holes >= 0.015) & (holes < 0.02)] = -np.inf
+        params = HarrisParams(threshold=2e5)
+        with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 make NaN
+            full = detect_corners_full(m, params)
+            assert full
+            for rows, cols in edge_boxes(*m.shape):
+                assert triples(detect_corners(m, params, rows, cols)) == in_box(full, m.shape, rows, cols)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=arrays(np.float64, st.tuples(st.integers(17, 40), st.integers(17, 40)),
+                 elements=st.integers(0, 255).map(float)),
+        holes=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1),
+                                 st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3),
+        nms_radius=st.integers(1, 4),
+        window_radius=st.integers(2, 4),
+        border_margin=st.integers(6, 8),
+        box=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
+    )
+    def test_property_box_matches_the_whole_map(self, m, holes, nms_radius, window_radius,
+                                                border_margin, box):
+        params = HarrisParams(threshold=1e4, nms_radius=nms_radius, window_radius=window_radius,
+                              border_margin=border_margin)
+        h, w = m.shape
+        for fy, fx, value in holes:
+            m[int(fy * (h - 1)), int(fx * (w - 1))] = value
+        y0, x0 = int(box[0] * (h - 1)), int(box[1] * (w - 1))
+        rows = slice(y0, y0 + 1 + int(box[2] * (h - y0 + 2)))
+        cols = slice(x0, x0 + 1 + int(box[3] * (w - x0 + 2)))
+        with np.errstate(invalid="ignore"):
+            want = in_box(detect_corners_full(m, params), m.shape, rows, cols)
+            assert triples(detect_corners(m, params, rows, cols)) == want
+
+    def test_default_is_the_whole_map(self):
+        rng = np.random.default_rng(8)
+        m = rng.integers(0, 256, (60, 64)).astype(np.float64)
+        assert triples(detect_corners(m)) == triples(detect_corners_full(m))
+
+    @pytest.mark.parametrize("rows", [slice(30, 30), slice(40, 10), slice(70, 90)])
+    def test_empty_box_has_no_corners(self, rows):
+        assert detect_corners(square_fixture(), rows=rows) == []
+
+    @pytest.mark.parametrize("rows,cols", [(slice(None, None, 2), slice(None)),
+                                           (slice(None), slice(None, None, -1))])
+    def test_strided_box_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="contiguous box"):
+            detect_corners(square_fixture(), HarrisParams(), rows, cols)
 
 
 class TestParams:

@@ -3,8 +3,9 @@
 The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 (module, name) from outside `src/`, so every name it lists must still exist
 and must still be called through its module global.  Modules also never
-import a sibling's `_private` name, and only `store` calls the gallery
-writer's parts, so every write goes through `store.add_records`.
+import a sibling's `_private` name, only `store` calls the gallery
+writer's parts, so every write goes through `store.add_records`, and only
+`encoder.gated_template` turns detected corners into a template.
 """
 
 import ast
@@ -12,8 +13,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import retina_id.cli as cli
 import retina_id.evaluation as evaluation
 import retina_id.store as store
+from retina_id.imaging import RasterImage, save_image
 from retina_id.matcher import Weights
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,11 +48,15 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
-def test_evaluation_calls_reach_the_tracer():
+def new_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
-    tracer = tracer_mod.Tracer()
+    return tracer_mod.Tracer()
+
+
+def test_evaluation_calls_reach_the_tracer():
+    tracer = new_tracer()
     eval_spec = evaluation.ExperimentSpec(rng_seed=3)
     source = evaluation.SyntheticSource(3, 8)
     with tracer.installed():
@@ -85,10 +94,7 @@ def test_no_private_imports_across_modules():
 
 
 def test_store_writes_reach_the_tracer(tmp_path):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
-    tracer = tracer_mod.Tracer()
+    tracer = new_tracer()
     records, _ = evaluation.build_synthetic_gallery(2, 8, seed=3)
     with tracer.installed():
         store.add_records(tmp_path, records)
@@ -116,4 +122,51 @@ def test_only_store_writes_galleries():
         for name in called_names(node)
         if name in ("save_template", "gallery_lock")
     ]
+    assert offenders == []
+
+
+def test_cli_image_chain_reaches_the_tracer(tmp_path, monkeypatch):
+    ys, xs = np.mgrid[0:160, 0:170]
+    m = 20.0 + 120.0 * np.exp(-((xs - 85.0) ** 2 + (ys - 80.0) ** 2) / (2.0 * 8.0 ** 2))
+    for mx, my in ((120, 80), (80, 30), (40, 120)):
+        m[my - 3:my + 4, mx - 3:mx + 4] = 230.0
+    image = tmp_path / "eye.pgm"
+    save_image(RasterImage(np.clip(m, 0, 255).astype(np.uint8)), image)
+    gallery = tmp_path / "gallery"
+    for sid in ("ann", "ben"):
+        assert cli.main(["enroll", str(image), sid, "--gallery", str(gallery)]) == 0
+    tracer = new_tracer()
+    chain = cli.gated_template
+
+    def spanned(*args, **kwargs):
+        with tracer.span("encoder.gated_template"):
+            return chain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gated_template", spanned)
+    with tracer.installed():
+        with tracer.operation("cli.identify"):
+            assert cli.main(["identify", str(image), "--gallery", str(gallery)]) == 0
+    names = [span[0] for span in tracer.spans]
+    gate = names.index("encoder.gated_template")
+    parents = {name: [parent for n, _, _, parent in tracer.spans if n == name]
+               for name in ("harris.detect_corners", "encoder.polarize", "encoder.encode")}
+    assert parents == {name: [gate] for name in parents}
+    assert {"optic_disc.locate_od", "harris.local_maxima", "matcher.identify"} <= set(names)
+
+
+def test_only_the_encoder_chains_corners_into_templates():
+    """No module but encoder both detects corners and polarizes them; the
+    detect command, which prints corners, is the one other detector call."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "encoder.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "cmd_detect"
+                  for node in ast.walk(fn)}
+        calls = {name for node in ast.walk(tree) if id(node) not in exempt
+                 for name in called_names(node)}
+        if {"detect_corners", "polarize"} & calls:
+            offenders.append((path.name, sorted({"detect_corners", "polarize"} & calls)))
     assert offenders == []

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from retina_id.harris import separable_window_sum
 from retina_id.optic_disc import (
     OdCenter,
     OdParams,
@@ -16,7 +15,7 @@ from retina_id.optic_disc import (
     resolve_od,
 )
 
-from oracles import locate_od_full, od_surface_full, zncc_surface_brute
+from oracles import locate_od_full, od_surface_full, separable_window_sum, zncc_surface_brute
 
 
 def blob_map(size=128, bg=20.0, peak=200.0, scale=10.0, cx=90, cy=40):
@@ -313,6 +312,13 @@ class TestManual:
     def test_score_pinned_to_one(self):
         od = manual_od(12.5, 30.0, np.zeros((50, 50)))
         assert od.score == 1.0
+
+    @pytest.mark.parametrize("x,y", [(np.inf, 5.0), (5.0, -np.inf), (np.nan, 5.0), (10 ** 400, 5.0)])
+    def test_non_finite_centre_rejected(self, x, y):
+        # gated_template sizes its box from the centre, and would otherwise
+        # raise OverflowError on an infinite one.
+        with pytest.raises(ValueError, match="od centre must be finite"):
+            OdCenter(x, y, 1.0, "manual")
 
 
 class TestSidecar:

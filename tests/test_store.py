@@ -5,6 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+import retina_id.encoder as encoder
+import retina_id.store as store
 from retina_id.encoder import FeatureTemplate, encode, polarize
 from retina_id.evaluation import build_synthetic_gallery
 from retina_id.harris import Corner
@@ -176,6 +178,30 @@ class TestParse:
             parse_records("\n".join(lines))
         assert exc.value.lineno == 4
 
+    def test_each_record_checks_its_amplitudes_once(self, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(np.shape(v))
+            return encoder_check(v)
+
+        text = "".join(self.good_text().replace("alice", f"s{i}") for i in range(4))
+        encoder_check = encoder.valid_amplitudes
+        monkeypatch.setattr(encoder, "valid_amplitudes", counting)
+        monkeypatch.setattr(store, "valid_amplitudes", counting)
+        assert len(parse_records(text)) == 4
+        assert calls == [(3, 360)] * 4
+
+    def test_bad_first_row_amplitude_names_its_line(self):
+        # Rows 2 and 3 are covered above; the bad row is found only after
+        # the whole record is read.
+        lines = self.good_text().split("\n")
+        tokens = lines[4].split()
+        tokens[-1] = "-1"
+        lines[4] = " ".join(tokens)
+        with pytest.raises(TemplateFormatError, match=":5: amplitudes must be 0 or in"):
+            parse_records("\n".join(lines))
+
     def test_truncated_record(self):
         lines = self.good_text().split("\n")
         with pytest.raises(TemplateFormatError, match="end of file"):
@@ -193,6 +219,24 @@ class TestGalleryDir:
         rng = np.random.default_rng(66)
         for sid in ids:
             save_template(record(rng, sid=sid), tmp_path / f"{sid}.rtpl")
+
+    def test_crlf_file_fails_at_line_one(self, tmp_path):
+        path = tmp_path / "crlf.rtpl"
+        text = render_record(record(np.random.default_rng(67)))
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        with pytest.raises(TemplateFormatError, match="crlf.rtpl:1: ") as exc:
+            load_gallery(tmp_path)
+        assert exc.value.lineno == 1
+
+    def test_lone_carriage_return_fails_at_its_own_line(self, tmp_path):
+        path = tmp_path / "cr.rtpl"
+        lines = render_record(record(np.random.default_rng(68))).split("\n")
+        lines[3] = "image syn\rthetic"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        for target in (path, tmp_path):
+            with pytest.raises(TemplateFormatError, match="cr.rtpl:4: provenance") as exc:
+                load_gallery(target)
+            assert exc.value.lineno == 4
 
     def test_directory_loads_sorted_by_filename(self, tmp_path):
         self.fill(tmp_path, ["zeta", "alpha", "mid"])
