@@ -35,8 +35,10 @@ from .evaluation import (
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
+    build_eval_gallery,
     build_synthetic_gallery,
     check_counts,
+    check_sweep,
     far_frr_csv,
     rotation_protocol,
 )
@@ -182,10 +184,12 @@ def cmd_eval(args) -> int:
         source = ImageSource(Path(args.images), settings.harris, settings.od_params)
     else:
         source = SyntheticSource(args.subjects, args.corners)
-    # The sweep runs first, so bad sweep input fails before anything is
-    # printed or written.
+    # Bad sweep input fails before anything is drawn, printed or written;
+    # the sweep and the protocol then share one gallery.
     sweep = None
     if args.far_frr_csv:
+        check_sweep(args.sweep_probes, args.sweep_points)
+        source = build_eval_gallery(source, spec, settings.weights)
         sweep = far_frr_csv(source, spec, args.sweep_probes, args.sweep_points, settings.weights)
     report = rotation_protocol(source, spec, counts, settings.weights)
     sys.stdout.write(report.to_table())

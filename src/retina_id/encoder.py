@@ -50,7 +50,7 @@ class PolarCorner:
 
 def valid_amplitudes(v: np.ndarray) -> bool:
     """True when every slot is 0 or in (0, 360]; NaN fails."""
-    return bool(((v == 0) | ((v > 0) & (v <= 360))).all())
+    return bool(((v >= 0) & (v <= 360)).all())
 
 
 @dataclass(frozen=True, eq=False)

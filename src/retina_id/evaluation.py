@@ -17,6 +17,12 @@ and `[seed, 2, subject, trial]` for the FAR/FRR sweep's probes.  A probe
 draws its angle (sample_angle), then its jitter (perturb, synthetic only);
 subjects are walked in gallery order, trials in order within each.
 
+The protocol and the sweep share one EvalGallery per run: its records,
+probe builder, exact self-match totals and matcher.GalleryScreen.  Both
+rank probes by screened totals, then re-score with the exact kernel every
+record that the screen's bound cannot place (see _rank1 and far_frr_sweep),
+so every hit, miss, tie, FAR and FRR is the exact kernel's.
+
 Synthetic distances stay inside the encoder's GATE_RADIUS; an image stem's
 characters outside the store's subject-id rule become `_`.  MAX_CORNERS and
 MAX_SWEEP_POINTS bound the counts that size an allocation.
@@ -24,6 +30,7 @@ MAX_SWEEP_POINTS bound the counts that size an allocation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +39,7 @@ import numpy as np
 from .encoder import GATE_RADIUS, SLOTS, PolarCorner, encode, gated_template
 from .harris import DEFAULT_THRESHOLD, HarrisParams, is_finite
 from .imaging import load_image, rotate_about, to_intensity
-from .matcher import Weights, identify, total_si
+from .matcher import GalleryScreen, Weights, identify, total_si
 from .optic_disc import OdCenter, OdParams, resolve_od
 from .store import Gallery, GalleryRecord, valid_subject_id
 
@@ -211,30 +218,51 @@ def _probes(spec: ExperimentSpec, branch: tuple, records, trials: int, probe_fn)
             yield rec.subject_id, angle, probe_fn(subject, angle, rng)
 
 
-def _self_totals(records, weights: Weights) -> dict[str, float]:
-    return {rec.subject_id: total_si(rec.template, rec.template, weights).total
-            for rec in records}
+def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
+    """Subject ids ranked first by raw and by self-match-normalised total.
 
+    Both rankings start from the screened totals.  Every record the screen's
+    bound B cannot rule out of first place in either ranking is re-scored
+    in one exact identify call, and both winners are taken from its exact
+    totals: the raw one by descending total, ties by subject id, and the
+    normalised one by descending total / self total (0 when the self total
+    is not positive), ties by subject id.
+    """
+    screened, bound = gallery.screen.totals(probe, gallery.weights)
+    self_totals = gallery.self_totals
+    positive = self_totals > 0
+    # A tiny self total can overflow a ratio to inf, and inf - inf is NaN;
+    # ~(x < cutoff) keeps every record when a NaN reaches the cutoff.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.divide(screened, self_totals, out=np.zeros_like(screened), where=positive)
+        slack = np.divide(bound, self_totals, out=np.zeros_like(screened), where=positive)
+        keep = ~(screened < float(screened.max()) - 2 * bound)
+        keep |= ~(norm + slack < float((norm - slack).max()))
+    candidates = np.flatnonzero(keep)
+    ranked = identify(probe, [gallery.records[i] for i in candidates], gallery.weights)
+    self_total = {gallery.records[i].subject_id: float(self_totals[i]) for i in candidates}
 
-def _run_count(records, self_totals, probe_fn, count: int, spec: ExperimentSpec,
-               weights: Weights) -> RotationAccuracy:
     def normalized_key(item):
         sid, ms = item
-        st = self_totals[sid]
+        st = self_total[sid]
         return (-(ms.total / st) if st > 0 else 0.0, sid)
 
+    return ranked[0][0], min(ranked, key=normalized_key)[0]
+
+
+def _run_count(gallery: EvalGallery, count: int) -> RotationAccuracy:
     hits = 0
     hits_norm = 0
     missed = []
-    for sid, angle, probe in _probes(spec, (1, count), records, count, probe_fn):
-        ranked = identify(probe, records, weights)
-        if ranked[0][0] == sid:
+    for sid, angle, probe in _probes(gallery.spec, (1, count), gallery.records, count, gallery.probe_fn):
+        raw, normalized = _rank1(gallery, probe)
+        if raw == sid:
             hits += 1
         else:
             missed.append((sid, angle))
-        if min(ranked, key=normalized_key)[0] == sid:
+        if normalized == sid:
             hits_norm += 1
-    return RotationAccuracy(rotations=count, trials=count * len(records),
+    return RotationAccuracy(rotations=count, trials=count * len(gallery.records),
                             hits=hits, hits_normalized=hits_norm,
                             misidentified=tuple(missed))
 
@@ -283,10 +311,38 @@ def _gallery(source, spec: ExperimentSpec):
             rotated = rotate_about(maps[i], (od.x, od.y), angle)
             return gated_template(rotated, od, source.harris)
     else:
-        raise TypeError("source must be SyntheticSource or ImageSource")
+        raise TypeError("source must be SyntheticSource, ImageSource or EvalGallery")
     if len(records) < 2:
         raise ValueError("identification needs at least 2 subjects")
     return records, probe_fn
+
+
+@dataclass(frozen=True, eq=False)
+class EvalGallery:
+    """One probe source's gallery, built once for a spec and weights and
+    shared by the rotation protocol and the FAR/FRR sweep: the records, their
+    probe builder, their exact self-match totals and their FFT screen."""
+
+    spec: ExperimentSpec
+    weights: Weights
+    records: tuple
+    probe_fn: Callable
+    self_totals: np.ndarray
+    screen: GalleryScreen
+
+
+def build_eval_gallery(source, spec: ExperimentSpec, weights: Weights | None = None) -> EvalGallery:
+    """The EvalGallery of a probe source; an EvalGallery built for the same
+    spec and weights is returned as it is."""
+    weights = weights or Weights()
+    if isinstance(source, EvalGallery):
+        if (source.spec, source.weights) != (spec, weights):
+            raise ValueError("the gallery was built for another spec or other weights")
+        return source
+    records, probe_fn = _gallery(source, spec)
+    self_totals = np.array([total_si(rec.template, rec.template, weights).total for rec in records])
+    return EvalGallery(spec, weights, tuple(records), probe_fn, self_totals,
+                       GalleryScreen([rec.template for rec in records]))
 
 
 def check_counts(counts) -> tuple:
@@ -297,39 +353,63 @@ def check_counts(counts) -> tuple:
     return counts
 
 
+def check_sweep(probes_per_subject: int, points: int) -> None:
+    """Reject sweep counts below 1 and more than MAX_SWEEP_POINTS points."""
+    if probes_per_subject < 1 or points < 1:
+        raise ValueError("sweep probes and points must be at least 1")
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep points must be at most {MAX_SWEEP_POINTS}")
+
+
 def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
                       weights: Weights | None = None) -> AccuracyReport:
     """Run the rotation experiment for each count in `counts` over one
-    shared gallery and merge the results into a single report."""
+    shared gallery and merge the results into a single report.  `source`
+    is a probe source or the EvalGallery built from one."""
     counts = check_counts(counts)
-    weights = weights or Weights()
-    records, probe_fn = _gallery(source, spec)
-    self_totals = _self_totals(records, weights)
-    entries = tuple(_run_count(records, self_totals, probe_fn, c, spec, weights) for c in counts)
-    return AccuracyReport(entries=entries, subjects=len(records))
+    gallery = build_eval_gallery(source, spec, weights)
+    entries = tuple(_run_count(gallery, c) for c in counts)
+    return AccuracyReport(entries=entries, subjects=len(gallery.records))
 
 
-def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
+def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None,
+                  screen: GalleryScreen | None = None) -> list[tuple[float, float, float]]:
     """False-accept / false-reject rates over verification thresholds.
 
-    `probes` is an iterable of (subject_id, FeatureTemplate); each probe is
-    scored against the whole gallery in one identify call, then each
-    threshold is applied to the same scores, which makes FAR non-increasing
-    and FRR non-decreasing in the threshold by construction.  Returns (threshold, far_pct, frr_pct)
-    rows in input threshold order.
+    `probes` is an iterable of (subject_id, FeatureTemplate), read once.
+    Each probe is screened against the whole gallery (by `screen`, built
+    from the same records in the same order, or by one built here); every
+    record whose screened total lies within the screen's bound B of a
+    threshold is re-scored with total_si, and each threshold is applied to
+    the same totals.  So every accept and reject is the exact total's, and
+    FAR is non-increasing and FRR non-decreasing in the threshold by
+    construction.  Returns (threshold, far_pct, frr_pct) rows in input
+    threshold order.
     """
     records = list(gallery)
-    probes = list(probes)
     thresholds = [float(t) for t in thresholds]
-    if not records or not probes or not thresholds:
+    if not records or not thresholds:
         raise ValueError("gallery, probes and thresholds must be non-empty")
+    if screen is None:
+        screen = GalleryScreen([rec.template for rec in records])
+    ids = np.array([rec.subject_id for rec in records])
+    ordered = np.sort(thresholds)
     genuine = []
     impostor = []
     for sid, template in probes:
-        for rid, score in identify(template, records, weights):
-            (genuine if rid == sid else impostor).append(score.total)
-    gen = np.array(genuine, dtype=np.float64)
-    imp = np.array(impostor, dtype=np.float64)
+        totals, bound = screen.totals(template, weights)
+        near = (np.searchsorted(ordered, totals - bound)
+                < np.searchsorted(ordered, totals + bound, side="right"))
+        near |= ~np.isfinite(totals)
+        for i in np.flatnonzero(near):
+            totals[i] = total_si(records[i].template, template, weights).total
+        own = ids == sid
+        genuine.append(totals[own])
+        impostor.append(totals[~own])
+    if not genuine:
+        raise ValueError("gallery, probes and thresholds must be non-empty")
+    gen = np.concatenate(genuine)
+    imp = np.concatenate(impostor)
     rows = []
     for t in thresholds:
         far = 100.0 * float(np.count_nonzero(imp >= t)) / imp.size if imp.size else 0.0
@@ -340,20 +420,19 @@ def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -
 
 def far_frr_csv(source, spec: ExperimentSpec, probes_per_subject: int,
                 points: int, weights: Weights) -> str:
-    """FAR/FRR sweep of a probe source's gallery as CSV text.
+    """FAR/FRR sweep of a probe source's gallery (or of an EvalGallery built
+    from one) as CSV text.
 
     Each subject gets `probes_per_subject` probes from seed-tree branch 2;
     `points` thresholds (at most MAX_SWEEP_POINTS) run evenly from 0 to 1.05
     times the largest self-match total.  Rows are `threshold,far_percent,frr_percent`.
     """
-    if probes_per_subject < 1 or points < 1:
-        raise ValueError("sweep probes and points must be at least 1")
-    if points > MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep points must be at most {MAX_SWEEP_POINTS}")
-    records, probe_fn = _gallery(source, spec)
-    probes = [(sid, probe) for sid, _, probe in _probes(spec, (2,), records, probes_per_subject, probe_fn)]
-    thresholds = np.linspace(0.0, 1.05 * max(_self_totals(records, weights).values()), points)
-    rows = far_frr_sweep(records, probes, thresholds, weights)
+    check_sweep(probes_per_subject, points)
+    gallery = build_eval_gallery(source, spec, weights)
+    probes = ((sid, probe) for sid, _, probe in _probes(
+        spec, (2,), gallery.records, probes_per_subject, gallery.probe_fn))
+    thresholds = np.linspace(0.0, 1.05 * float(gallery.self_totals.max()), points)
+    rows = far_frr_sweep(gallery.records, probes, thresholds, weights, screen=gallery.screen)
     lines = ["threshold,far_percent,frr_percent"]
     lines += [f"{fmt_num(t)},{fmt_num(far)},{fmt_num(frr)}" for t, far, frr in rows]
     return "\n".join(lines) + "\n"

@@ -17,23 +17,84 @@ The per-class score si is the profile maximum (smallest phi wins ties) and
 the total is the class-weighted sum w1*si1 + w2*si2 + w3*si3.  The distant
 class gets the largest weight because far corners pin down rotation best.
 
-Every score comes from one kernel, which scores one query against many
-enrolled rows at once.  It stacks the rows class-major, lists every
-occupied-slot pair (row slot p, query slot q) of each class in row-major
-(p, q) order, evaluates their cosine terms as one array, and adds them up
-with a single np.bincount whose bins are offset by (class * rows + row) *
-360.  The cosine is taken once per pair of distinct amplitudes and copied
-to every slot pair holding those values: a pure function of its inputs, so
-every term is bit-for-bit the value the plain expression gives.  bincount
-adds weights in input order, and each bin only ever receives the pairs of
-its own row and class, in the (p, q) order of a plain double loop over
-(phi, tau); so every profile is bit-for-bit identical to the naive
+Exact kernel.  Every exact score comes from one kernel, which scores one
+query against many enrolled rows at once.  It stacks the rows class-major,
+lists every occupied-slot pair (row slot p, query slot q) of each class in
+row-major (p, q) order, evaluates their cosine terms as one array, and adds
+them up with a single np.bincount whose bins are offset by (class * rows +
+row) * 360.  The cosine is taken once per pair of distinct amplitudes and
+copied to every slot pair holding those values: a pure function of its
+inputs, so every term is bit-for-bit the value the plain expression gives.
+bincount adds weights in input order, and each bin only ever receives the
+pairs of its own row and class, in the (p, q) order of a plain double loop
+over (phi, tau); so every profile is bit-for-bit identical to the naive
 evaluation, however many rows share a call.  Rows are taken in consecutive
 runs bounded by a fixed pair budget, so memory does not grow with the
 gallery; a run boundary always falls between rows, never inside one, so no
-bin's addition order depends on where the runs split.  identify and the
-FAR/FRR sweep score a whole gallery per query this way; total_si, verify
-and sim_profile are one-row calls.
+bin's addition order depends on where the runs split.
+
+FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
+profile is the circular cross-correlation of the rows' cos 2a and sin 2a
+planes (0 on empty slots) with the query's.  GalleryScreen keeps the
+conjugated rfft of every record's planes, built once per gallery (about 17
+KB per record); per query and class, one irfft gives every record's
+profile, and so every record's screened total.  A screened total is not bit-for-bit the exact one, so
+GalleryScreen.totals also returns a bound B on |screened - exact| for every
+record, and a caller decides exactly by re-scoring with the exact kernel
+every record whose screened total B cannot place.
+
+The bound.  Write u = 2**-53, gamma(k) = k u / (1 - k u), n = 360, and
+compare both totals with the real-arithmetic profile S(phi) of the stored
+amplitudes.  A profile sums at most n terms (both slots occupied), each of
+modulus at most 1, so every bound below is taken at n occupied slots.
+
+  - Exact kernel.  The angle 2 (a - b) pi / 180, of modulus below 4 pi,
+    takes four roundings (pi's own included): an error of at most
+    4 pi gamma(4).  np.cos is assumed within 4 ulp, at most 8 u on [-1, 1].
+    So a term is off by at most e_t = 4 pi gamma(4) + 8 u, and bincount's
+    in-order sum of r <= n terms adds gamma(r - 1) r (1 + e_t) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 4.2):
+    E_kernel = n e_t + gamma(n - 1) n (1 + e_t).
+  - Screen planes.  cos and sin of a * fl(pi / 90) are off by at most
+    d = 4 pi gamma(3) + 8 u, so each product pair cos 2a cos 2b + sin 2a
+    sin 2b is off by at most 4 d (1 + d): E_planes = 4 n d (1 + d).
+  - FFT.  numpy >= 1.24 runs pocketfft, the C port up to numpy 1.26 and
+    the C++ one from numpy 2.0.  Both plan a length whose largest prime
+    factor p has p * p <= n as mixed-radix Cooley-Tukey passes (rfftp; never
+    Bluestein): 360 = 2**3 3**2 5 gives at most 6 passes of radix r <= 5.
+    In one pass every real output is a linear form in at most 2r real
+    inputs with coefficients of modulus at most 1 (butterfly constants
+    times tabulated twiddles), evaluated with at most 14 roundings on any
+    path, twiddle error included.  Its error is then within gamma(14)
+    times the pass matrix in absolute values, whose 2-norm is at most 2r,
+    against sqrt(r) for the pass itself: a normwise relative error of at
+    most 2 sqrt(5) gamma(14) < 63 u per pass and (1 + 63 u)**6 - 1 < 380 u
+    per transform (section 24.1 gives the radix-2 case).  The bound taken
+    is e_F = 4096 u, over ten times that, to cover the half-complex
+    packing of the real transforms and the 1/n scale of irfft.  Each plane
+    has 2-norm at most sqrt(n) and 1-norm at most n, so its spectrum has
+    infinity-norm at most n and spectral error of 2-norm at most e_F n.
+    The two conjugated products and their sum add at most 4 gamma(4) n**2
+    (the half-spectrum's Hermitian extension at most doubles a squared
+    norm), and the inverse transform divides 2-norms by sqrt(n) and adds
+    e_F times the 2-norm of the profile, at most n sqrt(n).  Bounding the
+    infinity norm by the 2-norm, to first order:
+    E_fft = (5 e_F + 4 gamma(4)) n**1.5.
+  - Totals.  A class maximum moves by at most the largest profile error,
+    so each si is off by at most E = E_kernel + E_planes + E_fft, and each
+    weighted sum adds gamma(3) n per unit weight on either side.
+
+B is twice (E + 2 gamma(3) n) (w1 + w2 + w3), plus the smallest normal
+float for any gradual underflow of the weighted sums; the factor 2 absorbs
+every second-order term and the roundings of the comparisons the caller
+makes with B (each within a few u of a value at most n (w1 + w2 + w3)).
+B comes to about 3e-8 per unit weight.
+
+Callers.  identify, verify, total_si and sim_profile, and so every CLI
+command, use the exact kernel alone.  The evaluation's rotation protocol
+and FAR/FRR sweep rank by screened totals and then re-score exactly, through
+identify or total_si, every record the bound cannot place; so their hits,
+misses, ties, FAR and FRR are the exact kernel's.
 """
 
 from __future__ import annotations
@@ -73,6 +134,24 @@ class MatchScore:
 _PAIR_BUDGET = 1 << 14
 
 
+# The screen's error bound, per unit of class weight; see the module
+# docstring for the derivation.
+_U = 2.0 ** -53
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1 - k * _U)
+
+
+_FFT_ERR = 4096 * _U
+_TERM_ERR = 4 * np.pi * _gamma(4) + 8 * _U
+_PLANE_ERR = 4 * np.pi * _gamma(3) + 8 * _U
+_CLASS_ERR = (SLOTS * _TERM_ERR + _gamma(SLOTS - 1) * SLOTS * (1 + _TERM_ERR)
+              + 4 * SLOTS * _PLANE_ERR * (1 + _PLANE_ERR)
+              + (5 * _FFT_ERR + 4 * _gamma(4)) * SLOTS ** 1.5)
+_BOUND_PER_WEIGHT = 2 * (_CLASS_ERR + 2 * _gamma(3) * SLOTS)
+
+
 def _check_vector(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (SLOTS,):
@@ -88,9 +167,21 @@ def _check_amplitudes(v: np.ndarray, name: str) -> None:
 def _equal_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(firsts, labels) with values == firsts[labels], one label per run of
     equal neighbours; a pulse paints one amplitude over adjacent slots."""
-    starts = np.ones(values.size, dtype=bool)
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
     np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return values[starts], np.cumsum(starts) - 1
+    labels = np.cumsum(starts)
+    labels -= 1
+    return values[starts], labels
+
+
+def _class_runs(firsts: np.ndarray, labels: np.ndarray, lo: int, hi: int):
+    """The (firsts, labels) of _equal_runs for the values lo:hi alone, taken
+    from those of all the values."""
+    if lo == hi:
+        return firsts[:0], labels[:0]
+    first = labels[lo]
+    return firsts[first:labels[hi - 1] + 1], labels[lo:hi] - first
 
 
 def _run_profiles(run: list, query: list) -> np.ndarray:
@@ -102,28 +193,29 @@ def _run_profiles(run: list, query: list) -> np.ndarray:
     flat = np.flatnonzero(planes != 0)  # NaN included, for the check below
     amps = planes.ravel()[flat]
     _check_amplitudes(amps, "enrolled")
-    ends = np.searchsorted(flat, np.arange(1, classes + 1) * n * SLOTS)
+    ends = np.searchsorted(flat, [(c + 1) * n * SLOTS for c in range(classes)]).tolist()
+    # Pair (p, q) lands in its row and class's block of 360 bins, at the
+    # shift aligning slot p with slot q: (q - p) % 360 - 1, the zero offset
+    # aliased to 359.  With f - p the block start, that is f - 2p - 1 + q,
+    # plus 360 when q <= p.
+    p = flat % SLOTS
+    base = flat - 2 * p - 1
+    runs = _equal_runs(amps)  # of all classes at once, split per class below
     terms = []
     bins = []
     lo = 0
     for hi, (q, q_firsts, q_labels) in zip(ends, query):
-        f = flat[lo:hi]
-        p = f % SLOTS
         # cos(2.0 * ((a - b) * pi / 180.0)) once per pair of distinct
         # amplitudes, then spread to every slot pair in row-major (p, q) order.
-        a_firsts, a_labels = _equal_runs(amps[lo:hi])
+        a_firsts, a_labels = _class_runs(*runs, lo, hi)
         t = np.subtract.outer(a_firsts, q_firsts)
         t *= np.pi
         t /= 180.0
         t *= 2.0
         np.cos(t, out=t)
-        terms.append(t[a_labels][:, q_labels].ravel())
-        # Pair (p, q) lands in its row and class's block of 360 bins, at the
-        # shift aligning slot p with slot q: (q - p) % 360 - 1, the zero
-        # offset aliased to 359.  With f - p the block start, that is
-        # f - 2p - 1 + q, plus 360 when q <= p.
-        k = np.add.outer(f - 2 * p - 1, q)
-        np.add(k, SLOTS, out=k, where=np.greater_equal.outer(p, q))
+        terms.append(t.take(a_labels, 0).take(q_labels, 1).ravel())
+        k = np.add.outer(base[lo:hi], q)
+        np.add(k, SLOTS, out=k, where=np.greater_equal.outer(p[lo:hi], q))
         bins.append(k.ravel())
         lo = hi
     profiles = np.bincount(np.concatenate(bins), weights=np.concatenate(terms),
@@ -136,9 +228,12 @@ def _profiles(rows, query: np.ndarray):
     the same shape in `rows`, as (classes, run length, SLOTS) blocks of
     consecutive rows."""
     _check_amplitudes(query, "query")
-    slots = [np.flatnonzero(v) for v in query]
-    query_runs = [(q, *_equal_runs(v[q])) for v, q in zip(query, slots)]
-    widest = max(q.size for q in slots)
+    flat = np.flatnonzero(query)
+    bounds = [0, *np.searchsorted(flat, [(c + 1) * SLOTS for c in range(len(query))]).tolist()]
+    q = flat % SLOTS
+    runs = _equal_runs(query.ravel()[flat])
+    query_runs = [(q[lo:hi], *_class_runs(*runs, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    widest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     run, cost = [], 0
     for r in rows:
         r_cost = np.count_nonzero(r) * widest + r.size
@@ -207,3 +302,54 @@ def verify(query: FeatureTemplate, enrolled, threshold: float, weights: Weights 
         raise ValueError("threshold must be finite and non-negative")
     score = total_si(enrolled.template, query, weights)
     return score.total >= threshold, score
+
+
+def _unit_planes(vectors: np.ndarray) -> np.ndarray:
+    """cos 2a and sin 2a of every slot, 0 on empty ones: shape (..., 2, SLOTS)
+    for vectors shaped (..., SLOTS)."""
+    angle = vectors * (np.pi / 90.0)
+    occupied = vectors != 0
+    return np.stack([np.where(occupied, np.cos(angle), 0.0),
+                     np.where(occupied, np.sin(angle), 0.0)], axis=-2)
+
+
+class GalleryScreen:
+    """FFT screen of a gallery that many queries are scored against.
+
+    Built once per gallery: the conjugated rfft of every record's cos 2a and
+    sin 2a planes.  totals() then gives every record's screened total and
+    the bound B on its distance from the exact total; see the module
+    docstring.  The screen decides nothing by itself.  totals() writes the
+    screen's own work arrays, so one screen serves one caller at a time.
+    """
+
+    def __init__(self, templates):
+        templates = list(templates)
+        self._cos = np.empty((3, len(templates), SLOTS // 2 + 1), dtype=np.complex128)
+        self._sin = np.empty_like(self._cos)
+        # One record at a time, so building holds no gallery-sized temporary.
+        for i, t in enumerate(templates):
+            _check_amplitudes(t.vectors, "enrolled")
+            spectra = np.fft.rfft(_unit_planes(t.vectors), axis=-1)
+            np.conj(spectra[:, 0], out=self._cos[:, i])
+            np.conj(spectra[:, 1], out=self._sin[:, i])
+        # One class's products at a time, in arrays kept for every query:
+        # allocating and freeing gallery-sized products per query made the
+        # C allocator return them to the OS and fault them back in each time.
+        self._work = np.empty((2, *self._cos.shape[1:]), dtype=np.complex128)
+
+    def totals(self, query: FeatureTemplate, weights: Weights | None = None) -> tuple[np.ndarray, float]:
+        """(screened totals in record order, bound B on |screened - exact|)."""
+        weights = weights or Weights()
+        _check_amplitudes(query.vectors, "query")
+        q_cos, q_sin = np.fft.rfft(_unit_planes(query.vectors), axis=-1).transpose(1, 0, 2)
+        spectra, scratch = self._work
+        si = np.empty((3, spectra.shape[0]))
+        for c in range(3):
+            np.multiply(self._cos[c], q_cos[c], out=spectra)
+            np.multiply(self._sin[c], q_sin[c], out=scratch)
+            spectra += scratch
+            np.fft.irfft(spectra, n=SLOTS, axis=-1).max(axis=-1, out=si[c])
+        totals = weights.w1 * si[0] + weights.w2 * si[1] + weights.w3 * si[2]
+        bound = _BOUND_PER_WEIGHT * (weights.w1 + weights.w2 + weights.w3) + np.finfo(float).tiny
+        return totals, bound
