@@ -18,10 +18,11 @@ draws its angle (sample_angle), then its jitter (perturb, synthetic only);
 subjects are walked in gallery order, trials in order within each.
 
 The protocol and the sweep share one EvalGallery per run: its records,
-probe builder, exact self-match totals and matcher.GalleryScreen.  Both
-rank probes by screened totals, then re-score with the exact kernel every
-record that the screen's bound cannot place (see _rank1 and far_frr_sweep),
-so every hit, miss, tie, FAR and FRR is the exact kernel's.
+probe builder, exact self-match totals and the matcher.GalleryScreen of
+its records.  Both rank probes by screened totals, then re-score with the
+exact kernel every record that the screen's bound cannot place (see _rank1
+and far_frr_sweep), so every hit, miss, tie, FAR and FRR is the exact
+kernel's.
 
 Synthetic distances stay inside the encoder's GATE_RADIUS; an image stem's
 characters outside the store's subject-id rule become `_`.  MAX_CORNERS and
@@ -321,14 +322,23 @@ def _gallery(source, spec: ExperimentSpec):
 class EvalGallery:
     """One probe source's gallery, built once for a spec and weights and
     shared by the rotation protocol and the FAR/FRR sweep: the records, their
-    probe builder, their exact self-match totals and their FFT screen."""
+    probe builder, and the exact self-match totals and FFT screen computed
+    here from the records and weights, so neither can belong to another
+    gallery.  Like its screen, an EvalGallery is not thread-safe."""
 
     spec: ExperimentSpec
     weights: Weights
     records: tuple
     probe_fn: Callable
-    self_totals: np.ndarray
-    screen: GalleryScreen
+    self_totals: np.ndarray = field(init=False)
+    screen: GalleryScreen = field(init=False)
+
+    def __post_init__(self):
+        records = tuple(self.records)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "self_totals", np.array(
+            [total_si(rec.template, rec.template, self.weights).total for rec in records]))
+        object.__setattr__(self, "screen", GalleryScreen(rec.template for rec in records))
 
 
 def build_eval_gallery(source, spec: ExperimentSpec, weights: Weights | None = None) -> EvalGallery:
@@ -339,10 +349,7 @@ def build_eval_gallery(source, spec: ExperimentSpec, weights: Weights | None = N
         if (source.spec, source.weights) != (spec, weights):
             raise ValueError("the gallery was built for another spec or other weights")
         return source
-    records, probe_fn = _gallery(source, spec)
-    self_totals = np.array([total_si(rec.template, rec.template, weights).total for rec in records])
-    return EvalGallery(spec, weights, tuple(records), probe_fn, self_totals,
-                       GalleryScreen([rec.template for rec in records]))
+    return EvalGallery(spec, weights, *_gallery(source, spec))
 
 
 def check_counts(counts) -> tuple:
@@ -372,26 +379,27 @@ def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
     return AccuracyReport(entries=entries, subjects=len(gallery.records))
 
 
-def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None,
-                  screen: GalleryScreen | None = None) -> list[tuple[float, float, float]]:
+def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
     """False-accept / false-reject rates over verification thresholds.
 
-    `probes` is an iterable of (subject_id, FeatureTemplate), read once.
-    Each probe is screened against the whole gallery (by `screen`, built
-    from the same records in the same order, or by one built here); every
-    record whose screened total lies within the screen's bound B of a
-    threshold is re-scored with total_si, and each threshold is applied to
-    the same totals.  So every accept and reject is the exact total's, and
-    FAR is non-increasing and FRR non-decreasing in the threshold by
-    construction.  Returns (threshold, far_pct, frr_pct) rows in input
-    threshold order.
+    `gallery` is an iterable of records or an EvalGallery, and `probes` an
+    iterable of (subject_id, FeatureTemplate), read once.  Each probe is
+    screened against the whole gallery, by the EvalGallery's screen or by a
+    GalleryScreen of the records built here; every record whose screened
+    total lies within the screen's bound B of a threshold is re-scored with
+    total_si, and each threshold is applied to the same totals.  So every
+    accept and reject is the exact total's, and FAR is non-increasing and
+    FRR non-decreasing in the threshold by construction.  Returns
+    (threshold, far_pct, frr_pct) rows in input threshold order.
     """
-    records = list(gallery)
+    if isinstance(gallery, EvalGallery):
+        records, screen = list(gallery.records), gallery.screen
+    else:
+        records = list(gallery)
+        screen = GalleryScreen(rec.template for rec in records)
     thresholds = [float(t) for t in thresholds]
     if not records or not thresholds:
         raise ValueError("gallery, probes and thresholds must be non-empty")
-    if screen is None:
-        screen = GalleryScreen([rec.template for rec in records])
     ids = np.array([rec.subject_id for rec in records])
     ordered = np.sort(thresholds)
     genuine = []
@@ -432,7 +440,7 @@ def far_frr_csv(source, spec: ExperimentSpec, probes_per_subject: int,
     probes = ((sid, probe) for sid, _, probe in _probes(
         spec, (2,), gallery.records, probes_per_subject, gallery.probe_fn))
     thresholds = np.linspace(0.0, 1.05 * float(gallery.self_totals.max()), points)
-    rows = far_frr_sweep(gallery.records, probes, thresholds, weights, screen=gallery.screen)
+    rows = far_frr_sweep(gallery, probes, thresholds, weights)
     lines = ["threshold,far_percent,frr_percent"]
     lines += [f"{fmt_num(t)},{fmt_num(far)},{fmt_num(frr)}" for t, far, frr in rows]
     return "\n".join(lines) + "\n"

@@ -37,11 +37,12 @@ FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
 planes (0 on empty slots) with the query's.  GalleryScreen keeps the
 conjugated rfft of every record's planes, built once per gallery (about 17
-KB per record); per query and class, one irfft gives every record's
-profile, and so every record's screened total.  A screened total is not bit-for-bit the exact one, so
-GalleryScreen.totals also returns a bound B on |screened - exact| for every
-record, and a caller decides exactly by re-scoring with the exact kernel
-every record whose screened total B cannot place.
+KB per record, plus about 6 KB of work arrays); per query and class, one
+irfft gives every record's profile, and so every record's screened total.
+A screened total is not bit-for-bit the exact one, so GalleryScreen.totals
+also returns a bound B on |screened - exact| for every record, and a
+caller decides exactly by re-scoring with the exact kernel every record
+whose screened total B cannot place.
 
 The bound.  Write u = 2**-53, gamma(k) = k u / (1 - k u), n = 360, and
 compare both totals with the real-arithmetic profile S(phi) of the stored
@@ -320,7 +321,8 @@ class GalleryScreen:
     sin 2a planes.  totals() then gives every record's screened total and
     the bound B on its distance from the exact total; see the module
     docstring.  The screen decides nothing by itself.  totals() writes the
-    screen's own work arrays, so one screen serves one caller at a time.
+    screen's own work arrays, so a screen is not thread-safe: one screen
+    serves one thread at a time.
     """
 
     def __init__(self, templates):
@@ -334,8 +336,8 @@ class GalleryScreen:
             np.conj(spectra[:, 0], out=self._cos[:, i])
             np.conj(spectra[:, 1], out=self._sin[:, i])
         # One class's products at a time, in arrays kept for every query:
-        # allocating and freeing gallery-sized products per query made the
-        # C allocator return them to the OS and fault them back in each time.
+        # products allocated per query were, in some heap layouts, returned
+        # to the OS and faulted back in on every query.
         self._work = np.empty((2, *self._cos.shape[1:]), dtype=np.complex128)
 
     def totals(self, query: FeatureTemplate, weights: Weights | None = None) -> tuple[np.ndarray, float]:

@@ -11,6 +11,7 @@ normalised hits and FAR/FRR rows as the exact loops in oracles.py.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -74,13 +75,11 @@ def make_gallery(templates, probes, weights, seed=0, ids=None):
     `probes` from each probe's seed-tree generator."""
     ids = ids or [f"s{i:02d}" for i in range(len(templates))]
     records = [GalleryRecord(subject_id=sid, template=t) for sid, t in zip(ids, templates)]
-    self_totals = np.array([total_si(t, t, weights).total for t in templates])
 
     def probe_fn(subject, angle, rng):
         return probes[int(rng.integers(len(probes)))]
 
-    return EvalGallery(ExperimentSpec(rng_seed=seed), weights, records, probe_fn, self_totals,
-                       GalleryScreen(templates))
+    return EvalGallery(ExperimentSpec(rng_seed=seed), weights, records, probe_fn)
 
 
 def assert_protocol_exact(gallery, counts=(1, 3)):
@@ -146,6 +145,17 @@ class TestBound:
 
 
 class TestExactDecisions:
+    def test_gallery_derives_its_self_totals_and_screen(self):
+        rng = np.random.default_rng(3014)
+        templates = [template(k, rng) for k in LIGHT_KINDS]
+        gallery = make_gallery(templates, templates, WEIGHTS)
+        assert gallery.self_totals.tolist() == [total_si(t, t, WEIGHTS).total for t in templates]
+        screened, _ = gallery.screen.totals(templates[0], WEIGHTS)
+        assert screened.tolist() == GalleryScreen(templates).totals(templates[0], WEIGHTS)[0].tolist()
+        with pytest.raises(TypeError):
+            EvalGallery(gallery.spec, WEIGHTS, gallery.records, gallery.probe_fn,
+                        self_totals=gallery.self_totals)
+
     def test_twins_rank_by_subject_id(self):
         rng = np.random.default_rng(3010)
         twin = template("pulses", rng)
@@ -212,5 +222,6 @@ def test_screened_decisions_equal_the_exact_loops(seed, kinds, full, twins, weig
     exact = [total_si(rec.template, p, weights).total for rec in gallery.records for _, p in sweep_probes[:3]]
     thresholds = list(np.linspace(0.0, 1.05 * float(gallery.self_totals.max()), 5))
     thresholds += [x for t in exact[:6] for x in (np.nextafter(t, -1), t, np.nextafter(t, 1e9))]
-    assert (far_frr_sweep(gallery.records, sweep_probes, thresholds, weights)
-            == far_frr_sweep_exact(gallery.records, sweep_probes, thresholds, weights))
+    want = far_frr_sweep_exact(gallery.records, sweep_probes, thresholds, weights)
+    assert far_frr_sweep(gallery.records, sweep_probes, thresholds, weights) == want
+    assert far_frr_sweep(gallery, sweep_probes, thresholds, weights) == want
