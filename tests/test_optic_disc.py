@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from retina_id.optic_disc import (
     OdParams,
     correlation_surface,
     disc_template,
+    grid_screen,
     locate_od,
     manual_od,
     od_from_sidecar,
@@ -238,6 +241,145 @@ class TestCellsMatchWholeMap:
         rows, cols = (slice(a, b, c) for a, b, c in zip(starts, stops, steps))
         got = correlation_surface(m, radius, rows, cols)
         assert np.array_equal(got, od_surface_full(m, radius)[rows, cols], equal_nan=True)
+
+
+def screen_maps(shape):
+    """Named maps for the screen's interval checks."""
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    disc = np.round(blob_map(max(shape), cx=shape[1] // 2, cy=shape[0] // 3, scale=9.0))[:shape[0], :shape[1]]
+    return {
+        "uint8": rng.integers(0, 256, shape).astype(np.float64),
+        "disc": disc + rng.integers(0, 4, shape),
+        "float": rng.uniform(0.0, 255.0, shape),
+        "negative": rng.uniform(-300.0, 100.0, shape),
+        "large": rng.uniform(0.0, 1.0, shape) * 1e100,
+        "near_flat": 100.3 + rng.uniform(0.0, 2e-7, shape),
+        "tiny": rng.uniform(0.0, 1.0, shape) * 1e-160,
+    }
+
+
+def screen_candidates(m, params):
+    """The coarse grid and the cells the screen leaves for exact re-scoring."""
+    h, w = m.shape
+    grid = (slice(params.margin, h - params.margin, params.search_stride),
+            slice(params.margin, w - params.margin, params.search_stride))
+    lo, hi, flat = grid_screen(m, params.template_radius, *grid)
+    return grid, ~flat & (hi >= lo.max())
+
+
+def mirrored_map(seed, h=60, w=53):
+    """A left-right symmetric float map with two mirrored discs: its best
+    grid cells come in mirrored pairs whose exact scores differ by a few
+    ulps or not at all."""
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(0.0, 255.0, (h, w)) + blob_map(max(h, w), bg=0.0, peak=300.0, cx=14, cy=30, scale=4.0)[:h, :w]
+    return half + half[:, ::-1]
+
+
+def assert_same_outcome(m, params):
+    """locate_od returns what locate_od_full returns, or raises the same
+    ValueError."""
+    try:
+        want = locate_od_full(m, params)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            locate_od(m, params)
+    else:
+        assert locate_od(m, params) == want
+
+
+class TestGridScreen:
+    """grid_screen's intervals hold correlation_surface's exact scores, and
+    locate_od, which re-scores exactly only the cells they cannot rule out,
+    is the search of the exact surface (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("kind", ["uint8", "disc", "float", "negative", "large", "near_flat", "tiny"])
+    @pytest.mark.parametrize("shape, radius, stride", [((97, 131), 12, 3), ((584, 565), 40, 4)])
+    def test_interval_holds_exact_score(self, kind, shape, radius, stride):
+        m = screen_maps(shape)[kind]
+        grid = slice(radius, shape[0] - radius, stride), slice(radius, shape[1] - radius, stride)
+        lo, hi, flat = grid_screen(m, radius, *grid)
+        exact = correlation_surface(m, radius, *grid)
+        scored = ~np.isnan(exact)
+        assert np.isnan(exact[flat]).all()
+        assert (lo[scored] <= exact[scored]).all() and (exact[scored] <= hi[scored]).all()
+        placed = lo > -np.inf
+        assert scored[placed].all() and not (placed & flat).any()
+        if kind not in ("near_flat", "tiny"):
+            # the screen places every cell, and tightly
+            assert placed.all() and (hi - lo).max() < 1e-9
+        if kind == "tiny":
+            assert flat.all()
+
+    def test_sums_beyond_the_limit_are_not_placed(self):
+        m = screen_maps((97, 131))["float"] * 1e140
+        lo, hi, flat = grid_screen(m, 12, slice(12, 85, 3), slice(12, 119, 3))
+        assert (lo == -np.inf).all() and (hi == np.inf).all() and not flat.any()
+        params = OdParams(template_radius=12, search_stride=3, margin=12)
+        assert locate_od(m, params) == locate_od_full(m, params)
+
+    @pytest.mark.parametrize("rows, cols", [
+        (slice(11, 85, 3), slice(12, 119, 3)), (slice(12, 86), slice(12, 119, 3)),
+        (slice(12, 85, 3), slice(12, 120)), (slice(12, 85, 3), slice(12, 12)),
+    ])
+    def test_windows_outside_the_map_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="inside the map"):
+            grid_screen(np.zeros((97, 131)), 12, rows, cols)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mirrored_float_map(self, seed):
+        m = mirrored_map(seed)
+        params = OdParams(template_radius=8, search_stride=3, margin=8)
+        _, candidates = screen_candidates(m, params)
+        assert candidates.sum() >= 2
+        assert locate_od(m, params) == locate_od_full(m, params)
+
+    def test_best_grid_cells_one_ulp_apart(self):
+        # pinned: the exact best grid cell of this map beats the second
+        # best by one ulp, and comes after it in raster order
+        half = np.random.default_rng(124).uniform(0.0, 255.0, (60, 53))
+        m = half + half[:, ::-1]
+        params = OdParams(template_radius=8, search_stride=3, margin=8)
+        grid, candidates = screen_candidates(m, params)
+        exact = correlation_surface(m, 8, *grid).ravel()
+        first, second = np.argsort(-exact, kind="stable")[:2]
+        assert exact[first] == np.nextafter(exact[second], np.inf) and first > second
+        assert candidates.ravel()[[first, second]].all()
+        assert locate_od(m, params) == locate_od_full(m, params)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(50, 50), (0, 0), (99, 3), None])
+    def test_non_finite_maps_as_the_exact_search(self, value, where):
+        m = np.random.default_rng(3).uniform(0.0, 255.0, (100, 110))
+        m[where if where else ...] = value
+        params = OdParams(template_radius=10, search_stride=3, margin=12)
+        with np.errstate(all="ignore"):
+            assert_same_outcome(m, params)
+
+    @pytest.mark.parametrize("value", [0.0, 77.0, 100.3, -5.5, 1e300, 2.5e-300])
+    def test_constant_float_maps_as_the_exact_search(self, value):
+        params = OdParams(template_radius=10, search_stride=3, margin=12)
+        with np.errstate(all="ignore"):
+            assert_same_outcome(np.full((100, 110), value), params)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.one_of(
+            arrays(np.uint8, st.tuples(st.integers(9, 45), st.integers(9, 45))),
+            arrays(np.float64, st.tuples(st.integers(9, 45), st.integers(9, 45)),
+                   elements=st.floats(-255.0, 255.0)),
+        ),
+        mirror=st.booleans(),
+        radius=st.integers(4, 8),
+        extra_margin=st.integers(0, 4),
+        stride=st.integers(1, 7),
+    )
+    def test_property_matches_exact_search(self, m, mirror, radius, extra_margin, stride):
+        m = np.asarray(m, dtype=np.float64)
+        if mirror:
+            m = m + m[:, ::-1]
+        params = OdParams(template_radius=radius, search_stride=stride, margin=radius + extra_margin)
+        assert_same_outcome(m, params)
 
 
 class TestLocate:
