@@ -22,6 +22,25 @@ values quantised to that precision round-trip exactly.  A gallery is either
 one such file or a directory whose `*.rtpl` files are loaded in lexicographic
 filename order.  `Gallery` keeps subject ids, [A-Za-z0-9_-]{1,64}, unique;
 `add_records` alone writes gallery directories.
+
+A gallery directory may also hold `.snapshot`, a memo of `parse_records`
+keyed by each file's content: per file, the sha256 digest and byte length
+of its bytes and the records parsed from exactly those bytes, with every
+amplitude as raw little-endian float64.  `load_gallery` still reads every
+`.rtpl` file and takes a file's records from the snapshot only when its
+digest and length are there; any other file is parsed.  The `.rtpl` text is
+the truth and the snapshot never is: only `add_records` writes it, for the
+files it loaded and the files it wrote, and a snapshot that is missing,
+truncated, of another version or fails any check a parsed record gets is
+ignored as a whole.  Deleting it is always safe; it costs one re-parse.
+Like `.rtpl` writes it is replaced atomically and not fsync'd.
+
+Snapshot layout: the 24-byte head below (so the amplitudes start 8-byte
+aligned), each record's (3, 360) amplitudes in index order, the index as
+ASCII JSON, `[[digest hex, byte length, [[subject, od x, od y, od source,
+provenance], ...]], ...]`, the index's byte length as 8 bytes, little-endian,
+and last the sha256 digest of everything before it, so a flipped bit
+anywhere discards the snapshot.
 """
 
 from __future__ import annotations
@@ -39,7 +58,16 @@ import numpy as np
 from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
 from .optic_disc import OdCenter
 
+# hashlib (which loads OpenSSL) and json are imported inside the functions
+# that keep the snapshot: only gallery directories need them, and at module
+# level they would add about 8 ms to the start of every CLI command.
+
 MAGIC = "RETINA-TEMPLATE v1"
+SNAPSHOT_NAME = ".snapshot"
+_SNAPSHOT_HEAD = b"RETINA-SNAPSHOT v1\n".ljust(24, b"\0")
+_AMPLITUDES = np.dtype("<f8")
+_RECORD_BYTES = 3 * SLOTS * _AMPLITUDES.itemsize
+_TRAILER_BYTES = 8 + 32  # index length, sha256 digest
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _LINES_PER_RECORD = 7
 
@@ -77,10 +105,15 @@ class GalleryRecord:
 
 
 class Gallery:
-    """Records in load order; a repeated subject id raises DuplicateSubjectError."""
+    """Records in load order; a repeated subject id raises DuplicateSubjectError.
 
-    def __init__(self, records=()):
+    `files` holds, for a directory that `load_gallery` read, each `.rtpl`
+    file's (sha256 digest, byte length, records): what `add_records` writes
+    to the snapshot."""
+
+    def __init__(self, records=(), files=()):
         self.records = tuple(records)
+        self.files = tuple(files)
         self._by_id = {}
         for r in self.records:
             if r.subject_id in self._by_id:
@@ -114,27 +147,46 @@ def render_record(record: GalleryRecord) -> str:
         f"od {format_amplitude(record.od.x)} {format_amplitude(record.od.y)} {record.od.source}",
         f"image {record.source_image}" if record.source_image else "image",
     ]
-    # Python floats format like numpy's, in about half the time.
-    for row in record.template.vectors.tolist():
-        lines.append(" ".join(map(format_amplitude, row)))
+    # An empty slot (+0.0) prints as "0", so only the others, usually a few
+    # dozen of 360, are formatted; Python floats format like numpy's, in
+    # about half the time.
+    for row in record.template.vectors:
+        tokens = ["0"] * len(row)
+        values = row.tolist()
+        for i in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
+            tokens[i] = format_amplitude(values[i])
+        lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"
 
 
-def save_template(record: GalleryRecord, path) -> None:
-    """Write a temporary `.tmp` file (never matched by `*.rtpl`) and rename
-    it onto `path`, so a lock-free reader never sees a partial file.  Not
-    fsync'd: a crash can still lose the write."""
-    path = Path(path)
-    data = render_record(record).encode("utf-8")
+@contextmanager
+def _replacing(path: Path):
+    """Yield a new temporary `.tmp` file (never matched by `*.rtpl`) that is
+    renamed onto `path` when the block ends, so a lock-free reader never sees
+    a partial file.  Not fsync'd: a crash can still lose the write."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_template(record: GalleryRecord, path) -> bytes:
+    """Write `record` to `path` through a temporary file; return the bytes."""
+    data = render_record(record).encode("utf-8")
+    with _replacing(Path(path)) as fh:
+        fh.write(data)
+    return data
+
+
+def _stored_od(x: float, y: float, source: str) -> OdCenter:
+    # The file format does not carry the detection score; a manual centre
+    # is authoritative (1.0), a detected one is marked unknown (0.0).
+    return OdCenter(x, y, 1.0 if source == "manual" else 0.0, source)
 
 
 def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
@@ -199,37 +251,118 @@ def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
             bad = next(v for v in range(3) if not valid_amplitudes(vectors[v]))
             raise TemplateFormatError(source, base + 4 + bad, "amplitudes must be 0 or in (0, 360]") from None
 
-        # The file format does not carry the detection score; a manual centre
-        # is authoritative (1.0), a detected one is marked unknown (0.0).
-        od = OdCenter(od_x, od_y, 1.0 if od_source == "manual" else 0.0, od_source)
         records.append(GalleryRecord(
             subject_id=subject_id,
             template=template,
             source_image=source_image,
-            od=od,
+            od=_stored_od(od_x, od_y, od_source),
         ))
         i += _LINES_PER_RECORD
     return records
 
 
+def _decode(data: bytes, source: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TemplateFormatError(
+            source, data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
+
+
+def _parse_snapshot(fh) -> dict:
+    """{(digest, byte length): records} of an open snapshot; raises
+    ValueError or TypeError on anything but a well-formed snapshot of valid,
+    uniquely named records.  Each record's amplitudes are read into an array
+    of their own, as parse_records gives them, not into one gallery-sized
+    buffer."""
+    import hashlib
+    import json
+
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(max(size - _TRAILER_BYTES, 0))
+    trailer = fh.read()
+    end = size - _TRAILER_BYTES - int.from_bytes(trailer[:8], "little")
+    fh.seek(0)
+    head = fh.read(len(_SNAPSHOT_HEAD))
+    if (head != _SNAPSHOT_HEAD or len(trailer) != _TRAILER_BYTES
+            or end < len(head) or (end - len(head)) % _RECORD_BYTES):
+        raise ValueError("not a snapshot")
+    body = hashlib.sha256(head)
+    amplitudes = []
+    for _ in range((end - len(head)) // _RECORD_BYTES):
+        vectors = np.empty((3, SLOTS), _AMPLITUDES)
+        if fh.readinto(vectors) != _RECORD_BYTES:
+            raise ValueError("truncated snapshot")
+        body.update(vectors)
+        amplitudes.append(vectors)
+    index = fh.read(size - _TRAILER_BYTES - end)
+    body.update(index + trailer[:8])
+    if body.digest() != trailer[8:]:
+        raise ValueError("snapshot digest mismatch")
+    memo = {}
+    k = 0
+    for digest, nbytes, rows in json.loads(index):
+        records = []
+        for subject_id, od_x, od_y, od_source, source_image in rows:
+            # GalleryRecord, FeatureTemplate and OdCenter check the values.
+            if type(source_image) is not str or k == len(amplitudes):
+                raise ValueError("invalid snapshot record")
+            records.append(GalleryRecord(subject_id, FeatureTemplate(amplitudes[k]),
+                                         source_image, _stored_od(od_x, od_y, od_source)))
+            k += 1
+        memo[bytes.fromhex(digest), nbytes] = records
+    if k != len(amplitudes):
+        raise ValueError("snapshot amplitudes do not match its index")
+    Gallery(r for records in memo.values() for r in records)
+    return memo
+
+
+def _read_snapshot(directory: Path) -> dict:
+    try:
+        with open(directory / SNAPSHOT_NAME, "rb") as fh:
+            return _parse_snapshot(fh)
+    except (OSError, ValueError, TypeError, RecursionError):
+        return {}
+
+
+def _snapshot_entry(write, digest: bytes, size: int, records) -> str:
+    """Write the records' amplitudes to the snapshot, one record at a time;
+    return the file's index entry as JSON."""
+    import json
+
+    for r in records:
+        write(np.ascontiguousarray(r.template.vectors, _AMPLITUDES))
+    return json.dumps([digest.hex(), size, [[r.subject_id, r.od.x, r.od.y, r.od.source,
+                                             r.source_image] for r in records]])
+
+
 def load_gallery(path) -> Gallery:
     """Load one `.rtpl` file or a directory of them.
 
-    Raises EmptyGalleryError when no records are found (including a missing
-    or empty directory), TemplateFormatError on malformed content and
+    A directory's files are parsed unless its snapshot holds their bytes'
+    digest.  Raises EmptyGalleryError when no records are found (including a
+    missing or empty directory), TemplateFormatError on malformed content and
     DuplicateSubjectError on repeated ids.
     """
     p = Path(path)
+    files = []
     if p.is_file():
-        records = parse_records(p.read_bytes().decode("utf-8"), str(p))
+        records = parse_records(_decode(p.read_bytes(), str(p)), str(p))
     elif p.is_dir():
-        files = sorted(p.glob("*.rtpl"), key=lambda f: f.name)
-        records = [r for f in files for r in parse_records(f.read_bytes().decode("utf-8"), str(f))]
+        import hashlib
+
+        memo = _read_snapshot(p)
+        for f in sorted(p.glob("*.rtpl"), key=lambda f: f.name):
+            data = f.read_bytes()
+            key = (hashlib.sha256(data).digest(), len(data))
+            hit = memo.get(key)
+            files.append((*key, parse_records(_decode(data, str(f)), str(f)) if hit is None else hit))
+        records = [r for _, _, rs in files for r in rs]
     else:
         raise EmptyGalleryError(f"gallery {p} does not exist")
     if not records:
         raise EmptyGalleryError(f"no records under {p}")
-    return Gallery(records)
+    return Gallery(records, files)
 
 
 @contextmanager
@@ -247,9 +380,10 @@ def gallery_lock(directory):
 
 
 def add_records(directory, records) -> None:
-    """Write each record to `<directory>/<id>.rtpl` under gallery_lock.  Every
-    record is checked first: an enrolled id, an id repeated among `records` or
-    an existing file raises ValueError and leaves the gallery unchanged."""
+    """Write each record to `<directory>/<id>.rtpl` under gallery_lock, then
+    replace the snapshot with the files loaded and written.  Every record is
+    checked first: an enrolled id, an id repeated among `records` or an
+    existing file raises ValueError and leaves the gallery unchanged."""
     directory = Path(directory)
     targets = {directory / f"{r.subject_id}.rtpl": r for r in Gallery(records)}
     with gallery_lock(directory):
@@ -262,5 +396,22 @@ def add_records(directory, records) -> None:
                 raise ValueError(f"subject {r.subject_id!r} already enrolled; gallery unchanged")
             if target.exists():
                 raise ValueError(f"{target} already exists; gallery unchanged")
-        for target, r in targets.items():
-            save_template(r, target)
+        import hashlib
+
+        with _replacing(directory / SNAPSHOT_NAME) as fh:
+            body = hashlib.sha256()
+
+            def write(chunk):
+                fh.write(chunk)
+                body.update(chunk)
+
+            write(_SNAPSHOT_HEAD)
+            index = [_snapshot_entry(write, *f) for f in enrolled.files]
+            for target, r in targets.items():
+                data = save_template(r, target)
+                # Rendering rounds amplitudes: the entry is what the bytes parse to.
+                index.append(_snapshot_entry(write, hashlib.sha256(data).digest(), len(data),
+                                             parse_records(data.decode("utf-8"), str(target))))
+            tail = f"[{', '.join(index)}]".encode("ascii")  # json.dumps of the list
+            write(tail + len(tail).to_bytes(8, "little"))
+            fh.write(body.digest())

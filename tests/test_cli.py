@@ -393,6 +393,17 @@ class TestIdentifyVerify:
         # the image line, which the error names.
         assert "ben.rtpl:4: provenance" in r.stderr
 
+    def test_identify_non_utf8_gallery_file_exit_2(self, tmp_path):
+        gal, images = self.enroll_two(tmp_path)
+        path = gal / "ben.rtpl"
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b"image caf\xe9.pgm"
+        path.write_bytes(b"\n".join(lines))
+        r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "ben.rtpl:4: not valid UTF-8" in r.stderr
+
     def test_verify_unknown_subject_exit_2(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)
         r = run_cli("verify", images["ann"], "zoe", "--gallery", gal,

@@ -1,9 +1,16 @@
+import hashlib
+import json
 import os
 import sys
+import tempfile
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retina_id.encoder as encoder
 import retina_id.store as store
@@ -12,6 +19,7 @@ from retina_id.evaluation import build_synthetic_gallery
 from retina_id.harris import Corner
 from retina_id.optic_disc import OdCenter
 from retina_id.store import (
+    SNAPSHOT_NAME,
     DuplicateSubjectError,
     EmptyGalleryError,
     Gallery,
@@ -124,6 +132,19 @@ class TestRoundTrip:
         assert loaded.template.nonzero_counts() == (2, 0, 0)
         assert format_amplitude(1e-300) == "0.000000001"
         assert format_amplitude(1e-9) == "0.000000001"
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.lists(st.tuples(
+        st.integers(0, 3 * 360 - 1),
+        st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 5e-10, 1e-9, 359.9999999995, 360.0]),
+                  st.floats(0.0, 360.0))), max_size=200))
+    def test_amplitude_rows_render_as_every_slot_formatted(self, cells):
+        v = np.zeros(3 * 360)
+        for i, value in cells:
+            v[i] = value
+        text = render_record(GalleryRecord("rows", FeatureTemplate(v.reshape(3, 360))))
+        rows = [" ".join(map(format_amplitude, row)) for row in v.reshape(3, 360).tolist()]
+        assert text.split("\n")[4:7] == rows
 
 
 class TestParse:
@@ -380,3 +401,315 @@ class TestAtomicSave:
         save_template(record(np.random.default_rng(73), sid="a"), tmp_path / "a.rtpl")
         (tmp_path / "plain").write_bytes(b"")
         assert (tmp_path / "a.rtpl").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def loaded(gallery) -> list:
+    """What a load yields, down to the amplitudes' bytes."""
+    return [(r.subject_id, r.source_image, r.od, r.template.vectors.dtype,
+             r.template.vectors.tobytes()) for r in gallery]
+
+
+def load_outcome(directory):
+    try:
+        return loaded(load_gallery(directory))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def load_outcome_from_text(directory):
+    """load_outcome with the snapshot deleted; the snapshot is put back."""
+    snapshot = directory / SNAPSHOT_NAME
+    saved = snapshot.read_bytes() if snapshot.exists() else None
+    snapshot.unlink(missing_ok=True)
+    try:
+        return load_outcome(directory)
+    finally:
+        if saved is not None:
+            snapshot.write_bytes(saved)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Source names that load_gallery parses from text."""
+    calls = []
+
+    def counting(text, source="<string>"):
+        calls.append(os.path.basename(source))
+        return parse_records(text, source)
+
+    monkeypatch.setattr(store, "parse_records", counting)
+    return calls
+
+
+def split_snapshot(data: bytes):
+    """(head, amplitudes, index) of a snapshot's bytes."""
+    body = data[:-32]
+    n = int.from_bytes(body[-8:], "little")
+    amplitudes = np.frombuffer(body[24:-8 - n], "<f8").reshape(-1, 3, 360).copy()
+    return body[:24], amplitudes, json.loads(body[-8 - n:-8])
+
+
+def join_snapshot(head, amplitudes, index) -> bytes:
+    """A snapshot with a valid trailer around whatever it is given."""
+    tail = json.dumps(index).encode("ascii")
+    body = head + np.ascontiguousarray(amplitudes, "<f8").tobytes() + tail + len(tail).to_bytes(8, "little")
+    return body + hashlib.sha256(body).digest()
+
+
+def forge(head, amplitudes, index, case):
+    """Edit a split snapshot into one that must be ignored as a whole."""
+    row = index[0][2][0]
+    if case == "foreign version":
+        head = b"RETINA-SNAPSHOT v2\n".ljust(24, b"\0")
+    elif case == "nan amplitude":
+        amplitudes[0, 0, 0] = np.nan
+    elif case == "amplitude over 360":
+        amplitudes[0, 1, 5] = 360.5
+    elif case == "nan od":
+        row[1] = float("nan")
+    elif case == "od as text":
+        row[2] = "292.0"
+    elif case == "unknown od source":
+        row[3] = "guessed"
+    elif case == "provenance not text":
+        row[4] = ["left_eye.pgm"]
+    elif case == "provenance with newline":
+        row[4] = "left\neye"
+    elif case == "bad id":
+        row[0] = "bad id"
+    elif case == "id not text":
+        row[0] = 7
+    elif case == "duplicate ids":
+        row[0] = index[1][2][0][0]
+    elif case == "record missing amplitudes":
+        amplitudes = amplitudes[:-1]
+    elif case == "amplitudes missing a record":
+        index[-1][2] = []
+    elif case == "short row":
+        del row[4]
+    elif case == "digest not hex":
+        index[0][0] = "zz"
+    elif case == "index not a list":
+        index = {"files": index}
+    return join_snapshot(head, amplitudes, index)
+
+
+FORGED = ["foreign version", "nan amplitude", "amplitude over 360", "nan od", "od as text",
+          "unknown od source", "provenance not text", "provenance with newline", "bad id",
+          "id not text", "duplicate ids", "record missing amplitudes",
+          "amplitudes missing a record", "short row", "digest not hex", "index not a list"]
+
+
+class TestSnapshot:
+    """The snapshot is a memo of parse_records keyed by file content: a load
+    through it equals a load with it deleted, whatever happened to the
+    files or to the snapshot."""
+
+    def gallery(self, tmp_path, n=4):
+        rng = np.random.default_rng(80)
+        add_records(tmp_path, [record(rng, sid=f"p{i}", image=f"eye {i}.pgm ") for i in range(n)])
+        return tmp_path
+
+    def test_snapshot_serves_every_file_written_by_add_records(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        add_records(gal, build_synthetic_gallery(3, 12, seed=5)[0])
+        assert (gal / SNAPSHOT_NAME).exists()
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == []
+        assert got == load_outcome_from_text(gal)
+        assert [sid for sid, *_ in got] == ["p0", "p1", "p2", "p3", "s001", "s002", "s003"]
+
+    def test_amplitudes_are_what_the_rendered_text_parses_to(self, tmp_path):
+        rec = GalleryRecord("fine", FeatureTemplate(np.full((3, 360), 1 / 3)),
+                            od=OdCenter(1 / 7, 2 / 7, 0.4, "detected"))
+        add_records(tmp_path, [rec])
+        ((_, _, od, _, vectors),) = load_outcome(tmp_path)
+        assert load_outcome(tmp_path) == load_outcome_from_text(tmp_path)
+        assert od == OdCenter(0.142857143, 0.285714286, 0.0, "detected")
+        assert np.frombuffer(vectors)[0] == 0.333333333
+
+    def test_file_edited_in_place_with_same_size_and_mtime(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        path = gal / "p2.rtpl"
+        before = path.stat()
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"image eye 2.pgm ", b"image eye 9.pgm "))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == ["p2.rtpl"]
+        assert got[2][1] == "eye 9.pgm "
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_deleted_behind_the_writer(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        (gal / "p1.rtpl").unlink()
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == []
+        assert [sid for sid, *_ in got] == ["p0", "p2", "p3"]
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_added_behind_the_writer(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        save_template(record(np.random.default_rng(81), sid="late"), gal / "late.rtpl")
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == ["late.rtpl"]
+        assert got == load_outcome_from_text(gal)
+        # the next write takes the file into the snapshot
+        add_records(gal, [record(np.random.default_rng(82), sid="next")])
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == []
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_copied_behind_the_writer_is_still_a_duplicate(self, tmp_path):
+        gal = self.gallery(tmp_path)
+        (gal / "p9.rtpl").write_bytes((gal / "p0.rtpl").read_bytes())
+        with pytest.raises(DuplicateSubjectError, match="'p0'"):
+            load_gallery(gal)
+        assert load_outcome(gal) == load_outcome_from_text(gal)
+
+    def test_a_file_that_fails_to_parse_still_fails(self, tmp_path):
+        gal = self.gallery(tmp_path)
+        path = gal / "p3.rtpl"
+        path.write_bytes(path.read_bytes().replace(b"od 270 292 manual", b"od 270 nan manual"))
+        with pytest.raises(TemplateFormatError, match="p3.rtpl:3: od coordinates must be finite"):
+            load_gallery(gal)
+        assert load_outcome(gal) == load_outcome_from_text(gal)
+
+    def test_enroll_then_unlink_as_the_benchmark_does(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        rng = np.random.default_rng(83)
+        new = record(rng, sid="bench_new")
+        for _ in range(3):
+            add_records(gal, [new])
+            (gal / "bench_new.rtpl").unlink()
+            parses.clear()
+            got = load_outcome(gal)
+            assert parses == []
+            assert [sid for sid, *_ in got] == ["p0", "p1", "p2", "p3"]
+            assert got == load_outcome_from_text(gal)
+        # the entry of the unlinked file is dropped by the next write
+        add_records(gal, [record(rng, sid="other")])
+        assert [r[0] for f in split_snapshot((gal / SNAPSHOT_NAME).read_bytes())[2]
+                for r in f[2]] == ["p0", "p1", "p2", "p3", "other"]
+
+    @pytest.mark.parametrize("damage", ["empty", "head only", "truncated", "half", "no trailer",
+                                        "bit flipped", "last bit flipped", "appended", "text"])
+    def test_damaged_snapshot_is_ignored(self, tmp_path, parses, damage):
+        gal = self.gallery(tmp_path)
+        snapshot = gal / SNAPSHOT_NAME
+        data = snapshot.read_bytes()
+
+        def flip(at):
+            return data[:at] + bytes([data[at] ^ 0x04]) + data[at + 1:]
+
+        snapshot.write_bytes({
+            "empty": b"",
+            "head only": data[:24],
+            "truncated": data[:-1],
+            "half": data[:len(data) // 2],
+            "no trailer": data[:-40],
+            "bit flipped": flip(24 + 8 * 363),
+            "last bit flipped": flip(len(data) - 1),
+            "appended": data + b"\0",
+            "text": render_record(record(np.random.default_rng(84))).encode("utf-8"),
+        }[damage])
+        parses.clear()
+        got = load_outcome(gal)
+        assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
+        assert got == load_outcome_from_text(gal)
+
+    @pytest.mark.parametrize("case", FORGED)
+    def test_snapshot_failing_a_record_check_is_ignored(self, tmp_path, parses, case):
+        gal = self.gallery(tmp_path)
+        snapshot = gal / SNAPSHOT_NAME
+        head, amplitudes, index = split_snapshot(snapshot.read_bytes())
+        assert join_snapshot(head, amplitudes, index) == snapshot.read_bytes()
+        snapshot.write_bytes(forge(head, amplitudes, index, case))
+        parses.clear()
+        got = load_outcome(gal)
+        assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
+        assert got == load_outcome_from_text(gal)
+
+    def test_entry_with_another_byte_length_is_not_used(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        snapshot = gal / SNAPSHOT_NAME
+        head, amplitudes, index = split_snapshot(snapshot.read_bytes())
+        index[1][1] += 1
+        snapshot.write_bytes(join_snapshot(head, amplitudes, index))
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == ["p1.rtpl"]
+        assert got == load_outcome_from_text(gal)
+
+    def test_unreadable_snapshot_is_ignored(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        expected = load_outcome_from_text(gal)
+        (gal / SNAPSHOT_NAME).unlink()
+        (gal / SNAPSHOT_NAME).mkdir()
+        parses.clear()
+        assert load_outcome(gal) == expected
+        assert len(parses) == 4
+
+    def test_single_file_gallery_has_no_snapshot(self, tmp_path):
+        path = tmp_path / "one.rtpl"
+        save_template(record(np.random.default_rng(85)), path)
+        assert load_gallery(path).subject_ids == ["alice"]
+        assert not (tmp_path / SNAPSHOT_NAME).exists()
+
+    def test_refused_batch_leaves_the_snapshot(self, tmp_path):
+        gal = self.gallery(tmp_path)
+        before = (gal / SNAPSHOT_NAME).read_bytes()
+        with pytest.raises(ValueError, match="already enrolled"):
+            add_records(gal, [record(np.random.default_rng(86), sid="p1")])
+        assert (gal / SNAPSHOT_NAME).read_bytes() == before
+        assert sorted(p.name for p in gal.iterdir() if p.suffix == ".tmp") == []
+
+    def test_add_records_builds_no_gallery_sized_temporary(self, tmp_path):
+        n = 300
+        records, _ = build_synthetic_gallery(n, 20, seed=6)
+        gallery_bytes = n * 3 * 360 * 8
+        tracemalloc.start()
+        try:
+            add_records(tmp_path, records)
+            _, new_batch = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            add_records(tmp_path, [record(np.random.default_rng(87), sid="one_more")])
+            _, one_more = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Writing n new records holds one parsed copy at a time; adding one
+        # record holds the loaded gallery once, never a second stacked copy.
+        assert new_batch < 0.5 * gallery_bytes
+        assert one_more < 1.5 * gallery_bytes
+        assert len(load_gallery(tmp_path)) == n + 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from(["add", "unlink", "edit", "foreign", "flip"]),
+                                    st.integers(0, 10 ** 6)), max_size=8))
+    def test_any_history_loads_as_the_text_does(self, steps):
+        rng = np.random.default_rng(88)
+        with tempfile.TemporaryDirectory() as tmp:
+            gal = Path(tmp)
+            add_records(gal, [record(rng, sid="first")])
+            for step, (kind, k) in enumerate(steps):
+                files = sorted(gal.glob("*.rtpl"))
+                if kind == "add":
+                    add_records(gal, [record(rng, sid=f"a{step}_{i}") for i in range(k % 3 + 1)])
+                elif kind == "unlink" and files:
+                    files[k % len(files)].unlink()
+                elif kind == "edit" and files:
+                    path = files[k % len(files)]
+                    path.write_bytes(path.read_bytes().replace(b"od 270 ", b"od 271 ", 1))
+                elif kind == "foreign":
+                    save_template(record(rng, sid=f"f{step}"), gal / f"f{step}.rtpl")
+                elif kind == "flip" and (gal / SNAPSHOT_NAME).exists():
+                    data = bytearray((gal / SNAPSHOT_NAME).read_bytes())
+                    data[k % len(data)] ^= 1 << (k % 8)
+                    (gal / SNAPSHOT_NAME).write_bytes(bytes(data))
+                assert load_outcome(gal) == load_outcome_from_text(gal)
