@@ -12,7 +12,9 @@ key with dashes, and its type and default are the field's.  The one
 exception is the detector's `threshold` key, whose flag is `--det-threshold`
 because the bare `--threshold` flag is the verify decision threshold.
 Each command takes only the flags of the settings it reads, but checks a
-whole config file.  Only full flag names parse.
+whole config file.  Only full flag names parse.  `main` resolves the
+settings once per call and passes them to the command's `cmd_*` function,
+so a bad config file exits 2 before the command reads anything.
 
 `enroll` and `synth` write only through `store.add_records`, to the
 `gallery` setting (`synth --out` is another spelling of `--gallery`).
@@ -121,16 +123,14 @@ def _query_template(image_path, settings: Settings, od_flag):
     return gated_template(m, od, settings.harris), od
 
 
-def cmd_detect(args) -> int:
-    settings = _resolve_settings(args)
+def cmd_detect(args, settings: Settings) -> int:
     m = to_intensity(load_image(args.image))
     for c in detect_corners(m, settings.harris):
         print(f"{c.x} {c.y} {c.response:.6g}")
     return EXIT_OK
 
 
-def cmd_enroll(args) -> int:
-    settings = _resolve_settings(args)
+def cmd_enroll(args, settings: Settings) -> int:
     template, od = _query_template(args.image, settings, args.od)
     record = GalleryRecord(args.subject_id, template, Path(args.image).name, od)
     add_records(settings.gallery, [record])
@@ -140,8 +140,7 @@ def cmd_enroll(args) -> int:
     return EXIT_OK
 
 
-def cmd_identify(args) -> int:
-    settings = _resolve_settings(args)
+def cmd_identify(args, settings: Settings) -> int:
     if args.top_k < 1:
         raise ValueError("--top-k must be at least 1")
     gallery = load_gallery(settings.gallery)
@@ -153,8 +152,7 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    settings = _resolve_settings(args)
+def cmd_verify(args, settings: Settings) -> int:
     gallery = load_gallery(settings.gallery)
     record = gallery.get(args.subject_id)
     if record is None:
@@ -167,16 +165,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if accepted else EXIT_REJECT
 
 
-def cmd_synth(args) -> int:
-    settings = _resolve_settings(args)
+def cmd_synth(args, settings: Settings) -> int:
     records, _ = build_synthetic_gallery(args.subjects, args.corners, settings.seed)
     add_records(settings.gallery, records)
     print(f"wrote {len(records)} synthetic templates to {settings.gallery}")
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    settings = _resolve_settings(args)
+def cmd_eval(args, settings: Settings) -> int:
     counts = check_counts(int(tok) for tok in args.rotations.split(","))
     spec = ExperimentSpec(rng_seed=settings.seed,
                           **{f.name: getattr(args, f.name) for f in _SPEC_FIELDS})
@@ -278,7 +274,7 @@ def main(argv=None) -> int:
         # Show the usage of the subcommand that refused the flag.
         parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        return args.func(args, _resolve_settings(args))
     except EmptyGalleryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_GALLERY

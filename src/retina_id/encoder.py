@@ -30,8 +30,8 @@ import numpy as np
 from .harris import HarrisParams, detect_corners
 
 SLOTS = 360
-GATE_RADIUS = 80.0
 CLASS_UPPER_BOUNDS = (25.0, 50.0, 80.0)
+GATE_RADIUS = CLASS_UPPER_BOUNDS[-1]
 PULSE_DURATIONS = (2, 3, 4)
 
 

@@ -4,10 +4,13 @@ Only the 8-bit portable graymap/pixmap formats are supported: ASCII P2/P3
 and binary P5/P6, with a required maximum sample value of 255.  Decode
 errors carry the byte offset of the offending input.  A header whose
 sample count the file is too short to hold is rejected before any pixel
-buffer is allocated.  An ASCII body of plain decimal digits and whitespace
-is decoded in one numpy parse; any other body (comments, signs, too few
-samples, a sample above 255) goes through the token walker, which decodes
-it or reports the offending token's offset.
+buffer is allocated.  The header and the token walker read tokens through
+one compiled pattern: a token is a run of bytes that are neither whitespace
+nor `#`, and a `#` starts a comment that runs to the next CR or LF.  An
+ASCII body of plain decimal digits and whitespace is decoded in one numpy
+parse; any other body (comments, signs, too few samples, a sample above
+255) goes through the token walker, which decodes it or reports the
+offending token's offset.
 
 Coordinate convention, used everywhere in this package: x grows to the
 right, y grows downward, and the origin sits at the centre of the top-left
@@ -22,6 +25,7 @@ Intensity maps are plain 2-D float64 arrays indexed [y, x].
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +33,7 @@ import numpy as np
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _DIGITS = b"0123456789"
+_TOKEN_OR_COMMENT = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
 
 
 class ImageFormatError(ValueError):
@@ -71,21 +76,9 @@ class RasterImage:
 
 def _tokens(data: bytes, start: int):
     """Yield (token, offset) pairs, skipping whitespace and # comments."""
-    i = start
-    n = len(data)
-    while i < n:
-        c = data[i]
-        if c in _WHITESPACE:
-            i += 1
-        elif c == ord("#"):
-            while i < n and data[i] not in b"\r\n":
-                i += 1
-        else:
-            j = i
-            while j < n and data[j] not in _WHITESPACE and data[j] != ord("#"):
-                j += 1
-            yield data[i:j], i
-            i = j
+    for match in _TOKEN_OR_COMMENT.finditer(data, start):
+        if data[match.start()] != 0x23:  # "#"
+            yield match[0], match.start()
 
 
 def _plain_ascii_samples(body: bytes, count: int) -> np.ndarray | None:

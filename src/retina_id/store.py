@@ -33,7 +33,10 @@ the truth and the snapshot never is: only `add_records` writes it, for the
 files it loaded and the files it wrote, and a snapshot that is missing,
 truncated, of another version or fails any check a parsed record gets is
 ignored as a whole.  Deleting it is always safe; it costs one re-parse.
-Like `.rtpl` writes it is replaced atomically and not fsync'd.
+So the writer removes the old snapshot before it writes any `.rtpl` file:
+a snapshot path it cannot replace then fails the batch with the gallery
+unchanged.  Like `.rtpl` writes the new one is written atomically and not
+fsync'd.
 
 Snapshot layout: the 24-byte head below (so the amplitudes start 8-byte
 aligned), each record's (3, 360) amplitudes in index order, the index as
@@ -381,9 +384,11 @@ def gallery_lock(directory):
 
 def add_records(directory, records) -> None:
     """Write each record to `<directory>/<id>.rtpl` under gallery_lock, then
-    replace the snapshot with the files loaded and written.  Every record is
+    write the snapshot of the files loaded and written.  Every record is
     checked first: an enrolled id, an id repeated among `records` or an
-    existing file raises ValueError and leaves the gallery unchanged."""
+    existing file raises ValueError and leaves the gallery unchanged.  The
+    old snapshot is removed before the first `.rtpl` write, so a path that
+    cannot be replaced fails the batch with the gallery unchanged."""
     directory = Path(directory)
     targets = {directory / f"{r.subject_id}.rtpl": r for r in Gallery(records)}
     with gallery_lock(directory):
@@ -396,6 +401,7 @@ def add_records(directory, records) -> None:
                 raise ValueError(f"subject {r.subject_id!r} already enrolled; gallery unchanged")
             if target.exists():
                 raise ValueError(f"{target} already exists; gallery unchanged")
+        (directory / SNAPSHOT_NAME).unlink(missing_ok=True)
         import hashlib
 
         with _replacing(directory / SNAPSHOT_NAME) as fh:

@@ -26,7 +26,7 @@ from retina_id.harris import HarrisParams
 from retina_id.imaging import RasterImage, load_image, save_image
 from retina_id.matcher import Weights
 from retina_id.optic_disc import OdParams
-from retina_id.store import gallery_lock, load_gallery, render_record
+from retina_id.store import SNAPSHOT_NAME, gallery_lock, load_gallery, render_record
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -311,6 +311,20 @@ class TestIdentifyVerify:
         first = rows[0].split()
         assert first[0] == "1" and first[1] == "ann"
         assert len(first) == 9  # rank id total si1 si2 si3 bs1 bs2 bs3
+
+    def test_identify_output_does_not_depend_on_the_snapshot(self, eye_image, tmp_path,
+                                                            monkeypatch, capsysbinary):
+        # The gallery snapshot is a memo: deleting it changes no byte.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", "--subjects", "50", "--out", "gal", "--seed", "7"]) == 0
+        argv = ["identify", str(eye_image), "--gallery", "gal", "--od", "80,80", "--top-k", "5"]
+        capsysbinary.readouterr()
+        assert cli.main(argv) == 0
+        with_snapshot = capsysbinary.readouterr()
+        (tmp_path / "gal" / SNAPSHOT_NAME).unlink()
+        assert cli.main(argv) == 0
+        assert capsysbinary.readouterr() == with_snapshot
+        assert len(with_snapshot.out.splitlines()) == 5
 
     def test_identify_top_k(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)

@@ -9,6 +9,7 @@ from retina_id.evaluation import (
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
+    build_eval_gallery,
     build_synthetic_gallery,
     far_frr_csv,
     far_frr_sweep,
@@ -57,6 +58,10 @@ class TestSynth:
         assert c1 == c2
         for a, b in zip(r1, r2):
             assert np.array_equal(a.template.vectors, b.template.vectors)
+
+    def test_empty_gallery_rejected(self):
+        with pytest.raises(ValueError, match="n_subjects must be at least 1"):
+            build_synthetic_gallery(0, 10, seed=9)
 
 
 class TestPerturb:
@@ -116,6 +121,17 @@ class TestRotationProtocol:
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError, match="counts"):
             rotation_protocol(SyntheticSource(3, 10), ExperimentSpec(), counts=())
+
+    def test_non_source_rejected(self):
+        with pytest.raises(TypeError, match="source must be"):
+            rotation_protocol([SyntheticSource(3, 10)], ExperimentSpec(), counts=(2,))
+
+    def test_gallery_built_for_other_weights_rejected(self):
+        spec = ExperimentSpec(rng_seed=11)
+        gallery = build_eval_gallery(SyntheticSource(3, 10), spec)
+        assert build_eval_gallery(gallery, spec, Weights()) is gallery
+        with pytest.raises(ValueError, match="another spec or other weights"):
+            build_eval_gallery(gallery, spec, Weights(w1=2.0))
 
     def test_reports_are_reproducible(self):
         spec = ExperimentSpec(rng_seed=8)
@@ -181,6 +197,8 @@ class TestFarFrr:
             far_frr_sweep(records, probes, [])
         with pytest.raises(ValueError, match="non-empty"):
             far_frr_sweep([], probes, [1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            far_frr_sweep(records, iter(()), [1.0])
 
 
 class TestFarFrrCsv:

@@ -173,6 +173,42 @@ class TestAsciiDecodeMatchesWalker:
         assert decode_outcome(p) == walker_outcome(p)
 
 
+PNM_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def assert_separators(data: bytes, begin: int, end: int):
+    """Every byte of data[begin:end] is whitespace or inside a comment that
+    runs from its "#" to the next CR or LF, which it does not cross."""
+    i = begin
+    while i < end:
+        if data[i] in PNM_WHITESPACE:
+            i += 1
+            continue
+        assert data[i] == ord("#"), (data, i)
+        line_ends = [k for k in (data.find(b"\r", i), data.find(b"\n", i)) if k >= 0]
+        i = min(line_ends, default=len(data))
+        assert i <= end, (data, begin, end)
+
+
+class TestTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(st.one_of(st.sampled_from(list(PNM_WHITESPACE + b"#07a")),
+                                st.integers(0, 255)), max_size=60).map(bytes),
+        start=st.integers(0, 64),
+    )
+    def test_tokens_and_separators_cover_the_input(self, data, start):
+        end = start
+        for n, (token, off) in enumerate(imaging._tokens(data, start)):
+            # In increasing offset order, at least one separator apart.
+            assert off > end if n else off >= start
+            assert token and data[off:off + len(token)] == token
+            assert not any(b in PNM_WHITESPACE + b"#" for b in token)
+            assert_separators(data, end, off)
+            end = off + len(token)
+        assert_separators(data, end, len(data))
+
+
 class TestSaveRoundTrip:
     def test_gray_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)

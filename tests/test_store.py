@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -234,6 +235,19 @@ class TestParse:
         with pytest.raises(TemplateFormatError, match="od source"):
             parse_records("\n".join(lines))
 
+    @pytest.mark.parametrize("lineno, line, message", [
+        (2, "subject bad id", "invalid subject id 'bad id'"),
+        (3, "od 1 2", "expected 'od <x> <y> <source>'"),
+        (3, "od 1 north manual", "od coordinates must be numbers"),
+        (4, "imagery", "expected 'image <provenance>'"),
+    ])
+    def test_bad_header_line_names_its_line(self, lineno, line, message):
+        lines = self.good_text().split("\n")
+        lines[lineno - 1] = line
+        with pytest.raises(TemplateFormatError, match=f":{lineno}: {re.escape(message)}") as exc:
+            parse_records("\n".join(lines))
+        assert exc.value.lineno == lineno
+
 
 class TestGalleryDir:
     def fill(self, tmp_path, ids):
@@ -323,6 +337,15 @@ class TestAddRecords:
         with pytest.raises(DuplicateSubjectError, match="'a'"):
             add_records(tmp_path, [record(rng, sid="a"), record(rng, sid="b"), record(rng, sid="a")])
         assert list(tmp_path.glob("*.rtpl")) == []
+
+    def test_target_file_holding_another_id_is_refused(self, tmp_path):
+        rng = np.random.default_rng(70)
+        save_template(record(rng, sid="other"), tmp_path / "a.rtpl")
+        before = (tmp_path / "a.rtpl").read_bytes()
+        with pytest.raises(ValueError, match="a.rtpl already exists; gallery unchanged"):
+            add_records(tmp_path, [record(rng, sid="a")])
+        assert (tmp_path / "a.rtpl").read_bytes() == before
+        assert load_gallery(tmp_path).subject_ids == ["other"]
 
 
 class TestLock:
@@ -669,6 +692,20 @@ class TestSnapshot:
             add_records(gal, [record(np.random.default_rng(86), sid="p1")])
         assert (gal / SNAPSHOT_NAME).read_bytes() == before
         assert sorted(p.name for p in gal.iterdir() if p.suffix == ".tmp") == []
+
+    def test_unreplaceable_snapshot_fails_the_batch_before_any_write(self, tmp_path):
+        gal = self.gallery(tmp_path, n=2)
+        (gal / SNAPSHOT_NAME).unlink()
+        (gal / SNAPSHOT_NAME).mkdir()
+        batch = [record(np.random.default_rng(88), sid=sid) for sid in ("q0", "q1")]
+        with pytest.raises(OSError):
+            add_records(gal, batch)
+        written = sorted(p.name for p in gal.iterdir() if p.suffix in (".rtpl", ".tmp"))
+        assert written == ["p0.rtpl", "p1.rtpl"]
+        (gal / SNAPSHOT_NAME).rmdir()
+        add_records(gal, batch)
+        assert load_gallery(gal).subject_ids == ["p0", "p1", "q0", "q1"]
+        assert load_outcome(gal) == load_outcome_from_text(gal)
 
     def test_add_records_builds_no_gallery_sized_temporary(self, tmp_path):
         n = 300
