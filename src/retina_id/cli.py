@@ -12,9 +12,11 @@ key with dashes, and its type and default are the field's.  The one
 exception is the detector's `threshold` key, whose flag is `--det-threshold`
 because the bare `--threshold` flag is the verify decision threshold.
 Each command takes only the flags of the settings it reads, but checks a
-whole config file.  Only full flag names parse.  `main` resolves the
-settings once per call and passes them to the command's `cmd_*` function,
-so a bad config file exits 2 before the command reads anything.
+whole config file; a malformed line, an unknown key or a value of the wrong
+type is reported as `<file>:<line>: ...`.  Only full flag names parse.
+`main` resolves the settings once per call and passes them to the
+command's `cmd_*` function, so a bad config file exits 2 before the command
+reads anything.
 
 `enroll` and `synth` write only through `store.add_records`, to the
 `gallery` setting (`synth --out` is another spelling of `--gallery`).
@@ -77,8 +79,9 @@ class Settings:
     seed: int
 
 
-def _parse_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def _parse_config(path: str) -> dict[str, tuple[str, int]]:
+    """Each key's value and the number of the line that set it."""
+    cfg: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,7 +92,7 @@ def _parse_config(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = value.strip()
+        cfg[key] = value.strip(), lineno
     return cfg
 
 
@@ -98,8 +101,14 @@ def _resolve_settings(args) -> Settings:
     values: dict = {}
     for key, (owner, name, default) in _SETTINGS.items():
         value = getattr(args, key, None)
-        if value is None:
-            value = type(default)(cfg[key]) if key in cfg else default
+        if value is None and key not in cfg:
+            value = default
+        elif value is None:
+            text, lineno = cfg[key]
+            try:
+                value = type(default)(text)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}:{lineno}: bad value for {key!r}: {exc}") from None
         values.setdefault(owner, {})[name] = value
     return Settings(
         harris=HarrisParams(**values[HarrisParams]),

@@ -22,7 +22,9 @@ probe builder, exact self-match totals and the matcher.GalleryScreen of
 its records.  Both rank probes by screened totals, then re-score with the
 exact kernel every record that the screen's bound cannot place (see _rank1
 and far_frr_sweep), so every hit, miss, tie, FAR and FRR is the exact
-kernel's.
+kernel's.  The protocol takes a lone record that the bound cannot rule out
+of first place from the screen, since it is first whatever its exact total;
+it calls identify only when the bound leaves two or more.
 
 Synthetic distances stay inside the encoder's GATE_RADIUS; an image stem's
 characters outside the store's subject-id rule become `_`.  MAX_CORNERS and
@@ -223,11 +225,13 @@ def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
     """Subject ids ranked first by raw and by self-match-normalised total.
 
     Both rankings start from the screened totals.  Every record the screen's
-    bound B cannot rule out of first place in either ranking is re-scored
-    in one exact identify call, and both winners are taken from its exact
-    totals: the raw one by descending total, ties by subject id, and the
-    normalised one by descending total / self total (0 when the self total
-    is not positive), ties by subject id.
+    bound B cannot rule out of first place in either ranking is a candidate.
+    A lone candidate is first in both rankings, as an identify call on it
+    alone would rank it whatever its score, so it is taken from the screen.
+    Two or more are re-scored in one exact identify call, and both winners
+    are taken from its exact totals: the raw one by descending total, ties
+    by subject id, and the normalised one by descending total / self total
+    (0 when the self total is not positive), ties by subject id.
     """
     screened, bound = gallery.screen.totals(probe, gallery.weights)
     self_totals = gallery.self_totals
@@ -240,6 +244,9 @@ def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
         keep = ~(screened < float(screened.max()) - 2 * bound)
         keep |= ~(norm + slack < float((norm - slack).max()))
     candidates = np.flatnonzero(keep)
+    if candidates.size == 1:
+        sid = gallery.records[candidates[0]].subject_id
+        return sid, sid
     ranked = identify(probe, [gallery.records[i] for i in candidates], gallery.weights)
     self_total = {gallery.records[i].subject_id: float(self_totals[i]) for i in candidates}
 

@@ -95,7 +95,10 @@ Callers.  identify, verify, total_si and sim_profile, and so every CLI
 command, use the exact kernel alone.  The evaluation's rotation protocol
 and FAR/FRR sweep rank by screened totals and then re-score exactly, through
 identify or total_si, every record the bound cannot place; so their hits,
-misses, ties, FAR and FRR are the exact kernel's.
+misses, ties, FAR and FRR are the exact kernel's.  When the bound leaves one
+record in first place, the protocol takes it from the screen: an identify
+call on that record alone would rank it first whatever its total.  It calls
+identify only when two or more records remain.
 """
 
 from __future__ import annotations

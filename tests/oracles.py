@@ -4,17 +4,33 @@ Everything here is deliberately naive (double loops, closed forms, direct
 formulas) and independent of the production code paths it checks.  The
 evaluation oracles score every probe against every record with the exact
 kernel (`identify`, itself checked against the double loop), as the rotation
-protocol and the FAR/FRR sweep did before they screened by FFT.
+protocol and the FAR/FRR sweep did before they screened by FFT.  load_fundus
+gives tests the benchmark's seeded DRIVE-size image generator.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from retina_id.evaluation import sample_angle
 from retina_id.matcher import identify, total_si
+
+FUNDUS = Path(__file__).resolve().parent.parent / "perfbench" / "fundus.py"
+
+
+def load_fundus():
+    """perfbench/fundus.py, the benchmark's seeded DRIVE-size image generator."""
+    if "perfbench_fundus" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_fundus", FUNDUS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_fundus"]
 
 
 def rotate_nearest(m: np.ndarray, center: tuple[float, float], angle_deg: float) -> np.ndarray:

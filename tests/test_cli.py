@@ -28,6 +28,8 @@ from retina_id.matcher import Weights
 from retina_id.optic_disc import OdParams
 from retina_id.store import SNAPSHOT_NAME, gallery_lock, load_gallery, render_record
 
+from oracles import load_fundus
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -134,6 +136,16 @@ class TestDetect:
         r = run_cli("detect", square_image, "--config", cfg)
         assert r.returncode == 2
         assert "unknown key" in r.stderr
+
+    @pytest.mark.parametrize("setting", ["k = x", "window_radius = 2.5", "seed = 1e3"])
+    def test_bad_config_value_names_file_line_and_key(self, square_image, tmp_path, setting):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# detector\nsigma = 1.5\n{setting}\n")
+        r = run_cli("detect", square_image, "--config", cfg)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        key = setting.split()[0]
+        assert r.stderr.startswith(f"error: {cfg}:3: bad value for {key!r}: ")
 
 
 # config key, flag, config value, flag value, resolved attribute
@@ -565,6 +577,34 @@ class TestSynthEval:
         assert sweep.read_bytes() == (
             b"threshold,far_percent,frr_percent\n"
             b"0,100,0\n6.825,49.107143,25\n13.65,0,62.5\n20.475,0,93.75\n27.3,0,100\n")
+
+    def test_eval_images_output_pinned(self, tmp_path):
+        # Four seeded DRIVE-size captures, sparse and dense, with no .od
+        # sidecars, so every OD, the enrolment's and each probe's, is searched.
+        fundus = load_fundus()
+        images = tmp_path / "images"
+        images.mkdir()
+        for seed, regime in enumerate((fundus.SPARSE, fundus.DENSE) * 2, start=1):
+            rng = np.random.default_rng(seed)
+            scene, centre = fundus.make_scene(rng, regime)
+            (images / f"e{seed}.pgm").write_bytes(
+                fundus.pgm_bytes(fundus.capture(scene, centre, rng, regime), False))
+        acc = tmp_path / "acc.csv"
+        sweep = tmp_path / "sweep.csv"
+        r = run_cli("eval", "--images", images, "--rotations", "1,2", "--sweep-probes", "1",
+                    "--sweep-points", "11", "--csv", acc, "--far-frr-csv", sweep)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == (
+            "Times of rotation       1      2      Mean\n"
+            "Accuracy                100%   100%   100%\n"
+            "Accuracy (normalized)   100%   100%   100%\n"
+            "\n"
+            "subjects: 4   probes: 12\n")
+        assert acc.read_bytes() == b"rotations,accuracy_percent\n1,100\n2,100\nmean,100\n"
+        assert sweep.read_bytes() == (
+            b"threshold,far_percent,frr_percent\n"
+            b"0,100,0\n70.98,100,0\n141.96,100,0\n212.94,50,0\n283.92,0,0\n354.9,0,25\n"
+            b"425.88,0,25\n496.86,0,50\n567.84,0,100\n638.82,0,100\n709.8,0,100\n")
 
     @pytest.mark.parametrize("flag,value", [
         ("--angle-range", "nan"), ("--angle-range", "inf"),

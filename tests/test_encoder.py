@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +18,7 @@ from retina_id.harris import Corner, HarrisParams
 from retina_id.imaging import load_image, to_intensity
 from retina_id.optic_disc import OdCenter, locate_od, manual_od, resolve_od
 
-from oracles import detect_corners_full, paint_pulses_brute, shift_remap
-
-FUNDUS = Path(__file__).resolve().parent.parent / "perfbench" / "fundus.py"
+from oracles import detect_corners_full, load_fundus, paint_pulses_brute, shift_remap
 
 OD = OdCenter(100.0, 100.0, 1.0, "manual")
 
@@ -191,16 +187,6 @@ class TestTemplateType:
     def test_orientation_domain_guard(self):
         with pytest.raises(ValueError, match="orientation"):
             PolarCorner(10.0, 360.0, 1e5)
-
-
-def load_fundus():
-    """perfbench/fundus.py, the benchmark's seeded DRIVE-size image generator."""
-    if "perfbench_fundus" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("perfbench_fundus", FUNDUS)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look their module up
-        spec.loader.exec_module(module)
-    return sys.modules["perfbench_fundus"]
 
 
 class TestGatedTemplate:

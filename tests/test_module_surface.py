@@ -18,8 +18,10 @@ import numpy as np
 import retina_id.cli as cli
 import retina_id.evaluation as evaluation
 import retina_id.store as store
+from retina_id.encoder import encode
 from retina_id.imaging import RasterImage, save_image
 from retina_id.matcher import Weights
+from retina_id.store import GalleryRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "retina_id"
@@ -62,14 +64,34 @@ def test_evaluation_calls_reach_the_tracer():
     with tracer.installed():
         evaluation.far_frr_csv(source, eval_spec, 1, 4, Weights())
         evaluation.rotation_protocol(source, eval_spec, counts=(1, 2))
-    names = {span[0] for span in tracer.spans}
+    names = [span[0] for span in tracer.spans]
     assert {
         "evaluation.rotation_protocol", "evaluation.build_synthetic_gallery",
         "evaluation.perturb", "evaluation.far_frr_sweep", "matcher.total_si",
-        "matcher.identify", "encoder.encode",
-    } <= names
+        "encoder.encode",
+    } <= set(names)
     # one perturb per sweep probe (3 subjects x 1) and per protocol probe
-    assert sum(span[0] == "evaluation.perturb" for span in tracer.spans) == 3 + 3 * (1 + 2)
+    assert names.count("evaluation.perturb") == 3 + 3 * (1 + 2)
+    # Every probe of these three distinct subjects has a lone certified
+    # winner, which the protocol takes from the screen.
+    assert names.count("matcher.identify") == 0
+
+    # s003 is s001's twin: the two tie within the screen's bound on every
+    # probe of either, so those probes, and only those, need identify.
+    records, constellations = evaluation.build_synthetic_gallery(2, 8, seed=3)
+    records.append(GalleryRecord("s003", records[0].template))
+
+    def probe_fn(subject, angle, rng):
+        return encode(evaluation.perturb(constellations[subject % 2], angle, eval_spec, rng))
+
+    twins = evaluation.EvalGallery(eval_spec, Weights(), records, probe_fn)
+    tracer = new_tracer()
+    with tracer.installed():
+        report = evaluation.rotation_protocol(twins, eval_spec, counts=(1, 2))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("matcher.identify") == 2 * (1 + 2)
+    # s002 is always found; a twin probe ties, and the tie goes to s001.
+    assert [e.hits for e in report.entries] == [2, 4]
 
 
 def imported_names(node) -> list[str]:
