@@ -12,8 +12,10 @@ key with dashes, and its type and default are the field's.  The one
 exception is the detector's `threshold` key, whose flag is `--det-threshold`
 because the bare `--threshold` flag is the verify decision threshold.
 Each command takes only the flags of the settings it reads, but checks a
-whole config file; a malformed line, an unknown key or a value of the wrong
-type is reported as `<file>:<line>: ...`.  Only full flag names parse.
+whole config file; a malformed line, an unknown key, a value of the wrong
+type and a value its settings group refuses (out of range, or at odds with
+another field) are reported as `<file>:<line>: ...`.  Only full flag names
+parse.
 `main` resolves the settings once per call and passes them to the
 command's `cmd_*` function, so a bad config file exits 2 before the command
 reads anything.
@@ -96,9 +98,34 @@ def _parse_config(path: str) -> dict[str, tuple[str, int]]:
     return cfg
 
 
+def _build(owner, values: dict, from_config: list, path: str):
+    """owner(**values), where from_config lists (line, key, field) for each
+    value the config file set, in line order.  An error is reported at the
+    first such line whose value, put back to its default, makes the owner
+    valid; failing that, at the first line whose value the owner refuses
+    with every other field at its default."""
+    try:
+        return owner(**values)
+    except ValueError as exc:
+        error = exc
+    for lineno, key, name in from_config:
+        try:
+            owner(**{field: v for field, v in values.items() if field != name})
+        except ValueError:
+            continue
+        raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {error}") from None
+    for lineno, key, name in from_config:
+        try:
+            owner(**{name: values[name]})
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    raise error
+
+
 def _resolve_settings(args) -> Settings:
     cfg = _parse_config(args.config) if args.config else {}
     values: dict = {}
+    from_config: dict = {}
     for key, (owner, name, default) in _SETTINGS.items():
         value = getattr(args, key, None)
         if value is None and key not in cfg:
@@ -109,14 +136,13 @@ def _resolve_settings(args) -> Settings:
                 value = type(default)(text)
             except ValueError as exc:
                 raise ValueError(f"{args.config}:{lineno}: bad value for {key!r}: {exc}") from None
+            from_config.setdefault(owner, []).append((lineno, key, name))
         values.setdefault(owner, {})[name] = value
-    return Settings(
-        harris=HarrisParams(**values[HarrisParams]),
-        od_params=OdParams(**values[OdParams]),
-        weights=Weights(**values[Weights]),
-        gallery=Path(values[None]["gallery"]),
-        seed=values[None]["seed"],
-    )
+    harris, od_params, weights = (
+        _build(owner, values[owner], sorted(from_config.get(owner, [])), args.config)
+        for owner in (HarrisParams, OdParams, Weights))
+    return Settings(harris=harris, od_params=od_params, weights=weights,
+                    gallery=Path(values[None]["gallery"]), seed=values[None]["seed"])
 
 
 def _parse_xy(text: str) -> tuple[float, float]:
@@ -154,8 +180,8 @@ def cmd_identify(args, settings: Settings) -> int:
         raise ValueError("--top-k must be at least 1")
     gallery = load_gallery(settings.gallery)
     template, _ = _query_template(args.image, settings, args.od)
-    ranked = identify(template, gallery, settings.weights)
-    for rank, (sid, ms) in enumerate(ranked[:args.top_k], start=1):
+    ranked = identify(template, gallery, settings.weights, top_k=args.top_k)
+    for rank, (sid, ms) in enumerate(ranked, start=1):
         print(f"{rank} {sid} {ms.total:.6g} {ms.si1:.6g} {ms.si2:.6g} {ms.si3:.6g} "
               f"{ms.best_shift[0]} {ms.best_shift[1]} {ms.best_shift[2]}")
     return EXIT_OK

@@ -36,13 +36,16 @@ bin's addition order depends on where the runs split.
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
 planes (0 on empty slots) with the query's.  GalleryScreen keeps the
-conjugated rfft of every record's planes, built once per gallery (about 17
-KB per record, plus about 6 KB of work arrays); per query and class, one
-irfft gives every record's profile, and so every record's screened total.
-A screened total is not bit-for-bit the exact one, so GalleryScreen.totals
-also returns a bound B on |screened - exact| for every record, and a
-caller decides exactly by re-scoring with the exact kernel every record
-whose screened total B cannot place.
+conjugated rfft of every record's planes, built once per gallery in blocks
+of records (about 17 KB per record, plus about 6 KB of work arrays); per
+query and class, one irfft gives every record's profile, and so every
+record's screened total.  identify's top_k screen (see Callers) builds the
+same spectra block by block and keeps none of them.  Both compute planes,
+spectra and totals through the same functions, so the bound below covers
+both.  A screened total is not bit-for-bit the exact one, so
+GalleryScreen.totals also returns a bound B on |screened - exact| for every
+record, and a caller decides exactly by re-scoring with the exact kernel
+every record whose screened total B cannot place.
 
 The bound.  Write u = 2**-53, gamma(k) = k u / (1 - k u), n = 360, and
 compare both totals with the real-arithmetic profile S(phi) of the stored
@@ -89,16 +92,27 @@ B is twice (E + 2 gamma(3) n) (w1 + w2 + w3), plus the smallest normal
 float for any gradual underflow of the weighted sums; the factor 2 absorbs
 every second-order term and the roundings of the comparisons the caller
 makes with B (each within a few u of a value at most n (w1 + w2 + w3)).
-B comes to about 3e-8 per unit weight.
+B comes to about 3e-8 per unit weight.  Weights refuses weights for which
+n (w1 + w2 + w3) overflows, so the largest total and B stay finite.
 
-Callers.  identify, verify, total_si and sim_profile, and so every CLI
-command, use the exact kernel alone.  The evaluation's rotation protocol
-and FAR/FRR sweep rank by screened totals and then re-score exactly, through
-identify or total_si, every record the bound cannot place; so their hits,
-misses, ties, FAR and FRR are the exact kernel's.  When the bound leaves one
-record in first place, the protocol takes it from the screen: an identify
-call on that record alone would rank it first whatever its total.  It calls
-identify only when two or more records remain.
+Callers.  verify, total_si and sim_profile use the exact kernel alone, and
+so does identify without top_k.  identify with top_k = k below the gallery
+size screens the records in blocks of _SCREEN_BLOCK and re-scores exactly
+only those whose screened total is not below S_k - 2B, S_k being the k-th
+largest screened total.  The k records screened at or above S_k have exact
+totals of at least S_k - B.  A record screened below S_k - 2B has an exact
+total below S_k - B, so it is strictly below the k-th exact total and
+cannot tie into the first k.  A NaN cut keeps every record.  So the rows
+identify returns are the full exact ranking's first k, bit for bit; the
+CLI's identify passes its --top-k.
+
+The evaluation's rotation protocol and FAR/FRR sweep rank by screened totals
+and then re-score exactly, through identify (without top_k) or total_si,
+every record the bound cannot place; so their hits, misses, ties, FAR and
+FRR are the exact kernel's.  When the bound leaves one record in first
+place, the protocol takes it from the screen: an identify call on that
+record alone would rank it first whatever its total.  It calls identify only
+when two or more records remain.
 """
 
 from __future__ import annotations
@@ -120,6 +134,9 @@ class Weights:
     def __post_init__(self):
         if not all(is_finite(w) and w >= 0 for w in (self.w1, self.w2, self.w3)):
             raise ValueError("class weights must be finite and non-negative")
+        # The largest total, and so the screen's bound, must stay finite.
+        if not is_finite(SLOTS * (self.w1 + self.w2 + self.w3)):
+            raise ValueError(f"class weights too large: {SLOTS} * (w1 + w2 + w3) overflows")
 
 
 @dataclass(frozen=True)
@@ -136,6 +153,10 @@ class MatchScore:
 # profile bins, so no temporary exceeds about 128 KB.  A row over the budget
 # on its own is scored as a run of one.
 _PAIR_BUDGET = 1 << 14
+
+# Records per block of the FFT screen's build and of identify's top_k
+# screen: a block's planes and spectra take about 0.6 MB each.
+_SCREEN_BLOCK = 32
 
 
 # The screen's error bound, per unit of class weight; see the module
@@ -285,19 +306,28 @@ def total_si(enrolled: FeatureTemplate, query: FeatureTemplate, weights: Weights
     return _score([enrolled], query, weights)[0]
 
 
-def identify(query: FeatureTemplate, gallery, weights: Weights | None = None) -> list[tuple[str, MatchScore]]:
+def identify(query: FeatureTemplate, gallery, weights: Weights | None = None,
+             top_k: int | None = None) -> list[tuple[str, MatchScore]]:
     """Score the query against every record, best first.
 
     Ordering is deterministic: descending total, ties by ascending
-    subject_id.  Raises ValueError on an empty gallery.
+    subject_id.  With top_k, only the first top_k entries are returned, and
+    only the records the FFT screen cannot rule out of them are scored
+    exactly; the entries are those of the full ranking, bit for bit.
+    Raises ValueError on an empty gallery or a top_k below 1.
     """
     records = list(gallery)
     if not records:
         raise ValueError("empty gallery")
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    weights = weights or Weights()
+    if top_k is not None and top_k < len(records):
+        records = _top_candidates(query, records, weights, top_k)
     scores = _score([rec.template for rec in records], query, weights)
     scored = [(rec.subject_id, score) for rec, score in zip(records, scores)]
     scored.sort(key=lambda item: (-item[1].total, item[0]))
-    return scored
+    return scored[:top_k]
 
 
 def verify(query: FeatureTemplate, enrolled, threshold: float, weights: Weights | None = None) -> tuple[bool, MatchScore]:
@@ -308,13 +338,62 @@ def verify(query: FeatureTemplate, enrolled, threshold: float, weights: Weights 
     return score.total >= threshold, score
 
 
-def _unit_planes(vectors: np.ndarray) -> np.ndarray:
-    """cos 2a and sin 2a of every slot, 0 on empty ones: shape (..., 2, SLOTS)
-    for vectors shaped (..., SLOTS)."""
-    angle = vectors * (np.pi / 90.0)
+def _bound(weights: Weights) -> float:
+    """The bound B on |screened - exact| of every total; see the module docstring."""
+    return _BOUND_PER_WEIGHT * (weights.w1 + weights.w2 + weights.w3) + np.finfo(float).tiny
+
+
+def _spectra(vectors: list, name: str) -> np.ndarray:
+    """Conjugated rfft of the cos 2a and sin 2a planes (0 on empty slots) of
+    a block of (3, SLOTS) vectors: shape (2, 3, block, SLOTS // 2 + 1), the
+    cos planes first."""
+    vectors = np.stack(vectors, axis=1)
+    _check_amplitudes(vectors, name)
     occupied = vectors != 0
-    return np.stack([np.where(occupied, np.cos(angle), 0.0),
-                     np.where(occupied, np.sin(angle), 0.0)], axis=-2)
+    angle = vectors[occupied] * (np.pi / 90.0)
+    planes = np.zeros((2, *vectors.shape))
+    planes[0][occupied] = np.cos(angle)
+    planes[1][occupied] = np.sin(angle)
+    spectra = np.fft.rfft(planes, axis=-1)
+    return np.conj(spectra, out=spectra)
+
+
+def _query_spectra(query: FeatureTemplate) -> np.ndarray:
+    """The rfft, not conjugated, of the query's planes: shape (2, 3, SLOTS //
+    2 + 1), the cos planes first."""
+    return np.conj(_spectra([query.vectors], "query")[:, :, 0])
+
+
+def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndarray:
+    """Screened totals of the records whose conjugated spectra are cos and
+    sin, each (3, records, SLOTS // 2 + 1); work holds two (records, SLOTS //
+    2 + 1) complex arrays that are overwritten."""
+    q_cos, q_sin = query_spectra
+    spectra, scratch = work
+    si = np.empty((3, spectra.shape[0]))
+    for c in range(3):
+        np.multiply(cos[c], q_cos[c], out=spectra)
+        np.multiply(sin[c], q_sin[c], out=scratch)
+        spectra += scratch
+        np.fft.irfft(spectra, n=SLOTS, axis=-1).max(axis=-1, out=si[c])
+    return weights.w1 * si[0] + weights.w2 * si[1] + weights.w3 * si[2]
+
+
+def _top_candidates(query: FeatureTemplate, records: list, weights: Weights, k: int) -> list:
+    """The records that the screen cannot rule out of identify's first k,
+    in gallery order.  The records are screened _SCREEN_BLOCK at a time, so
+    nothing gallery-sized is built besides the screened totals."""
+    query_spectra = _query_spectra(query)
+    work = np.empty((2, _SCREEN_BLOCK, SLOTS // 2 + 1), dtype=np.complex128)
+    screened = np.empty(len(records))
+    for lo in range(0, len(records), _SCREEN_BLOCK):
+        block = records[lo:lo + _SCREEN_BLOCK]
+        cos, sin = _spectra([rec.template.vectors for rec in block], "enrolled")
+        screened[lo:lo + len(block)] = _screened_totals(cos, sin, query_spectra, weights,
+                                                        work[:, :len(block)])
+    # A NaN cut keeps every record.
+    cut = np.partition(screened, -k)[-k] - 2 * _bound(weights)
+    return [rec for rec, below in zip(records, screened < cut) if not below]
 
 
 class GalleryScreen:
@@ -332,12 +411,12 @@ class GalleryScreen:
         templates = list(templates)
         self._cos = np.empty((3, len(templates), SLOTS // 2 + 1), dtype=np.complex128)
         self._sin = np.empty_like(self._cos)
-        # One record at a time, so building holds no gallery-sized temporary.
-        for i, t in enumerate(templates):
-            _check_amplitudes(t.vectors, "enrolled")
-            spectra = np.fft.rfft(_unit_planes(t.vectors), axis=-1)
-            np.conj(spectra[:, 0], out=self._cos[:, i])
-            np.conj(spectra[:, 1], out=self._sin[:, i])
+        # _SCREEN_BLOCK records at a time, so building holds no gallery-sized
+        # temporary.
+        for lo in range(0, len(templates), _SCREEN_BLOCK):
+            block = templates[lo:lo + _SCREEN_BLOCK]
+            self._cos[:, lo:lo + len(block)], self._sin[:, lo:lo + len(block)] = _spectra(
+                [t.vectors for t in block], "enrolled")
         # One class's products at a time, in arrays kept for every query:
         # products allocated per query were, in some heap layouts, returned
         # to the OS and faulted back in on every query.
@@ -346,15 +425,5 @@ class GalleryScreen:
     def totals(self, query: FeatureTemplate, weights: Weights | None = None) -> tuple[np.ndarray, float]:
         """(screened totals in record order, bound B on |screened - exact|)."""
         weights = weights or Weights()
-        _check_amplitudes(query.vectors, "query")
-        q_cos, q_sin = np.fft.rfft(_unit_planes(query.vectors), axis=-1).transpose(1, 0, 2)
-        spectra, scratch = self._work
-        si = np.empty((3, spectra.shape[0]))
-        for c in range(3):
-            np.multiply(self._cos[c], q_cos[c], out=spectra)
-            np.multiply(self._sin[c], q_sin[c], out=scratch)
-            spectra += scratch
-            np.fft.irfft(spectra, n=SLOTS, axis=-1).max(axis=-1, out=si[c])
-        totals = weights.w1 * si[0] + weights.w2 * si[1] + weights.w3 * si[2]
-        bound = _BOUND_PER_WEIGHT * (weights.w1 + weights.w2 + weights.w3) + np.finfo(float).tiny
-        return totals, bound
+        totals = _screened_totals(self._cos, self._sin, _query_spectra(query), weights, self._work)
+        return totals, _bound(weights)

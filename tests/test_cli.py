@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from retina_id import cli
+from retina_id.encoder import FeatureTemplate
 from retina_id.evaluation import (
     DEFAULT_COUNTS,
     MAX_CORNERS,
@@ -26,7 +27,14 @@ from retina_id.harris import HarrisParams
 from retina_id.imaging import RasterImage, load_image, save_image
 from retina_id.matcher import Weights
 from retina_id.optic_disc import OdParams
-from retina_id.store import SNAPSHOT_NAME, gallery_lock, load_gallery, render_record
+from retina_id.store import (
+    SNAPSHOT_NAME,
+    GalleryRecord,
+    add_records,
+    gallery_lock,
+    load_gallery,
+    render_record,
+)
 
 from oracles import load_fundus
 
@@ -146,6 +154,39 @@ class TestDetect:
         assert r.stdout == ""
         key = setting.split()[0]
         assert r.stderr.startswith(f"error: {cfg}:3: bad value for {key!r}: ")
+
+    @pytest.mark.parametrize("lines,line,key,reason", [
+        (["od_margin = 10"], 2, "od_margin", "margin must be at least template_radius"),
+        (["sigma = inf"], 2, "sigma", "sigma must be positive and finite"),
+        (["k = 0.05", "w3 = -1"], 3, "w3", "class weights must be finite and non-negative"),
+        (["w1 = 1e308"], 2, "w1", "class weights too large"),
+        # Valid on their own, refused together: the line whose removal helps.
+        (["od_template_radius = 60", "od_margin = 50"], 2, "od_template_radius",
+         "margin must be at least template_radius"),
+        (["od_margin = 10", "od_template_radius = 5", "od_search_stride = 0"], 4,
+         "od_search_stride", "search_stride must be at least 1"),
+        # Two bad lines: the first is named.
+        (["sigma = inf", "k = nan"], 2, "sigma", "sigma must be positive and finite"),
+    ], ids=["margin", "sigma", "weight", "weight-overflow", "pair", "fixed-pair", "two-bad"])
+    def test_out_of_range_config_value_names_file_line_and_key(self, square_image, tmp_path,
+                                                                lines, line, key, reason):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text("\n".join(["# settings", *lines]) + "\n")
+        r = run_cli("detect", square_image, "--config", cfg)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: {cfg}:{line}: bad value for {key!r}: {reason}")
+
+    def test_out_of_range_flag_names_no_config_line(self, square_image, tmp_path):
+        # The flag's value is at fault, so no config line is named.
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("od_margin = 50\n")
+        r = run_cli("detect", square_image, "--config", cfg)
+        assert r.returncode == 0, r.stderr
+        r = run_cli("enroll", square_image, "a", "--gallery", tmp_path / "g", "--config", cfg,
+                    "--od-template-radius", "60")
+        assert r.returncode == 2
+        assert r.stderr == "error: margin must be at least template_radius\n"
 
 
 # config key, flag, config value, flag value, resolved attribute
@@ -338,6 +379,38 @@ class TestIdentifyVerify:
         assert capsysbinary.readouterr() == with_snapshot
         assert len(with_snapshot.out.splitlines()) == 5
 
+    def test_identify_top_k_rows_are_the_exact_rankings_head(self, eye_image, tmp_path,
+                                                            monkeypatch, capsys):
+        # Twins of the probe's own template hold places 1-3 and twins of a
+        # weaker copy places 4-7, so the cuts at k = 1, 2 and 5 each fall
+        # between two equal totals.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["enroll", str(eye_image), "a0", "--gallery", "gal", "--od", "80,80"]) == 0
+        own = load_gallery(Path("gal")).get("a0").template
+        weaker = own.vectors.copy()
+        weaker[0] = 0.0
+        others = build_synthetic_gallery(3, 20, 17)[0]
+        records = [GalleryRecord(f"a{i}", own) for i in (1, 2)]
+        records += [GalleryRecord(f"b{i}", FeatureTemplate(weaker)) for i in range(4)]
+        records += [GalleryRecord(f"c{i}", rec.template) for i, rec in enumerate(others)]
+        add_records(Path("gal"), records)
+        add_records(Path("small"), records[:2] + records[3:4])
+        argv = ["identify", str(eye_image), "--od", "80,80", "--top-k"]
+        capsys.readouterr()
+
+        def rows(gallery, k):
+            assert cli.main([*argv, str(k), "--gallery", gallery]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        # top_k at least the gallery size ranks every record exactly.
+        exact = rows("gal", 10)
+        assert [row.split()[1] for row in exact[:7]] == ["a0", "a1", "a2", "b0", "b1", "b2", "b3"]
+        for k in (1, 2, 5):
+            assert exact[k - 1].split()[2:] == exact[k].split()[2:]
+            assert rows("gal", k) == exact[:k]
+        assert rows("small", 5) == rows("small", 3)
+        assert len(rows("small", 5)) == 3
+
     def test_identify_top_k(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)
         r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80", "--top-k", "1")
@@ -381,6 +454,16 @@ class TestIdentifyVerify:
         r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80", "--w1", "nan")
         assert r.returncode == 2
         assert "weights" in r.stderr
+
+    def test_identify_overflowing_weights_exit_2(self, tmp_path):
+        # Each weight is finite, but the totals would all be inf and rank by id.
+        gal, images = self.enroll_two(tmp_path)
+        r = run_cli("identify", images["ann"], "--gallery", gal, "--od", "80,80",
+                    "--w1", "1e308", "--w2", "1e308", "--w3", "1e308")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "weights too large" in r.stderr
+        assert "Warning" not in r.stderr
 
     def test_identify_nan_amplitude_in_gallery_exit_2(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)

@@ -171,6 +171,17 @@ class TestTotal:
             with pytest.raises(ValueError, match="weights"):
                 Weights(**{field: bad})
 
+    def test_weights_whose_largest_total_overflows_rejected(self):
+        # Each weight is finite, but a total of 360 matching slots per class
+        # would be inf, and every record would tie at inf.
+        with pytest.raises(ValueError, match="weights too large"):
+            Weights(1e308, 1e308, 1e308)
+        with pytest.raises(ValueError, match="weights too large"):
+            Weights(0.0, 0.0, 1e306)
+        top = Weights(0.0, 0.0, 1e305)
+        t = random_template(np.random.default_rng(48))
+        assert math.isfinite(total_si(t, t, top).total)
+
 
 class TestIdentify:
     def make_gallery(self, rng, n=8):

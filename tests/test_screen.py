@@ -8,16 +8,22 @@ each other, so that the screen alone would order them by rounding noise.
 The rotation protocol and the FAR/FRR sweep rank by screened totals and
 re-score near-ties exactly; they must give the same hits, misidentifications,
 normalised hits and FAR/FRR rows as the exact loops in oracles.py.
+identify's top_k screen re-scores only the records within 2B of the k-th
+screened total; its rows must be the full exact ranking's first k, bit for
+bit.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from retina_id import matcher
 from retina_id.encoder import SLOTS, FeatureTemplate
 from retina_id.evaluation import EvalGallery, ExperimentSpec, far_frr_sweep, rotation_protocol
-from retina_id.matcher import GalleryScreen, Weights, total_si
+from retina_id.matcher import GalleryScreen, Weights, identify, total_si
 from retina_id.store import GalleryRecord
 
 from oracles import far_frr_sweep_exact, rotation_counts_exact
@@ -225,3 +231,141 @@ def test_screened_decisions_equal_the_exact_loops(seed, kinds, full, twins, weig
     want = far_frr_sweep_exact(gallery.records, sweep_probes, thresholds, weights)
     assert far_frr_sweep(gallery.records, sweep_probes, thresholds, weights) == want
     assert far_frr_sweep(gallery, sweep_probes, thresholds, weights) == want
+
+
+def records_of(templates, ids=None):
+    ids = ids or [f"s{i:02d}" for i in range(len(templates))]
+    return [GalleryRecord(subject_id=sid, template=t) for sid, t in zip(ids, templates)]
+
+
+def ranking_bits(ranking):
+    """Ids and every MatchScore field, floats by their bits."""
+    return [(sid, *(float(x).hex() for x in (ms.si1, ms.si2, ms.si3, ms.total)), ms.best_shift)
+            for sid, ms in ranking]
+
+
+def assert_top_k_exact(query, records, weights, ks=None):
+    """identify(top_k=k) is the full ranking's first k for every k in ks
+    (default: every k from 1 to one past the gallery size)."""
+    full = ranking_bits(identify(query, records, weights))
+    for k in ks or range(1, len(records) + 2):
+        assert ranking_bits(identify(query, records, weights, top_k=k)) == full[:k], k
+
+
+def class3_template(amplitude: float) -> FeatureTemplate:
+    v = np.zeros((3, SLOTS))
+    v[2, 100] = amplitude
+    return FeatureTemplate(v)
+
+
+class TestTopK:
+    def test_near_ties(self):
+        templates, queries = near_tie_gallery(np.random.default_rng(3020))
+        records = records_of(templates)
+        for q in queries:
+            assert_top_k_exact(q, records, WEIGHTS)
+
+    def test_twins_straddle_the_kth_place(self):
+        rng = np.random.default_rng(3021)
+        query = template("pulses", rng)
+        lower = query.vectors.copy()
+        lower[0] = 0.0
+        rolled = FeatureTemplate(np.roll(query.vectors, 7, axis=1))
+        templates = [query, rolled, query, FeatureTemplate(lower), FeatureTemplate(lower)]
+        templates += [template("pulses", rng) for _ in range(4)]
+        ids = ["q_b", "q_roll", "q_a", "low_b", "low_a", "o1", "o2", "o3", "o4"]
+        records = records_of(templates, ids)
+        ranked = [sid for sid, _ in identify(query, records, WEIGHTS)]
+        # The twins hold places 1-2 and 4-5 (or 2-3 and 4-5 when the rolled
+        # copy's total rounds above the query's own).
+        assert {ranked.index("q_a") + 1, ranked.index("low_a") + 1} <= {1, 2, 4}
+        assert ranked.index("q_b") == ranked.index("q_a") + 1
+        assert ranked.index("low_b") == ranked.index("low_a") + 1
+        assert_top_k_exact(query, records, WEIGHTS)
+
+    def test_zero_weights_order_by_id(self):
+        rng = np.random.default_rng(3022)
+        templates = [template(k, rng) for k in KINDS]
+        ids = [f"s{i:02d}" for i in reversed(range(len(templates)))]
+        records = records_of(templates, ids)
+        zero = Weights(0.0, 0.0, 0.0)
+        top = identify(templates[0], records, zero, top_k=3)
+        assert [sid for sid, _ in top] == ["s00", "s01", "s02"]
+        assert_top_k_exact(templates[0], records, zero)
+
+    def test_empty_query(self):
+        rng = np.random.default_rng(3023)
+        records = records_of([template(k, rng) for k in KINDS])
+        empty = FeatureTemplate(np.zeros((3, SLOTS)))
+        assert [ms.total for _, ms in identify(empty, records, WEIGHTS, top_k=2)] == [0.0, 0.0]
+        assert_top_k_exact(empty, records, WEIGHTS)
+
+    def test_full_and_all_equal_rings(self):
+        rng = np.random.default_rng(3024)
+        templates = [template("full", rng) for _ in range(2)]
+        templates += [FeatureTemplate(np.full((3, SLOTS), a)) for a in EQUAL_AMPLITUDES]
+        records = records_of(templates)
+        for q in (templates[0], templates[3], template("empty-ring", rng)):
+            assert_top_k_exact(q, records, WEIGHTS, ks=(1, 2, len(records) - 1, len(records),
+                                                        len(records) + 1))
+
+    def test_only_records_within_2b_of_the_kth_are_rescored(self, monkeypatch):
+        # One occupied slot per template, so a total is cos(2 (a - q) pi / 180)
+        # and can be put at a chosen distance below 1 in units of B.
+        weights = Weights(0.0, 0.0, 1.0)
+        query = class3_template(200.0)
+        (_, bound) = GalleryScreen([query]).totals(query, weights)
+
+        def at(drop):
+            return class3_template(200.0 + math.degrees(math.acos(1.0 - drop * bound)) / 2.0)
+
+        records = records_of([at(3.0), at(1e6), query, at(1.5)], ["far", "low", "top", "near"])
+        full = identify(query, records, weights)
+        exact = {sid: ms.total for sid, ms in full}
+        assert exact["top"] - exact["near"] == pytest.approx(1.5 * bound, rel=1e-6)
+        assert exact["top"] - exact["far"] == pytest.approx(3.0 * bound, rel=1e-6)
+        by_template = {id(rec.template): rec.subject_id for rec in records}
+        scored = []
+        score = matcher._score
+
+        def spy(templates, q, w):
+            scored.append(sorted(by_template[id(t)] for t in templates))
+            return score(templates, q, w)
+
+        monkeypatch.setattr(matcher, "_score", spy)
+        # k = 1: S_1 is top's total; near lies 1.5B below it, far 3B.  k = 2:
+        # S_2 is near's, and far lies 1.5B below it.
+        for k, want in ((1, ["near", "top"]), (2, ["far", "near", "top"])):
+            scored.clear()
+            assert ranking_bits(identify(query, records, weights, top_k=k)) == ranking_bits(full[:k])
+            assert scored == [want]
+
+    def test_top_k_below_one_and_empty_gallery_refused(self):
+        rng = np.random.default_rng(3025)
+        records = records_of([template("sparse", rng) for _ in range(3)])
+        q = records[0].template
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="top_k"):
+                identify(q, records, WEIGHTS, top_k=k)
+        with pytest.raises(ValueError, match="empty gallery"):
+            identify(q, [], WEIGHTS, top_k=1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kinds=st.lists(st.sampled_from(LIGHT_KINDS), min_size=1, max_size=6),
+    full=st.sampled_from(FULL_KINDS + (None,)),
+    twins=st.lists(st.integers(0, 6), max_size=3),
+    weights=WEIGHT_CHOICES,
+    k=st.integers(1, 10),
+)
+def test_top_k_is_the_full_rankings_head(seed, kinds, full, twins, weights, k):
+    rng = np.random.default_rng(seed)
+    templates = [template(kind, rng) for kind in kinds + [full] * (full is not None)]
+    templates += [templates[i % len(templates)] for i in twins]
+    records = records_of(templates, [f"s{int(i):02d}" for i in rng.permutation(len(templates))])
+    queries = templates[:2] + [FeatureTemplate(np.roll(templates[0].vectors, int(rng.integers(SLOTS)), axis=1)),
+                               template(str(rng.choice(LIGHT_KINDS)), rng)]
+    for q in queries:
+        assert_top_k_exact(q, records, weights, ks=(k,))
