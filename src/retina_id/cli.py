@@ -14,8 +14,9 @@ because the bare `--threshold` flag is the verify decision threshold.
 Each command takes only the flags of the settings it reads, but checks a
 whole config file; a malformed line, an unknown key, a value of the wrong
 type and a value its settings group refuses (out of range, or at odds with
-another field) are reported as `<file>:<line>: ...`.  Only full flag names
-parse.
+another field) are reported as `<file>:<line>: ...`, naming the first bad
+line in the file; an error that flags alone cause names no line and comes
+after every bad line.  Only full flag names parse.
 `main` resolves the settings once per call and passes them to the
 command's `cmd_*` function, so a bad config file exits 2 before the command
 reads anything.
@@ -31,6 +32,7 @@ SyntheticSource.n_corners and DEFAULT_COUNTS.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -81,21 +83,31 @@ class Settings:
     seed: int
 
 
-def _parse_config(path: str) -> dict[str, tuple[str, int]]:
-    """Each key's value and the number of the line that set it."""
+class _LineError(ValueError):
+    """A config file error that names its line."""
+
+    def __init__(self, path: str, lineno: int, message: str):
+        super().__init__(f"{path}:{lineno}: {message}")
+        self.lineno = lineno
+
+
+def _parse_config(path: str) -> tuple[dict[str, tuple[str, int]], list[_LineError]]:
+    """Each key's value and the number of the line that set it, read up to
+    the first line that is not `key = value` with a known key; that line's
+    error, if any, in a list."""
     cfg: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            return cfg, [_LineError(path, lineno, "expected 'key = value'")]
         key, value = line.split("=", 1)
         key = key.strip()
         if key not in _SETTINGS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            return cfg, [_LineError(path, lineno, f"unknown key {key!r}")]
         cfg[key] = value.strip(), lineno
-    return cfg
+    return cfg, []
 
 
 def _build(owner, values: dict, from_config: list, path: str):
@@ -103,7 +115,7 @@ def _build(owner, values: dict, from_config: list, path: str):
     value the config file set, in line order.  An error is reported at the
     first such line whose value, put back to its default, makes the owner
     valid; failing that, at the first line whose value the owner refuses
-    with every other field at its default."""
+    with every other field at its default; failing that, with no line."""
     try:
         return owner(**values)
     except ValueError as exc:
@@ -113,34 +125,44 @@ def _build(owner, values: dict, from_config: list, path: str):
             owner(**{field: v for field, v in values.items() if field != name})
         except ValueError:
             continue
-        raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {error}") from None
+        raise _LineError(path, lineno, f"bad value for {key!r}: {error}")
     for lineno, key, name in from_config:
         try:
             owner(**{name: values[name]})
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            raise _LineError(path, lineno, f"bad value for {key!r}: {exc}") from None
     raise error
 
 
 def _resolve_settings(args) -> Settings:
-    cfg = _parse_config(args.config) if args.config else {}
+    """The settings of one call.  Of a config file's errors the one at the
+    first line is raised, and errors that flags alone cause come after
+    every line; a value that does not convert is left at its default while
+    the others are checked."""
+    cfg, errors = _parse_config(args.config) if args.config else ({}, [])
     values: dict = {}
     from_config: dict = {}
     for key, (owner, name, default) in _SETTINGS.items():
         value = getattr(args, key, None)
-        if value is None and key not in cfg:
-            value = default
-        elif value is None:
+        if value is None and key in cfg:
             text, lineno = cfg[key]
             try:
                 value = type(default)(text)
             except ValueError as exc:
-                raise ValueError(f"{args.config}:{lineno}: bad value for {key!r}: {exc}") from None
-            from_config.setdefault(owner, []).append((lineno, key, name))
-        values.setdefault(owner, {})[name] = value
-    harris, od_params, weights = (
-        _build(owner, values[owner], sorted(from_config.get(owner, [])), args.config)
-        for owner in (HarrisParams, OdParams, Weights))
+                errors.append(_LineError(args.config, lineno, f"bad value for {key!r}: {exc}"))
+            else:
+                from_config.setdefault(owner, []).append((lineno, key, name))
+        values.setdefault(owner, {})[name] = default if value is None else value
+    built = []
+    for owner in (HarrisParams, OdParams, Weights):
+        try:
+            built.append(_build(owner, values[owner], sorted(from_config.get(owner, [])),
+                                args.config))
+        except ValueError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: getattr(exc, "lineno", math.inf))
+    harris, od_params, weights = built
     return Settings(harris=harris, od_params=od_params, weights=weights,
                     gallery=Path(values[None]["gallery"]), seed=values[None]["seed"])
 

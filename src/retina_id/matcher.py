@@ -35,17 +35,20 @@ bin's addition order depends on where the runs split.
 
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
-planes (0 on empty slots) with the query's.  GalleryScreen keeps the
-conjugated rfft of every record's planes, built once per gallery in blocks
-of records (about 17 KB per record, plus about 6 KB of work arrays); per
-query and class, one irfft gives every record's profile, and so every
-record's screened total.  identify's top_k screen (see Callers) builds the
-same spectra block by block and keeps none of them.  Both compute planes,
-spectra and totals through the same functions, so the bound below covers
-both.  A screened total is not bit-for-bit the exact one, so
-GalleryScreen.totals also returns a bound B on |screened - exact| for every
-record, and a caller decides exactly by re-scoring with the exact kernel
-every record whose screened total B cannot place.
+planes (0 on empty slots) with the query's.  The screen works on blocks of
+store.BLOCK_ROWS records, (rows, 3, SLOTS) amplitude arrays: a loaded
+store.Gallery's own blocks, read in place, or a list's records stacked
+BLOCK_ROWS at a time.  GalleryScreen keeps the conjugated rfft of every
+record's planes, built once per gallery block by block (about 17 KB per
+record, plus about 6 KB of work arrays); per query and class, one irfft
+gives every record's profile, and so every record's screened total.
+identify's top_k screen (see Callers) builds the same spectra block by
+block and keeps none of them.  Both compute planes, spectra and totals
+through the same functions, so the bound below covers both.  A screened
+total is not bit-for-bit the exact one, so GalleryScreen.totals also
+returns a bound B on |screened - exact| for every record, and a caller
+decides exactly by re-scoring with the exact kernel every record whose
+screened total B cannot place.
 
 The bound.  Write u = 2**-53, gamma(k) = k u / (1 - k u), n = 360, and
 compare both totals with the real-arithmetic profile S(phi) of the stored
@@ -97,12 +100,14 @@ n (w1 + w2 + w3) overflows, so the largest total and B stay finite.
 
 Callers.  verify, total_si and sim_profile use the exact kernel alone, and
 so does identify without top_k.  identify with top_k = k below the gallery
-size screens the records in blocks of _SCREEN_BLOCK and re-scores exactly
-only those whose screened total is not below S_k - 2B, S_k being the k-th
-largest screened total.  The k records screened at or above S_k have exact
-totals of at least S_k - B.  A record screened below S_k - 2B has an exact
-total below S_k - B, so it is strictly below the k-th exact total and
-cannot tie into the first k.  A NaN cut keeps every record.  So the rows
+size screens every block (a loaded gallery's rows of unlinked files
+included, their totals then dropped) and re-scores exactly only the
+records whose screened total is not below S_k - 2B, S_k being the k-th
+largest screened total; of a loaded gallery it builds only those records.
+The k records screened at or above S_k have exact totals of at least
+S_k - B.  A record screened below S_k - 2B has an exact total below
+S_k - B, so it is strictly below the k-th exact total and cannot tie into
+the first k.  A NaN cut keeps every record.  So the rows
 identify returns are the full exact ranking's first k, bit for bit; the
 CLI's identify passes its --top-k.
 
@@ -123,6 +128,7 @@ import numpy as np
 
 from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
 from .harris import is_finite
+from .store import BLOCK_ROWS, Gallery
 
 
 @dataclass(frozen=True)
@@ -153,11 +159,6 @@ class MatchScore:
 # profile bins, so no temporary exceeds about 128 KB.  A row over the budget
 # on its own is scored as a run of one.
 _PAIR_BUDGET = 1 << 14
-
-# Records per block of the FFT screen's build and of identify's top_k
-# screen: a block's planes and spectra take about 0.6 MB each.
-_SCREEN_BLOCK = 32
-
 
 # The screen's error bound, per unit of class weight; see the module
 # docstring for the derivation.
@@ -308,7 +309,8 @@ def total_si(enrolled: FeatureTemplate, query: FeatureTemplate, weights: Weights
 
 def identify(query: FeatureTemplate, gallery, weights: Weights | None = None,
              top_k: int | None = None) -> list[tuple[str, MatchScore]]:
-    """Score the query against every record, best first.
+    """Score the query against every record of a store.Gallery or an
+    iterable of records, best first.
 
     Ordering is deterministic: descending total, ties by ascending
     subject_id.  With top_k, only the first top_k entries are returned, and
@@ -316,14 +318,14 @@ def identify(query: FeatureTemplate, gallery, weights: Weights | None = None,
     exactly; the entries are those of the full ranking, bit for bit.
     Raises ValueError on an empty gallery or a top_k below 1.
     """
-    records = list(gallery)
+    records = gallery if isinstance(gallery, Gallery) else list(gallery)
     if not records:
         raise ValueError("empty gallery")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1")
     weights = weights or Weights()
     if top_k is not None and top_k < len(records):
-        records = _top_candidates(query, records, weights, top_k)
+        records = [records[i] for i in _top_candidates(query, records, weights, top_k)]
     scores = _score([rec.template for rec in records], query, weights)
     scored = [(rec.subject_id, score) for rec, score in zip(records, scores)]
     scored.sort(key=lambda item: (-item[1].total, item[0]))
@@ -343,12 +345,12 @@ def _bound(weights: Weights) -> float:
     return _BOUND_PER_WEIGHT * (weights.w1 + weights.w2 + weights.w3) + np.finfo(float).tiny
 
 
-def _spectra(vectors: list, name: str) -> np.ndarray:
+def _spectra(vectors: np.ndarray, name: str) -> np.ndarray:
     """Conjugated rfft of the cos 2a and sin 2a planes (0 on empty slots) of
-    a block of (3, SLOTS) vectors: shape (2, 3, block, SLOTS // 2 + 1), the
-    cos planes first."""
-    vectors = np.stack(vectors, axis=1)
+    a (block, 3, SLOTS) array: shape (2, 3, block, SLOTS // 2 + 1), the cos
+    planes first."""
     _check_amplitudes(vectors, name)
+    vectors = vectors.transpose(1, 0, 2)  # class-major
     occupied = vectors != 0
     angle = vectors[occupied] * (np.pi / 90.0)
     planes = np.zeros((2, *vectors.shape))
@@ -358,10 +360,16 @@ def _spectra(vectors: list, name: str) -> np.ndarray:
     return np.conj(spectra, out=spectra)
 
 
+def _stacked(vectors: list):
+    """The (3, SLOTS) arrays `vectors`, BLOCK_ROWS at a time, each run
+    stacked as a (rows, 3, SLOTS) block."""
+    return (np.array(vectors[lo:lo + BLOCK_ROWS]) for lo in range(0, len(vectors), BLOCK_ROWS))
+
+
 def _query_spectra(query: FeatureTemplate) -> np.ndarray:
     """The rfft, not conjugated, of the query's planes: shape (2, 3, SLOTS //
     2 + 1), the cos planes first."""
-    return np.conj(_spectra([query.vectors], "query")[:, :, 0])
+    return np.conj(_spectra(query.vectors[None], "query")[:, :, 0])
 
 
 def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndarray:
@@ -379,21 +387,28 @@ def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndar
     return weights.w1 * si[0] + weights.w2 * si[1] + weights.w3 * si[2]
 
 
-def _top_candidates(query: FeatureTemplate, records: list, weights: Weights, k: int) -> list:
-    """The records that the screen cannot rule out of identify's first k,
-    in gallery order.  The records are screened _SCREEN_BLOCK at a time, so
-    nothing gallery-sized is built besides the screened totals."""
+def _top_candidates(query: FeatureTemplate, records, weights: Weights, k: int) -> np.ndarray:
+    """The positions, ascending, of the records that the screen cannot rule
+    out of identify's first k.  The screen reads a loaded store.Gallery's
+    amplitude blocks in place, rows it holds for no record included, and
+    stacks a list's records BLOCK_ROWS at a time; so nothing gallery-sized
+    is built besides the screened totals."""
+    if isinstance(records, Gallery) and records.blocks is not None:
+        blocks, rows, size = records.blocks, records.rows, len(records.blocks) * BLOCK_ROWS
+    else:
+        vectors = [rec.template.vectors for rec in records]
+        blocks, rows, size = _stacked(vectors), range(len(vectors)), len(vectors)
     query_spectra = _query_spectra(query)
-    work = np.empty((2, _SCREEN_BLOCK, SLOTS // 2 + 1), dtype=np.complex128)
-    screened = np.empty(len(records))
-    for lo in range(0, len(records), _SCREEN_BLOCK):
-        block = records[lo:lo + _SCREEN_BLOCK]
-        cos, sin = _spectra([rec.template.vectors for rec in block], "enrolled")
+    work = np.empty((2, BLOCK_ROWS, SLOTS // 2 + 1), dtype=np.complex128)
+    screened = np.empty(size)
+    for lo, block in zip(range(0, size, BLOCK_ROWS), blocks):
+        cos, sin = _spectra(block, "enrolled")
         screened[lo:lo + len(block)] = _screened_totals(cos, sin, query_spectra, weights,
                                                         work[:, :len(block)])
+    screened = screened[rows]
     # A NaN cut keeps every record.
     cut = np.partition(screened, -k)[-k] - 2 * _bound(weights)
-    return [rec for rec, below in zip(records, screened < cut) if not below]
+    return np.flatnonzero(~(screened < cut))
 
 
 class GalleryScreen:
@@ -408,15 +423,14 @@ class GalleryScreen:
     """
 
     def __init__(self, templates):
-        templates = list(templates)
-        self._cos = np.empty((3, len(templates), SLOTS // 2 + 1), dtype=np.complex128)
+        vectors = [t.vectors for t in templates]
+        self._cos = np.empty((3, len(vectors), SLOTS // 2 + 1), dtype=np.complex128)
         self._sin = np.empty_like(self._cos)
-        # _SCREEN_BLOCK records at a time, so building holds no gallery-sized
+        # BLOCK_ROWS records at a time, so building holds no gallery-sized
         # temporary.
-        for lo in range(0, len(templates), _SCREEN_BLOCK):
-            block = templates[lo:lo + _SCREEN_BLOCK]
+        for lo, block in zip(range(0, len(vectors), BLOCK_ROWS), _stacked(vectors)):
             self._cos[:, lo:lo + len(block)], self._sin[:, lo:lo + len(block)] = _spectra(
-                [t.vectors for t in block], "enrolled")
+                block, "enrolled")
         # One class's products at a time, in arrays kept for every query:
         # products allocated per query were, in some heap layouts, returned
         # to the OS and faulted back in on every query.

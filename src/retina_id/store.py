@@ -38,6 +38,23 @@ a snapshot path it cannot replace then fails the batch with the gallery
 unchanged.  Like `.rtpl` writes the new one is written atomically and not
 fsync'd.
 
+A directory's Gallery holds its amplitudes as float64 blocks of BLOCK_ROWS
+rows, each one FFT screen block (see retina_id.matcher): the snapshot's
+rows in its order, each block read with one readinto, digested and checked
+with one valid_amplitudes call, then, from the next block on, the rows of
+the files the snapshot misses.  Rows of files unlinked since the snapshot
+was written stay in the blocks unread.  Each row's id, od centre and
+provenance are checked at load as GalleryRecord and OdCenter check them,
+but records are built only when asked for (the few candidates identify's
+top-k screen keeps, Gallery.get, iteration), each template a read-only
+view of its row.  Blocks of about 270 KB rather than one gallery-sized
+array: freed heap memory can take a block, where a gallery-sized array
+needs fresh pages on every load.  The directory is listed with os.scandir
+(every name ending in `.rtpl`, hidden ones included, case-sensitive) and
+each file read through the directory's descriptor; an OSError names the
+file's path.  add_records writes the snapshot in block row order, each
+run of adjacent rows as one slice per block.
+
 Snapshot layout: the 24-byte head below (so the amplitudes start 8-byte
 aligned), each record's (3, 360) amplitudes in index order, the index as
 ASCII JSON, `[[digest hex, byte length, [[subject, od x, od y, od source,
@@ -73,6 +90,10 @@ _RECORD_BYTES = 3 * SLOTS * _AMPLITUDES.itemsize
 _TRAILER_BYTES = 8 + 32  # index length, sha256 digest
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _LINES_PER_RECORD = 7
+# Rows per amplitude block of a loaded gallery and per block of the FFT
+# screen (see retina_id.matcher): a block holds about 270 KB of amplitudes,
+# and the screen's planes and spectra of one about 0.6 MB each.
+BLOCK_ROWS = 32
 
 
 class TemplateFormatError(ValueError):
@@ -93,6 +114,13 @@ def valid_subject_id(subject_id: str) -> bool:
     return bool(_SUBJECT_RE.fullmatch(subject_id))
 
 
+def _check_names(subject_id: str, source_image: str) -> None:
+    if not valid_subject_id(subject_id):
+        raise ValueError(f"invalid subject_id {subject_id!r}")
+    if "\n" in source_image or "\r" in source_image:
+        raise ValueError("source_image must be a single line")
+
+
 @dataclass(frozen=True)
 class GalleryRecord:
     subject_id: str
@@ -101,40 +129,73 @@ class GalleryRecord:
     od: OdCenter = OdCenter(0.0, 0.0, 1.0, "manual")
 
     def __post_init__(self):
-        if not valid_subject_id(self.subject_id):
-            raise ValueError(f"invalid subject_id {self.subject_id!r}")
-        if "\n" in self.source_image or "\r" in self.source_image:
-            raise ValueError("source_image must be a single line")
+        _check_names(self.subject_id, self.source_image)
 
 
 class Gallery:
     """Records in load order; a repeated subject id raises DuplicateSubjectError.
 
-    `files` holds, for a directory that `load_gallery` read, each `.rtpl`
-    file's (sha256 digest, byte length, records): what `add_records` writes
-    to the snapshot."""
+    A gallery that load_gallery read from a directory holds its amplitudes
+    in `blocks`, read-only float64 arrays of up to BLOCK_ROWS (3, SLOTS)
+    rows (see the module docstring); record i's are row rows[i] % BLOCK_ROWS
+    of block rows[i] // BLOCK_ROWS.  Its records are built on first use and
+    kept.  Gallery(records) keeps the records; its blocks and rows are None
+    and its files empty.
 
-    def __init__(self, records=(), files=()):
-        self.records = tuple(records)
+    `files` holds, for a directory that `load_gallery` read, each `.rtpl`
+    file's (sha256 digest, byte length, range of its records' positions):
+    what `add_records` writes to the snapshot."""
+
+    def __init__(self, records=()):
+        records = list(records)
+        self._init([(r.subject_id, r.source_image, r.od) for r in records], None, None, (),
+                   records)
+
+    @classmethod
+    def _of_blocks(cls, meta: list, blocks: list, rows: np.ndarray, files) -> Gallery:
+        gallery = cls.__new__(cls)
+        gallery._init(meta, blocks, rows, files, [None] * len(meta))
+        return gallery
+
+    def _init(self, meta, blocks, rows, files, records):
+        self._meta = meta  # (subject_id, source_image, od) per record
+        self.blocks = blocks
+        self.rows = rows
         self.files = tuple(files)
+        self._records = records
         self._by_id = {}
-        for r in self.records:
-            if r.subject_id in self._by_id:
-                raise DuplicateSubjectError(f"duplicate subject_id {r.subject_id!r}")
-            self._by_id[r.subject_id] = r
+        for i, (subject_id, _, _) in enumerate(meta):
+            if subject_id in self._by_id:
+                raise DuplicateSubjectError(f"duplicate subject_id {subject_id!r}")
+            self._by_id[subject_id] = i
+
+    def __getitem__(self, i: int) -> GalleryRecord:
+        record = self._records[i]
+        if record is None:
+            subject_id, source_image, od = self._meta[i]
+            block, row = divmod(int(self.rows[i]), BLOCK_ROWS)
+            record = GalleryRecord(subject_id, FeatureTemplate(self.blocks[block][row]),
+                                   source_image, od)
+            self._records[i] = record
+        return record
 
     def __iter__(self):
-        return iter(self.records)
+        return map(self.__getitem__, range(len(self)))
 
     def __len__(self):
-        return len(self.records)
+        return len(self._meta)
+
+    @property
+    def records(self) -> tuple:
+        return tuple(self)
 
     @property
     def subject_ids(self) -> list[str]:
-        return [r.subject_id for r in self.records]
+        return [subject_id for subject_id, _, _ in self._meta]
 
     def get(self, subject_id: str):
-        return self._by_id.get(subject_id)
+        i = self._by_id.get(subject_id)
+        return None if i is None else self[i]
 
 
 def format_amplitude(value: float) -> str:
@@ -272,12 +333,12 @@ def _decode(data: bytes, source: str) -> str:
             source, data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
 
 
-def _parse_snapshot(fh) -> dict:
-    """{(digest, byte length): records} of an open snapshot; raises
-    ValueError or TypeError on anything but a well-formed snapshot of valid,
-    uniquely named records.  Each record's amplitudes are read into an array
-    of their own, as parse_records gives them, not into one gallery-sized
-    buffer."""
+def _parse_snapshot(fh) -> tuple[list, dict]:
+    """(amplitude blocks, {(digest, byte length): (first row, [(subject_id,
+    source_image, od), ...])}) of an open snapshot, the blocks as Gallery
+    holds them; raises ValueError or TypeError on anything but a well-formed
+    snapshot of valid, uniquely named records.  Each block is read with one
+    readinto and checked with one valid_amplitudes call."""
     import hashlib
     import json
 
@@ -291,52 +352,109 @@ def _parse_snapshot(fh) -> dict:
             or end < len(head) or (end - len(head)) % _RECORD_BYTES):
         raise ValueError("not a snapshot")
     body = hashlib.sha256(head)
-    amplitudes = []
-    for _ in range((end - len(head)) // _RECORD_BYTES):
-        vectors = np.empty((3, SLOTS), _AMPLITUDES)
-        if fh.readinto(vectors) != _RECORD_BYTES:
+    n = (end - len(head)) // _RECORD_BYTES
+    blocks = []
+    for lo in range(0, n, BLOCK_ROWS):
+        block = np.empty((min(BLOCK_ROWS, n - lo), 3, SLOTS), _AMPLITUDES)
+        if fh.readinto(block) != block.nbytes:
             raise ValueError("truncated snapshot")
-        body.update(vectors)
-        amplitudes.append(vectors)
+        body.update(block)
+        if not valid_amplitudes(block):
+            raise ValueError("snapshot amplitudes must be 0 or in (0, 360]")
+        blocks.append(block)
     index = fh.read(size - _TRAILER_BYTES - end)
     body.update(index + trailer[:8])
     if body.digest() != trailer[8:]:
         raise ValueError("snapshot digest mismatch")
     memo = {}
+    ids = set()
     k = 0
     for digest, nbytes, rows in json.loads(index):
-        records = []
+        meta = []
         for subject_id, od_x, od_y, od_source, source_image in rows:
-            # GalleryRecord, FeatureTemplate and OdCenter check the values.
-            if type(source_image) is not str or k == len(amplitudes):
+            # The checks GalleryRecord and OdCenter make.
+            if type(source_image) is not str or subject_id in ids:
                 raise ValueError("invalid snapshot record")
-            records.append(GalleryRecord(subject_id, FeatureTemplate(amplitudes[k]),
-                                         source_image, _stored_od(od_x, od_y, od_source)))
-            k += 1
-        memo[bytes.fromhex(digest), nbytes] = records
-    if k != len(amplitudes):
+            _check_names(subject_id, source_image)
+            meta.append((subject_id, source_image, _stored_od(od_x, od_y, od_source)))
+            ids.add(subject_id)
+        memo[bytes.fromhex(digest), nbytes] = (k, meta)
+        k += len(meta)
+    if k != n:
         raise ValueError("snapshot amplitudes do not match its index")
-    Gallery(r for records in memo.values() for r in records)
-    return memo
+    return blocks, memo
 
 
-def _read_snapshot(directory: Path) -> dict:
+def _read_snapshot(dir_fd: int) -> tuple[list, dict]:
+    """_parse_snapshot of the directory's snapshot; no blocks and an empty
+    memo for a snapshot that is missing or fails any check."""
     try:
-        with open(directory / SNAPSHOT_NAME, "rb") as fh:
+        with open(SNAPSHOT_NAME, "rb",
+                  opener=lambda name, flags: os.open(name, flags, dir_fd=dir_fd)) as fh:
             return _parse_snapshot(fh)
     except (OSError, ValueError, TypeError, RecursionError):
-        return {}
+        return [], {}
 
 
-def _snapshot_entry(write, digest: bytes, size: int, records) -> str:
-    """Write the records' amplitudes to the snapshot, one record at a time;
-    return the file's index entry as JSON."""
-    import json
+def _read_file(directory: Path, dir_fd: int, name: str) -> bytes:
+    """The bytes of the entry `name` of `directory`, open as dir_fd; an
+    OSError names the entry's path."""
+    try:
+        fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+        try:
+            # A read short of what it asks for has reached the end; a
+            # regular file comes whole in the first unless it grew.
+            want = os.fstat(fd).st_size + 1
+            chunks = [os.read(fd, want)]
+            while len(chunks[-1]) == want:
+                chunks.append(os.read(fd, want))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(directory / name)) from None
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
-    for r in records:
-        write(np.ascontiguousarray(r.template.vectors, _AMPLITUDES))
-    return json.dumps([digest.hex(), size, [[r.subject_id, r.od.x, r.od.y, r.od.source,
-                                             r.source_image] for r in records]])
+
+def _load_directory(p: Path) -> Gallery:
+    """The gallery of a directory's `*.rtpl` files, in filename order: the
+    snapshot's rows for the files whose digest it holds, the parsed records
+    of the others."""
+    import hashlib
+
+    dir_fd = os.open(p, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        blocks, memo = _read_snapshot(dir_fd)
+        with os.scandir(dir_fd) as entries:
+            names = sorted(e.name for e in entries if e.name.endswith(".rtpl"))
+        base = len(blocks) * BLOCK_ROWS  # the first parsed row's
+        meta, rows, files = [], [], []
+        parsed = 0
+        for name in names:
+            data = _read_file(p, dir_fd, name)
+            key = (hashlib.sha256(data).digest(), len(data))
+            hit = memo.get(key)
+            if hit is None:
+                source = str(p / name)
+                records = parse_records(_decode(data, source), source)
+                hit = (base + parsed, [(r.subject_id, r.source_image, r.od) for r in records])
+                for r in records:
+                    if parsed % BLOCK_ROWS == 0:
+                        blocks.append(np.empty((BLOCK_ROWS, 3, SLOTS), _AMPLITUDES))
+                    blocks[-1][parsed % BLOCK_ROWS] = r.template.vectors
+                    parsed += 1
+            first, entry = hit
+            files.append((*key, range(len(meta), len(meta) + len(entry))))
+            rows += range(first, first + len(entry))
+            meta += entry
+    finally:
+        os.close(dir_fd)
+    if not meta:
+        raise EmptyGalleryError(f"no records under {p}")
+    if parsed % BLOCK_ROWS:
+        blocks[-1] = blocks[-1][:parsed % BLOCK_ROWS]
+    for block in blocks:
+        block.flags.writeable = False
+    return Gallery._of_blocks(meta, blocks, np.array(rows, dtype=np.intp), files)
 
 
 def load_gallery(path) -> Gallery:
@@ -348,24 +466,15 @@ def load_gallery(path) -> Gallery:
     DuplicateSubjectError on repeated ids.
     """
     p = Path(path)
-    files = []
     if p.is_file():
         records = parse_records(_decode(p.read_bytes(), str(p)), str(p))
     elif p.is_dir():
-        import hashlib
-
-        memo = _read_snapshot(p)
-        for f in sorted(p.glob("*.rtpl"), key=lambda f: f.name):
-            data = f.read_bytes()
-            key = (hashlib.sha256(data).digest(), len(data))
-            hit = memo.get(key)
-            files.append((*key, parse_records(_decode(data, str(f)), str(f)) if hit is None else hit))
-        records = [r for _, _, rs in files for r in rs]
+        return _load_directory(p)
     else:
         raise EmptyGalleryError(f"gallery {p} does not exist")
     if not records:
         raise EmptyGalleryError(f"no records under {p}")
-    return Gallery(records, files)
+    return Gallery(records)
 
 
 @contextmanager
@@ -380,6 +489,34 @@ def gallery_lock(directory):
     finally:
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
+
+
+def _snapshot_entry(digest: bytes, size: int, meta) -> list:
+    """A file's index entry, for its records' (subject_id, source_image, od)."""
+    return [digest.hex(), size, [[subject_id, od.x, od.y, od.source, source_image]
+                                 for subject_id, source_image, od in meta]]
+
+
+def _write_loaded(write, gallery: Gallery) -> list:
+    """Write the amplitudes of the files that load_gallery read to the
+    snapshot, in row order and each run of adjacent rows as one slice per
+    block; return the files' index entries in the same order."""
+    files = sorted(gallery.files, key=lambda f: gallery.rows[f[2].start] if f[2] else 0)
+    runs = []  # [first, end) block rows
+    index = []
+    for digest, size, positions in files:
+        if positions:
+            first = int(gallery.rows[positions.start])
+            if runs and runs[-1][1] == first:
+                runs[-1][1] += len(positions)
+            else:
+                runs.append([first, first + len(positions)])
+        index.append(_snapshot_entry(digest, size, gallery._meta[positions.start:positions.stop]))
+    for lo, hi in runs:
+        for b in range(lo // BLOCK_ROWS, (hi - 1) // BLOCK_ROWS + 1):
+            start = b * BLOCK_ROWS
+            write(gallery.blocks[b][max(lo - start, 0):hi - start])
+    return index
 
 
 def add_records(directory, records) -> None:
@@ -403,6 +540,7 @@ def add_records(directory, records) -> None:
                 raise ValueError(f"{target} already exists; gallery unchanged")
         (directory / SNAPSHOT_NAME).unlink(missing_ok=True)
         import hashlib
+        import json
 
         with _replacing(directory / SNAPSHOT_NAME) as fh:
             body = hashlib.sha256()
@@ -412,12 +550,16 @@ def add_records(directory, records) -> None:
                 body.update(chunk)
 
             write(_SNAPSHOT_HEAD)
-            index = [_snapshot_entry(write, *f) for f in enrolled.files]
+            index = _write_loaded(write, enrolled)
             for target, r in targets.items():
                 data = save_template(r, target)
                 # Rendering rounds amplitudes: the entry is what the bytes parse to.
-                index.append(_snapshot_entry(write, hashlib.sha256(data).digest(), len(data),
-                                             parse_records(data.decode("utf-8"), str(target))))
-            tail = f"[{', '.join(index)}]".encode("ascii")  # json.dumps of the list
+                written = parse_records(data.decode("utf-8"), str(target))
+                for rec in written:
+                    write(np.ascontiguousarray(rec.template.vectors, _AMPLITUDES))
+                index.append(_snapshot_entry(hashlib.sha256(data).digest(), len(data),
+                                             [(rec.subject_id, rec.source_image, rec.od)
+                                              for rec in written]))
+            tail = json.dumps(index).encode("ascii")
             write(tail + len(tail).to_bytes(8, "little"))
             fh.write(body.digest())

@@ -177,6 +177,33 @@ class TestDetect:
         assert r.stdout == ""
         assert r.stderr.startswith(f"error: {cfg}:{line}: bad value for {key!r}: {reason}")
 
+    @pytest.mark.parametrize("lines,line,message", [
+        (["od_margin = 10", "sigma = inf"], 2, "bad value for 'od_margin'"),
+        (["w1 = x", "k = y"], 2, "bad value for 'w1'"),
+        (["w3 = -1", "window_radius = 2.5"], 2, "bad value for 'w3'"),
+        (["seed = 1.5", "od_margin = 10"], 2, "bad value for 'seed'"),
+        (["w1 = x", "nonsense = 1"], 2, "bad value for 'w1'"),
+        (["sigma = inf", "no equals sign"], 2, "bad value for 'sigma'"),
+        (["k = 0.05", "nonsense = 1", "w1 = x"], 3, "unknown key 'nonsense'"),
+        (["od_search_stride = 0", "od_margin = x"], 2, "bad value for 'od_search_stride'"),
+    ], ids=["range-range", "type-type", "weights-before-detector", "seed-before-od",
+            "type-before-unknown-key", "range-before-malformed", "unknown-key-first",
+            "range-before-type"])
+    def test_config_error_names_the_first_bad_line(self, tmp_path, capsys, lines, line, message):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("\n".join(["# settings", *lines]) + "\n")
+        assert cli.main(["identify", "x.pgm", "--config", str(cfg)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {message}")
+
+    def test_config_line_is_named_before_a_bad_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("w2 = -1\n")
+        argv = ["identify", "x.pgm", "--config", str(cfg), "--sigma", "inf"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: bad value for 'w2'")
+        assert cli.main(argv[:2] + argv[4:]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: sigma must be")
+
     def test_out_of_range_flag_names_no_config_line(self, square_image, tmp_path):
         # The flag's value is at fault, so no config line is named.
         cfg = tmp_path / "ok.cfg"

@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 
 import retina_id.encoder as encoder
 import retina_id.store as store
+from retina_id import cli
 from retina_id.encoder import FeatureTemplate, encode, polarize
 from retina_id.evaluation import build_synthetic_gallery
 from retina_id.harris import Corner
+from retina_id.matcher import Weights, identify, verify
 from retina_id.optic_disc import OdCenter
 from retina_id.store import (
+    BLOCK_ROWS,
     SNAPSHOT_NAME,
     DuplicateSubjectError,
     EmptyGalleryError,
@@ -322,6 +325,81 @@ class TestGalleryDir:
         g = load_gallery(tmp_path)
         assert g.get("x2").subject_id == "x2"
         assert g.get("nope") is None
+
+
+class TestGalleryListing:
+    """Which directory entries a load reads: every name ending in `.rtpl`,
+    hidden ones included, matched case-sensitively, as pathlib's
+    glob("*.rtpl") listed them on Python 3.11, directories and dangling
+    symlinks included."""
+
+    def fill(self, gal, names):
+        rng = np.random.default_rng(69)
+        for name, sid in names.items():
+            save_template(record(rng, sid=sid), gal / name)
+
+    def test_hidden_files_are_listed_and_upper_case_ignored(self, tmp_path):
+        self.fill(tmp_path, {"a.rtpl": "a", ".x.rtpl": "x", "X.RTPL": "upper"})
+        (tmp_path / ".rtpl").write_bytes(b"")
+        assert load_gallery(tmp_path).subject_ids == ["x", "a"]
+        add_records(tmp_path, [record(np.random.default_rng(70), sid="b")])
+        assert load_gallery(tmp_path).subject_ids == ["x", "a", "b"]
+
+    @pytest.mark.parametrize("kind", ["directory", "dangling symlink"])
+    def test_unreadable_entry_exits_2_naming_its_path(self, tmp_path, capsys, kind):
+        gal = tmp_path / "gal"
+        add_records(gal, [record(np.random.default_rng(71), sid="a")])
+        if kind == "directory":
+            bad = gal / "d.rtpl"
+            bad.mkdir()
+            message = f"Is a directory: '{bad}'"
+        else:
+            bad = gal / "y.rtpl"
+            bad.symlink_to(tmp_path / "missing")
+            message = f"No such file or directory: '{bad}'"
+        assert cli.main(["verify", str(tmp_path / "probe.pgm"), "a", "--gallery", str(gal),
+                         "--threshold", "1"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.endswith(message + "\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd (Linux)")
+class TestNoDescriptorLeak:
+    def open_fds(self):
+        return len(os.listdir("/proc/self/fd"))
+
+    @pytest.mark.parametrize("case", ["missing", "empty", "directory entry", "dangling symlink",
+                                      "bad utf-8", "bad record", "duplicate ids",
+                                      "snapshot is a directory", "single bad file"])
+    def test_load_error_paths_close_every_descriptor(self, tmp_path, case):
+        gal = tmp_path / "gal"
+        add_records(gal, [record(np.random.default_rng(72), sid=sid) for sid in ("a", "b")])
+        target = gal
+        if case == "missing":
+            target = tmp_path / "absent"
+        elif case == "empty":
+            target = tmp_path / "empty"
+            target.mkdir()
+        elif case == "directory entry":
+            (gal / "d.rtpl").mkdir()
+        elif case == "dangling symlink":
+            (gal / "y.rtpl").symlink_to(tmp_path / "missing")
+        elif case == "bad utf-8":
+            (gal / "c.rtpl").write_bytes(b"\xff\n")
+        elif case == "bad record":
+            (gal / "c.rtpl").write_text("RETINA-TEMPLATE v1\n")
+        elif case == "duplicate ids":
+            (gal / "c.rtpl").write_bytes((gal / "a.rtpl").read_bytes())
+        elif case == "snapshot is a directory":
+            (gal / SNAPSHOT_NAME).unlink()
+            (gal / SNAPSHOT_NAME).mkdir()
+            (gal / "c.rtpl").write_bytes((gal / "a.rtpl").read_bytes())
+        else:
+            target = gal / "c.rtpl"
+            target.write_bytes(b"\xff\n")
+        before = self.open_fds()
+        with pytest.raises((ValueError, OSError)):
+            load_gallery(target)
+        assert self.open_fds() == before
 
 
 class TestAddRecords:
@@ -726,6 +804,23 @@ class TestSnapshot:
         assert one_more < 1.5 * gallery_bytes
         assert len(load_gallery(tmp_path)) == n + 1
 
+    def test_load_builds_no_gallery_sized_temporary(self, tmp_path):
+        n = 300
+        add_records(tmp_path, build_synthetic_gallery(n, 20, seed=6)[0])
+        gallery_bytes = n * 3 * 360 * 8
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                assert len(load_gallery(tmp_path)) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            (tmp_path / SNAPSHOT_NAME).unlink(missing_ok=True)
+        # Through the snapshot and from the text alone, the blocks are the
+        # one gallery-sized allocation.
+        assert max(peaks) < 1.5 * gallery_bytes
+
     @settings(max_examples=25, deadline=None)
     @given(steps=st.lists(st.tuples(st.sampled_from(["add", "unlink", "edit", "foreign", "flip"]),
                                     st.integers(0, 10 ** 6)), max_size=8))
@@ -750,3 +845,88 @@ class TestSnapshot:
                     data[k % len(data)] ^= 1 << (k % 8)
                     (gal / SNAPSHOT_NAME).write_bytes(bytes(data))
                 assert load_outcome(gal) == load_outcome_from_text(gal)
+
+
+def ranking_bits(ranking):
+    return [(sid, *(float(x).hex() for x in (ms.si1, ms.si2, ms.si3, ms.total)), ms.best_shift)
+            for sid, ms in ranking]
+
+
+class TestBlockEquivalence:
+    """A gallery loaded through the snapshot, as amplitude blocks with
+    records built on demand, ranks, verifies and lists its files bit for bit
+    as the same directory loaded from the text alone."""
+
+    def gallery(self, tmp_path):
+        """Snapshot entries out of file order, twins that tie near every
+        cut, a stale entry of an unlinked file and a file added behind the
+        writer."""
+        gal = tmp_path / "gal"
+        records, _ = build_synthetic_gallery(40, 20, seed=9)
+        twin = GalleryRecord("t_twin", records[3].template, "twin.pgm", records[3].od)
+        add_records(gal, list(reversed(records)) + [twin])
+        add_records(gal, [record(np.random.default_rng(90), sid="bench_new")])
+        (gal / "bench_new.rtpl").unlink()
+        save_template(record(np.random.default_rng(91), sid="late"), gal / "late.rtpl")
+        return gal
+
+    def loads(self, gal):
+        through_snapshot = load_gallery(gal)
+        (gal / SNAPSHOT_NAME).unlink()
+        return through_snapshot, load_gallery(gal)
+
+    def test_the_case_is_out_of_order_with_a_stale_and_a_parsed_row(self, tmp_path):
+        block, text = self.loads(self.gallery(tmp_path))
+        # 42 snapshot rows in blocks 0 and 1, the last one stale (bench_new),
+        # and the parsed file's row opening block 2
+        assert [len(b) for b in block.blocks] == [BLOCK_ROWS, 42 - BLOCK_ROWS, 1]
+        assert list(block.rows) != sorted(block.rows)
+        assert sorted(block.rows) == [*range(41), 2 * BLOCK_ROWS]
+        assert [len(b) for b in text.blocks] == [BLOCK_ROWS, 42 - BLOCK_ROWS]
+        assert list(text.rows) == list(range(42))
+
+    def test_identify_verify_get_and_files_agree(self, tmp_path):
+        block, text = self.loads(self.gallery(tmp_path))
+        n = len(text)
+        assert block.subject_ids == text.subject_ids
+        assert block.files == text.files
+        assert loaded(block) == loaded(text)
+        rng = np.random.default_rng(92)
+        queries = [block.get("s004").template, block.get("late").template,
+                   FeatureTemplate(np.roll(block.get("s007").template.vectors, 5, axis=1)),
+                   quantized_template(rng)]
+        weights = Weights(1.0, 2.0, 4.0)
+        for q in queries:
+            full = ranking_bits(identify(q, text, weights))
+            assert ranking_bits(identify(q, block, weights)) == full
+            assert ranking_bits(identify(q, list(text), weights)) == full
+            for k in (1, 3, n - 1):
+                assert ranking_bits(identify(q, block, weights, top_k=k)) == full[:k]
+                assert ranking_bits(identify(q, text, weights, top_k=k)) == full[:k]
+            for sid in text.subject_ids:
+                ok, score = verify(q, block.get(sid), 10.0, weights)
+                ok_text, score_text = verify(q, text.get(sid), 10.0, weights)
+                assert ok == ok_text
+                assert ranking_bits([(sid, score)]) == ranking_bits([(sid, score_text)])
+        assert block.get("bench_new") is None and text.get("bench_new") is None
+
+    def test_records_are_read_only_views_of_the_block(self, tmp_path):
+        block, _ = self.loads(self.gallery(tmp_path))
+        assert not any(b.flags.writeable for b in block.blocks)
+        for i, rec in enumerate(block):
+            assert not rec.template.vectors.flags.writeable
+            b, r = divmod(int(block.rows[i]), BLOCK_ROWS)
+            assert np.shares_memory(rec.template.vectors, block.blocks[b][r])
+        assert block.get("s002") is block.get("s002")
+        assert Gallery(list(block)).blocks is None
+
+    def test_enrol_rewrites_the_snapshot_from_the_block(self, tmp_path):
+        gal = self.gallery(tmp_path)
+        before = loaded(load_gallery(gal))
+        add_records(gal, [record(np.random.default_rng(93), sid="after")])
+        head, amplitudes, index = split_snapshot((gal / SNAPSHOT_NAME).read_bytes())
+        assert sum(len(rows) for _, _, rows in index) == len(before) + 1
+        g = load_gallery(gal)
+        assert sorted(g.rows) == list(range(len(g)))
+        assert loaded(g) == load_outcome_from_text(gal)
+        assert [r for r in loaded(g) if r[0] != "after"] == before
