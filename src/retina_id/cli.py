@@ -239,12 +239,12 @@ def cmd_eval(args, settings: Settings) -> int:
         source = SyntheticSource(args.subjects, args.corners)
     # Bad sweep input fails before anything is drawn, printed or written;
     # the sweep and the protocol then share one gallery.
-    sweep = None
     if args.far_frr_csv:
         check_sweep(args.sweep_probes, args.sweep_points)
-        source = build_eval_gallery(source, spec, settings.weights)
-        sweep = far_frr_csv(source, spec, args.sweep_probes, args.sweep_points, settings.weights)
-    report = rotation_protocol(source, spec, counts, settings.weights)
+    gallery = build_eval_gallery(source, spec, settings.weights)
+    sweep = (far_frr_csv(gallery, spec, args.sweep_probes, args.sweep_points, settings.weights)
+             if args.far_frr_csv else None)
+    report = rotation_protocol(gallery, spec, counts, settings.weights)
     sys.stdout.write(report.to_table())
     if args.csv:
         Path(args.csv).write_bytes(report.to_csv().encode("utf-8"))

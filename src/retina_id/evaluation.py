@@ -17,14 +17,14 @@ and `[seed, 2, subject, trial]` for the FAR/FRR sweep's probes.  A probe
 draws its angle (sample_angle), then its jitter (perturb, synthetic only);
 subjects are walked in gallery order, trials in order within each.
 
-The protocol and the sweep share one EvalGallery per run: its records,
-probe builder, exact self-match totals and the matcher.GalleryScreen of
-its records.  Both rank probes by screened totals, then re-score with the
-exact kernel every record that the screen's bound cannot place (see _rank1
-and far_frr_sweep), so every hit, miss, tie, FAR and FRR is the exact
-kernel's.  The protocol takes a lone record that the bound cannot rule out
-of first place from the screen, since it is first whatever its exact total;
-it calls identify only when the bound leaves two or more.
+The protocol and the sweep share one EvalGallery per run: its records as a
+store.Gallery, probe builder, exact self-match totals and the
+matcher.GalleryScreen of its records.  Both rank probes by screened totals,
+then re-score with the exact kernel every record that the screen's bound
+cannot place (see _rank1 and far_frr_sweep), so every hit, miss, tie, FAR
+and FRR is the exact kernel's.  The protocol takes a lone record that the
+bound cannot rule out of first place from the screen, since it is first
+whatever its exact total; it calls identify only when two or more remain.
 
 Synthetic distances stay inside the encoder's GATE_RADIUS; an image stem's
 characters outside the store's subject-id rule become `_`.  MAX_CORNERS and
@@ -297,7 +297,7 @@ def _build_image_gallery(source: ImageSource):
             od=od,
         ))
         maps.append(m)
-    return Gallery(records).records, maps
+    return records, maps
 
 
 def _gallery(source, spec: ExperimentSpec):
@@ -328,24 +328,25 @@ def _gallery(source, spec: ExperimentSpec):
 @dataclass(frozen=True, eq=False)
 class EvalGallery:
     """One probe source's gallery, built once for a spec and weights and
-    shared by the rotation protocol and the FAR/FRR sweep: the records, their
-    probe builder, and the exact self-match totals and FFT screen computed
-    here from the records and weights, so neither can belong to another
-    gallery.  Like its screen, an EvalGallery is not thread-safe."""
+    shared by the rotation protocol and the FAR/FRR sweep: the store.Gallery
+    of the records, which owns their amplitudes, their probe builder, and
+    the exact self-match totals and FFT screen computed here from that
+    Gallery and the weights, so neither can belong to another gallery.
+    Like its screen, an EvalGallery is not thread-safe."""
 
     spec: ExperimentSpec
     weights: Weights
-    records: tuple
+    records: Gallery
     probe_fn: Callable
     self_totals: np.ndarray = field(init=False)
     screen: GalleryScreen = field(init=False)
 
     def __post_init__(self):
-        records = tuple(self.records)
+        records = Gallery(self.records)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "self_totals", np.array(
             [total_si(rec.template, rec.template, self.weights).total for rec in records]))
-        object.__setattr__(self, "screen", GalleryScreen(rec.template for rec in records))
+        object.__setattr__(self, "screen", GalleryScreen(records))
 
 
 def build_eval_gallery(source, spec: ExperimentSpec, weights: Weights | None = None) -> EvalGallery:
@@ -389,25 +390,25 @@ def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
 def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
     """False-accept / false-reject rates over verification thresholds.
 
-    `gallery` is an iterable of records or an EvalGallery, and `probes` an
-    iterable of (subject_id, FeatureTemplate), read once.  Each probe is
-    screened against the whole gallery, by the EvalGallery's screen or by a
-    GalleryScreen of the records built here; every record whose screened
-    total lies within the screen's bound B of a threshold is re-scored with
-    total_si, and each threshold is applied to the same totals.  So every
-    accept and reject is the exact total's, and FAR is non-increasing and
-    FRR non-decreasing in the threshold by construction.  Returns
-    (threshold, far_pct, frr_pct) rows in input threshold order.
+    `gallery` is an EvalGallery, screened by its own screen, or an iterable
+    of records, screened by a GalleryScreen of their store.Gallery (so a
+    repeated id raises DuplicateSubjectError); `probes` is an iterable of
+    (subject_id, FeatureTemplate), read once.  Every record whose screened
+    total against a probe lies within the screen's bound B of a threshold is
+    re-scored with total_si, and each threshold is applied to the same
+    totals.  So every accept and reject is the exact total's, and FAR is
+    non-increasing and FRR non-decreasing in the threshold by construction.
+    Returns (threshold, far_pct, frr_pct) rows in input threshold order.
     """
     if isinstance(gallery, EvalGallery):
-        records, screen = list(gallery.records), gallery.screen
+        records, screen = gallery.records, gallery.screen
     else:
-        records = list(gallery)
-        screen = GalleryScreen(rec.template for rec in records)
+        records = Gallery(gallery)
+        screen = GalleryScreen(records)
     thresholds = [float(t) for t in thresholds]
     if not records or not thresholds:
         raise ValueError("gallery, probes and thresholds must be non-empty")
-    ids = np.array([rec.subject_id for rec in records])
+    ids = np.array(records.subject_ids)
     ordered = np.sort(thresholds)
     genuine = []
     impostor = []

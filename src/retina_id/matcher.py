@@ -35,13 +35,12 @@ bin's addition order depends on where the runs split.
 
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
-planes (0 on empty slots) with the query's.  The screen works on blocks of
-store.BLOCK_ROWS records, (rows, 3, SLOTS) amplitude arrays: a loaded
-store.Gallery's own blocks, read in place, or a list's records stacked
-BLOCK_ROWS at a time.  GalleryScreen keeps the conjugated rfft of every
-record's planes, built once per gallery block by block (about 17 KB per
-record, plus about 6 KB of work arrays); per query and class, one irfft
-gives every record's profile, and so every record's screened total.
+planes (0 on empty slots) with the query's.  The screen reads a
+store.Gallery's amplitude blocks of at most store.BLOCK_ROWS records in
+place.  GalleryScreen keeps the conjugated rfft of every record's planes,
+built once per gallery block by block (about 17 KB per record, plus about
+6 KB of work arrays); per query and class, one irfft gives every record's
+profile, and so every record's screened total.
 identify's top_k screen (see Callers) builds the same spectra block by
 block and keeps none of them.  Both compute planes, spectra and totals
 through the same functions, so the bound below covers both.  A screened
@@ -99,11 +98,11 @@ B comes to about 3e-8 per unit weight.  Weights refuses weights for which
 n (w1 + w2 + w3) overflows, so the largest total and B stay finite.
 
 Callers.  verify, total_si and sim_profile use the exact kernel alone, and
-so does identify without top_k.  identify with top_k = k below the gallery
-size screens every block (a loaded gallery's rows of unlinked files
-included, their totals then dropped) and re-scores exactly only the
-records whose screened total is not below S_k - 2B, S_k being the k-th
-largest screened total; of a loaded gallery it builds only those records.
+so does identify without top_k, reading a store.Gallery's rows.  With
+top_k = k below the gallery size it screens every block (a loaded
+gallery's rows of unlinked files included, their totals then dropped) and
+re-scores exactly only the records whose screened total is not below
+S_k - 2B, S_k being the k-th largest screened total.
 The k records screened at or above S_k have exact totals of at least
 S_k - B.  A record screened below S_k - 2B has an exact total below
 S_k - B, so it is strictly below the k-th exact total and cannot tie into
@@ -289,11 +288,11 @@ def si_class(profile: np.ndarray) -> tuple[float, int]:
     return float(profile[j]), j + 1
 
 
-def _score(templates, query: FeatureTemplate, weights: Weights | None) -> list[MatchScore]:
-    """MatchScore of the query against every enrolled template, in order."""
+def _score(rows, query: FeatureTemplate, weights: Weights | None) -> list[MatchScore]:
+    """MatchScore of the query against every (3, SLOTS) array of rows, in order."""
     weights = weights or Weights()
     scores = []
-    for profiles in _profiles((t.vectors for t in templates), query.vectors):
+    for profiles in _profiles(rows, query.vectors):
         # Profiles are finite, so the maximum is the value at the argmax.
         si = profiles.max(axis=2)
         shifts = profiles.argmax(axis=2) + 1  # smallest shift wins ties
@@ -304,30 +303,33 @@ def _score(templates, query: FeatureTemplate, weights: Weights | None) -> list[M
 
 
 def total_si(enrolled: FeatureTemplate, query: FeatureTemplate, weights: Weights | None = None) -> MatchScore:
-    return _score([enrolled], query, weights)[0]
+    return _score([enrolled.vectors], query, weights)[0]
 
 
 def identify(query: FeatureTemplate, gallery, weights: Weights | None = None,
              top_k: int | None = None) -> list[tuple[str, MatchScore]]:
-    """Score the query against every record of a store.Gallery or an
-    iterable of records, best first.
+    """Score the query against every record of a store.Gallery, or of the
+    Gallery of an iterable of records, best first.
 
     Ordering is deterministic: descending total, ties by ascending
     subject_id.  With top_k, only the first top_k entries are returned, and
     only the records the FFT screen cannot rule out of them are scored
     exactly; the entries are those of the full ranking, bit for bit.
-    Raises ValueError on an empty gallery or a top_k below 1.
+    Raises ValueError on an empty gallery or a top_k below 1, and
+    store.DuplicateSubjectError on a repeated subject id.
     """
-    records = gallery if isinstance(gallery, Gallery) else list(gallery)
-    if not records:
+    gallery = gallery if isinstance(gallery, Gallery) else Gallery(gallery)
+    if not gallery:
         raise ValueError("empty gallery")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1")
     weights = weights or Weights()
-    if top_k is not None and top_k < len(records):
-        records = [records[i] for i in _top_candidates(query, records, weights, top_k)]
-    scores = _score([rec.template for rec in records], query, weights)
-    scored = [(rec.subject_id, score) for rec, score in zip(records, scores)]
+    positions = range(len(gallery))
+    if top_k is not None and top_k < len(gallery):
+        positions = _top_candidates(query, gallery, weights, top_k).tolist()
+    ids = gallery.subject_ids
+    scores = _score(map(gallery.amplitudes, positions), query, weights)
+    scored = [(ids[i], score) for i, score in zip(positions, scores)]
     scored.sort(key=lambda item: (-item[1].total, item[0]))
     return scored[:top_k]
 
@@ -360,12 +362,6 @@ def _spectra(vectors: np.ndarray, name: str) -> np.ndarray:
     return np.conj(spectra, out=spectra)
 
 
-def _stacked(vectors: list):
-    """The (3, SLOTS) arrays `vectors`, BLOCK_ROWS at a time, each run
-    stacked as a (rows, 3, SLOTS) block."""
-    return (np.array(vectors[lo:lo + BLOCK_ROWS]) for lo in range(0, len(vectors), BLOCK_ROWS))
-
-
 def _query_spectra(query: FeatureTemplate) -> np.ndarray:
     """The rfft, not conjugated, of the query's planes: shape (2, 3, SLOTS //
     2 + 1), the cos planes first."""
@@ -387,32 +383,26 @@ def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndar
     return weights.w1 * si[0] + weights.w2 * si[1] + weights.w3 * si[2]
 
 
-def _top_candidates(query: FeatureTemplate, records, weights: Weights, k: int) -> np.ndarray:
-    """The positions, ascending, of the records that the screen cannot rule
-    out of identify's first k.  The screen reads a loaded store.Gallery's
-    amplitude blocks in place, rows it holds for no record included, and
-    stacks a list's records BLOCK_ROWS at a time; so nothing gallery-sized
-    is built besides the screened totals."""
-    if isinstance(records, Gallery) and records.blocks is not None:
-        blocks, rows, size = records.blocks, records.rows, len(records.blocks) * BLOCK_ROWS
-    else:
-        vectors = [rec.template.vectors for rec in records]
-        blocks, rows, size = _stacked(vectors), range(len(vectors)), len(vectors)
+def _top_candidates(query: FeatureTemplate, gallery: Gallery, weights: Weights, k: int) -> np.ndarray:
+    """The positions, ascending, of the gallery's records that the screen
+    cannot rule out of identify's first k.  The screen reads the gallery's
+    amplitude blocks in place, rows it holds for no record included; so
+    nothing gallery-sized is built besides the screened totals."""
     query_spectra = _query_spectra(query)
     work = np.empty((2, BLOCK_ROWS, SLOTS // 2 + 1), dtype=np.complex128)
-    screened = np.empty(size)
-    for lo, block in zip(range(0, size, BLOCK_ROWS), blocks):
+    screened = np.empty(len(gallery.blocks) * BLOCK_ROWS)
+    for lo, block in zip(range(0, screened.size, BLOCK_ROWS), gallery.blocks):
         cos, sin = _spectra(block, "enrolled")
         screened[lo:lo + len(block)] = _screened_totals(cos, sin, query_spectra, weights,
                                                         work[:, :len(block)])
-    screened = screened[rows]
+    screened = screened[gallery.rows]
     # A NaN cut keeps every record.
     cut = np.partition(screened, -k)[-k] - 2 * _bound(weights)
     return np.flatnonzero(~(screened < cut))
 
 
 class GalleryScreen:
-    """FFT screen of a gallery that many queries are scored against.
+    """FFT screen of a store.Gallery that many queries are scored against.
 
     Built once per gallery: the conjugated rfft of every record's cos 2a and
     sin 2a planes.  totals() then gives every record's screened total and
@@ -422,15 +412,13 @@ class GalleryScreen:
     serves one thread at a time.
     """
 
-    def __init__(self, templates):
-        vectors = [t.vectors for t in templates]
-        self._cos = np.empty((3, len(vectors), SLOTS // 2 + 1), dtype=np.complex128)
-        self._sin = np.empty_like(self._cos)
-        # BLOCK_ROWS records at a time, so building holds no gallery-sized
-        # temporary.
-        for lo, block in zip(range(0, len(vectors), BLOCK_ROWS), _stacked(vectors)):
-            self._cos[:, lo:lo + len(block)], self._sin[:, lo:lo + len(block)] = _spectra(
-                block, "enrolled")
+    def __init__(self, gallery: Gallery):
+        cos = np.empty((3, len(gallery.blocks) * BLOCK_ROWS, SLOTS // 2 + 1), dtype=np.complex128)
+        sin = np.empty_like(cos)
+        for lo, block in zip(range(0, cos.shape[1], BLOCK_ROWS), gallery.blocks):
+            cos[:, lo:lo + len(block)], sin[:, lo:lo + len(block)] = _spectra(block, "enrolled")
+        # One C-contiguous row per record: a strided or padded layout slows totals().
+        self._cos, self._sin = cos.take(gallery.rows, axis=1), sin.take(gallery.rows, axis=1)
         # One class's products at a time, in arrays kept for every query:
         # products allocated per query were, in some heap layouts, returned
         # to the OS and faulted back in on every query.

@@ -38,22 +38,22 @@ a snapshot path it cannot replace then fails the batch with the gallery
 unchanged.  Like `.rtpl` writes the new one is written atomically and not
 fsync'd.
 
-A directory's Gallery holds its amplitudes as float64 blocks of BLOCK_ROWS
-rows, each one FFT screen block (see retina_id.matcher): the snapshot's
-rows in its order, each block read with one readinto, digested and checked
-with one valid_amplitudes call, then, from the next block on, the rows of
-the files the snapshot misses.  Rows of files unlinked since the snapshot
-was written stay in the blocks unread.  Each row's id, od centre and
-provenance are checked at load as GalleryRecord and OdCenter check them,
-but records are built only when asked for (the few candidates identify's
-top-k screen keeps, Gallery.get, iteration), each template a read-only
-view of its row.  Blocks of about 270 KB rather than one gallery-sized
+A Gallery holds its amplitudes as read-only float64 blocks of BLOCK_ROWS
+rows, each one FFT screen block (see retina_id.matcher): Gallery(records) a
+copy of its records' in order, a directory's the snapshot's rows in its
+order, each block read with one readinto, digested and checked with one
+valid_amplitudes call, then, from the next block on, the rows of the files
+the snapshot misses.  Rows of files unlinked since the snapshot was written
+stay in the blocks unread.  Each row's id, od centre and provenance are
+checked at load as GalleryRecord and OdCenter check them, but records, each
+template a read-only view of its row, are built only when asked for; the
+matcher reads rows.  Blocks of about 270 KB rather than one gallery-sized
 array: freed heap memory can take a block, where a gallery-sized array
 needs fresh pages on every load.  The directory is listed with os.scandir
 (every name ending in `.rtpl`, hidden ones included, case-sensitive) and
 each file read through the directory's descriptor; an OSError names the
-file's path.  add_records writes the snapshot in block row order, each
-run of adjacent rows as one slice per block.
+file's path.  add_records writes the snapshot in block row order, each run
+of adjacent rows as one slice per block.
 
 Snapshot layout: the 24-byte head below (so the amplitudes start 8-byte
 aligned), each record's (3, 360) amplitudes in index order, the index as
@@ -90,7 +90,7 @@ _RECORD_BYTES = 3 * SLOTS * _AMPLITUDES.itemsize
 _TRAILER_BYTES = 8 + 32  # index length, sha256 digest
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _LINES_PER_RECORD = 7
-# Rows per amplitude block of a loaded gallery and per block of the FFT
+# Rows per amplitude block of a Gallery and per block of the FFT
 # screen (see retina_id.matcher): a block holds about 270 KB of amplitudes,
 # and the screen's planes and spectra of one about 0.6 MB each.
 BLOCK_ROWS = 32
@@ -135,55 +135,43 @@ class GalleryRecord:
 class Gallery:
     """Records in load order; a repeated subject id raises DuplicateSubjectError.
 
-    A gallery that load_gallery read from a directory holds its amplitudes
-    in `blocks`, read-only float64 arrays of up to BLOCK_ROWS (3, SLOTS)
-    rows (see the module docstring); record i's are row rows[i] % BLOCK_ROWS
-    of block rows[i] // BLOCK_ROWS.  Its records are built on first use and
-    kept.  Gallery(records) keeps the records; its blocks and rows are None
-    and its files empty.
+    The amplitudes are in `blocks`, read-only float64 arrays of up to
+    BLOCK_ROWS (3, SLOTS) rows (see the module docstring): record i's are
+    row rows[i] % BLOCK_ROWS of block rows[i] // BLOCK_ROWS.  Records are
+    built on first use and kept, each template a read-only view of its row.
 
     `files` holds, for a directory that `load_gallery` read, each `.rtpl`
     file's (sha256 digest, byte length, range of its records' positions):
-    what `add_records` writes to the snapshot."""
+    what `add_records` writes to the snapshot; otherwise it is empty."""
 
-    def __init__(self, records=()):
-        records = list(records)
-        self._init([(r.subject_id, r.source_image, r.od) for r in records], None, None, (),
-                   records)
-
-    @classmethod
-    def _of_blocks(cls, meta: list, blocks: list, rows: np.ndarray, files) -> Gallery:
-        gallery = cls.__new__(cls)
-        gallery._init(meta, blocks, rows, files, [None] * len(meta))
-        return gallery
-
-    def _init(self, meta, blocks, rows, files, records):
-        self._meta = meta  # (subject_id, source_image, od) per record
-        self.blocks = blocks
-        self.rows = rows
+    def __init__(self, records=(), *, _loaded=None):
+        # _loaded: _load_directory's (_fill's meta, sealed blocks, rows, files)
+        if _loaded is None:
+            blocks = []
+            meta = _fill(blocks, 0, records)
+            _loaded = meta, _sealed(blocks, len(meta)), np.arange(len(meta)), ()
+        self._meta, self.blocks, self.rows, files = _loaded
         self.files = tuple(files)
-        self._records = records
-        self._by_id = {}
-        for i, (subject_id, _, _) in enumerate(meta):
-            if subject_id in self._by_id:
-                raise DuplicateSubjectError(f"duplicate subject_id {subject_id!r}")
-            self._by_id[subject_id] = i
+        self._records = [None] * len(self._meta)
+        self._by_id = _positions(subject_id for subject_id, _, _ in self._meta)
 
     def __getitem__(self, i: int) -> GalleryRecord:
-        record = self._records[i]
-        if record is None:
+        if self._records[i] is None:
             subject_id, source_image, od = self._meta[i]
-            block, row = divmod(int(self.rows[i]), BLOCK_ROWS)
-            record = GalleryRecord(subject_id, FeatureTemplate(self.blocks[block][row]),
-                                   source_image, od)
-            self._records[i] = record
-        return record
+            self._records[i] = GalleryRecord(subject_id, FeatureTemplate(self.amplitudes(i)),
+                                             source_image, od)
+        return self._records[i]
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     def __len__(self):
         return len(self._meta)
+
+    def amplitudes(self, i: int) -> np.ndarray:
+        """Record i's (3, SLOTS) amplitudes, a read-only view of its row."""
+        block, row = divmod(int(self.rows[i]), BLOCK_ROWS)
+        return self.blocks[block][row]
 
     @property
     def records(self) -> tuple:
@@ -196,6 +184,37 @@ class Gallery:
     def get(self, subject_id: str):
         i = self._by_id.get(subject_id)
         return None if i is None else self[i]
+
+
+def _positions(subject_ids) -> dict:
+    """{subject_id: position}; a repeated id raises DuplicateSubjectError."""
+    by_id = {}
+    for i, subject_id in enumerate(subject_ids):
+        if by_id.setdefault(subject_id, i) != i:
+            raise DuplicateSubjectError(f"duplicate subject_id {subject_id!r}")
+    return by_id
+
+
+def _fill(blocks: list, end: int, records) -> list:
+    """Copy the records' amplitudes to block rows end, end + 1, ..., adding
+    BLOCK_ROWS blocks as needed; return their (subject_id, source_image, od)."""
+    meta = []
+    for row, r in enumerate(records, end):
+        block, i = divmod(row, BLOCK_ROWS)
+        if block == len(blocks):
+            blocks.append(np.empty((BLOCK_ROWS, 3, SLOTS), _AMPLITUDES))
+        blocks[block][i] = r.template.vectors
+        meta.append((r.subject_id, r.source_image, r.od))
+    return meta
+
+
+def _sealed(blocks: list, end: int) -> list:
+    """The blocks read-only, the last trimmed to block row `end` if _fill left it part-filled."""
+    if end % BLOCK_ROWS:
+        blocks[-1] = blocks[-1][:end % BLOCK_ROWS]
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def format_amplitude(value: float) -> str:
@@ -426,22 +445,16 @@ def _load_directory(p: Path) -> Gallery:
         blocks, memo = _read_snapshot(dir_fd)
         with os.scandir(dir_fd) as entries:
             names = sorted(e.name for e in entries if e.name.endswith(".rtpl"))
-        base = len(blocks) * BLOCK_ROWS  # the first parsed row's
+        end = len(blocks) * BLOCK_ROWS  # the first parsed row's
         meta, rows, files = [], [], []
-        parsed = 0
         for name in names:
             data = _read_file(p, dir_fd, name)
             key = (hashlib.sha256(data).digest(), len(data))
             hit = memo.get(key)
             if hit is None:
                 source = str(p / name)
-                records = parse_records(_decode(data, source), source)
-                hit = (base + parsed, [(r.subject_id, r.source_image, r.od) for r in records])
-                for r in records:
-                    if parsed % BLOCK_ROWS == 0:
-                        blocks.append(np.empty((BLOCK_ROWS, 3, SLOTS), _AMPLITUDES))
-                    blocks[-1][parsed % BLOCK_ROWS] = r.template.vectors
-                    parsed += 1
+                hit = (end, _fill(blocks, end, parse_records(_decode(data, source), source)))
+                end += len(hit[1])
             first, entry = hit
             files.append((*key, range(len(meta), len(meta) + len(entry))))
             rows += range(first, first + len(entry))
@@ -450,11 +463,7 @@ def _load_directory(p: Path) -> Gallery:
         os.close(dir_fd)
     if not meta:
         raise EmptyGalleryError(f"no records under {p}")
-    if parsed % BLOCK_ROWS:
-        blocks[-1] = blocks[-1][:parsed % BLOCK_ROWS]
-    for block in blocks:
-        block.flags.writeable = False
-    return Gallery._of_blocks(meta, blocks, np.array(rows, dtype=np.intp), files)
+    return Gallery(_loaded=(meta, _sealed(blocks, end), np.array(rows, dtype=np.intp), files))
 
 
 def load_gallery(path) -> Gallery:
@@ -527,7 +536,9 @@ def add_records(directory, records) -> None:
     old snapshot is removed before the first `.rtpl` write, so a path that
     cannot be replaced fails the batch with the gallery unchanged."""
     directory = Path(directory)
-    targets = {directory / f"{r.subject_id}.rtpl": r for r in Gallery(records)}
+    records = list(records)
+    _positions(r.subject_id for r in records)
+    targets = {directory / f"{r.subject_id}.rtpl": r for r in records}
     with gallery_lock(directory):
         try:
             enrolled = load_gallery(directory)

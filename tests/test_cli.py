@@ -806,12 +806,19 @@ class TestEvalInputs:
                           **OWN_DEFAULTS[command]}
 
     def protocol_calls(self, monkeypatch, argv):
+        """(probe source, spec, counts) of each protocol run: eval builds one
+        gallery of the source for the spec, and runs the protocol on it."""
         calls = []
 
-        def protocol(source, spec, counts, weights):
-            calls.append((source, spec, counts))
+        def build(source, spec, weights):
+            return SimpleNamespace(source=source, spec=spec)
+
+        def protocol(gallery, spec, counts, weights):
+            assert gallery.spec == spec
+            calls.append((gallery.source, spec, counts))
             return SimpleNamespace(to_table=lambda: "")
 
+        monkeypatch.setattr(cli, "build_eval_gallery", build)
         monkeypatch.setattr(cli, "rotation_protocol", protocol)
         assert cli.main(["eval", *argv]) == 0
         return calls

@@ -24,7 +24,8 @@ from retina_id import matcher
 from retina_id.encoder import SLOTS, FeatureTemplate
 from retina_id.evaluation import EvalGallery, ExperimentSpec, far_frr_sweep, rotation_protocol
 from retina_id.matcher import GalleryScreen, Weights, identify, total_si
-from retina_id.store import GalleryRecord
+from retina_id.store import (BLOCK_ROWS, DuplicateSubjectError, Gallery, GalleryRecord, add_records,
+                             load_gallery, save_template)
 
 from oracles import far_frr_sweep_exact, rotation_counts_exact
 
@@ -67,7 +68,7 @@ def template(kind: str, rng: np.random.Generator) -> FeatureTemplate:
 
 def screen_errors(templates, queries, weights):
     """|screened - exact| of every (query, record) pair, and B."""
-    screen = GalleryScreen(templates)
+    screen = GalleryScreen(Gallery(records_of(templates)))
     errors = []
     for q in queries:
         screened, bound = screen.totals(q, weights)
@@ -124,7 +125,7 @@ class TestBound:
         errors, bound = screen_errors(templates, queries, WEIGHTS)
         assert errors.max() <= bound
         # An empty template's spectrum is 0, so its screened total is exact.
-        screened, _ = GalleryScreen(templates).totals(queries[-1], WEIGHTS)
+        screened, _ = GalleryScreen(Gallery(records_of(templates))).totals(queries[-1], WEIGHTS)
         assert screened[0] == 0.0
 
     def test_full_rings_and_all_equal_amplitudes(self):
@@ -157,7 +158,8 @@ class TestExactDecisions:
         gallery = make_gallery(templates, templates, WEIGHTS)
         assert gallery.self_totals.tolist() == [total_si(t, t, WEIGHTS).total for t in templates]
         screened, _ = gallery.screen.totals(templates[0], WEIGHTS)
-        assert screened.tolist() == GalleryScreen(templates).totals(templates[0], WEIGHTS)[0].tolist()
+        screen = GalleryScreen(Gallery(records_of(templates)))
+        assert screened.tolist() == screen.totals(templates[0], WEIGHTS)[0].tolist()
         with pytest.raises(TypeError):
             EvalGallery(gallery.spec, WEIGHTS, gallery.records, gallery.probe_fn,
                         self_totals=gallery.self_totals)
@@ -173,6 +175,31 @@ class TestExactDecisions:
         assert entry.hits == entry.hits_normalized == 2
         assert [sid for sid, _ in entry.misidentified] == ["twin_b"] * 2 + ["other"] * 2
         assert_protocol_exact(gallery)
+
+    def test_gallery_owns_its_amplitudes(self):
+        # a and b are twins in separate arrays, and every probe is a third
+        # copy.  Zeroing a's array after the gallery is built changes neither
+        # the screen nor the exact re-score: both rankings stay the oracle's
+        # on the templates as built, so the tie still goes to a.
+        rng = np.random.default_rng(3015)
+        twin = template("pulses", rng)
+        built = records_of([twin, FeatureTemplate(twin.vectors.copy()), template("pulses", rng)],
+                           ["a", "b", "other"])
+        records = records_of([FeatureTemplate(rec.template.vectors.copy()) for rec in built],
+                             ["a", "b", "other"])
+        probe = FeatureTemplate(twin.vectors.copy())
+        gallery = EvalGallery(ExperimentSpec(rng_seed=3), WEIGHTS, records, lambda *_: probe)
+        records[0].template.vectors[:] = 0.0
+        report = rotation_protocol(gallery, gallery.spec, (1, 2), WEIGHTS)
+        got = [(e.hits, e.misidentified, e.hits_normalized) for e in report.entries]
+        assert got == rotation_counts_exact(built, gallery.probe_fn, gallery.spec, (1, 2), WEIGHTS)
+        assert [e.hits for e in report.entries] == [1, 2]
+        assert all(sid != "a" for e in report.entries for sid, _ in e.misidentified)
+        probes = [(rec.subject_id, probe) for rec in built]
+        exact = [total_si(rec.template, probe, WEIGHTS).total for rec in built]
+        thresholds = sorted({x for t in exact for x in (np.nextafter(t, -1), t, np.nextafter(t, 1e9))})
+        assert (far_frr_sweep(gallery, probes, thresholds, WEIGHTS)
+                == far_frr_sweep_exact(built, probes, thresholds, WEIGHTS))
 
     def test_near_ties_decided_exactly(self):
         templates, queries = near_tie_gallery(np.random.default_rng(3011))
@@ -314,7 +341,7 @@ class TestTopK:
         # and can be put at a chosen distance below 1 in units of B.
         weights = Weights(0.0, 0.0, 1.0)
         query = class3_template(200.0)
-        (_, bound) = GalleryScreen([query]).totals(query, weights)
+        (_, bound) = GalleryScreen(Gallery(records_of([query]))).totals(query, weights)
 
         def at(drop):
             return class3_template(200.0 + math.degrees(math.acos(1.0 - drop * bound)) / 2.0)
@@ -324,13 +351,14 @@ class TestTopK:
         exact = {sid: ms.total for sid, ms in full}
         assert exact["top"] - exact["near"] == pytest.approx(1.5 * bound, rel=1e-6)
         assert exact["top"] - exact["far"] == pytest.approx(3.0 * bound, rel=1e-6)
-        by_template = {id(rec.template): rec.subject_id for rec in records}
+        by_amplitudes = {rec.template.vectors.tobytes(): rec.subject_id for rec in records}
         scored = []
         score = matcher._score
 
-        def spy(templates, q, w):
-            scored.append(sorted(by_template[id(t)] for t in templates))
-            return score(templates, q, w)
+        def spy(rows, q, w):
+            rows = list(rows)
+            scored.append(sorted(by_amplitudes[r.tobytes()] for r in rows))
+            return score(rows, q, w)
 
         monkeypatch.setattr(matcher, "_score", spy)
         # k = 1: S_1 is top's total; near lies 1.5B below it, far 3B.  k = 2:
@@ -349,6 +377,56 @@ class TestTopK:
                 identify(q, records, WEIGHTS, top_k=k)
         with pytest.raises(ValueError, match="empty gallery"):
             identify(q, [], WEIGHTS, top_k=1)
+
+    def test_identify_builds_no_record(self, monkeypatch):
+        rng = np.random.default_rng(3028)
+        records = records_of([template("sparse", rng) for _ in range(BLOCK_ROWS + 3)])
+        gallery = Gallery(records)
+        q = records[5].template
+        want = ranking_bits(identify(q, records, WEIGHTS))
+
+        def no_record(self, i):
+            raise AssertionError("identify built a record")
+
+        monkeypatch.setattr(Gallery, "__getitem__", no_record)
+        for k in (None, 1, 4):
+            assert ranking_bits(identify(q, gallery, WEIGHTS, top_k=k)) == want[:k]
+            assert ranking_bits(identify(q, records, WEIGHTS, top_k=k)) == want[:k]
+
+    def test_repeated_ids_refused(self):
+        # A plain iterable is ranked as its store.Gallery, which refuses a
+        # repeated subject id; so is the sweep's gallery.
+        rng = np.random.default_rng(3026)
+        records = records_of([template("sparse", rng) for _ in range(3)], ["s00", "s01", "s00"])
+        q = records[0].template
+        for k in (None, 1, 3):
+            with pytest.raises(DuplicateSubjectError, match="'s00'"):
+                identify(q, records, WEIGHTS, top_k=k)
+        with pytest.raises(DuplicateSubjectError, match="'s00'"):
+            far_frr_sweep(records, [("s00", q)], [0.0, 1.0], WEIGHTS)
+
+
+def test_screen_spectra_are_contiguous_one_row_per_record(tmp_path):
+    """A gallery loaded with its rows out of record order, a stale row and a
+    part-filled block still screens from C-contiguous spectra, one row per
+    record, in record order."""
+    rng = np.random.default_rng(3027)
+    records = records_of([template("sparse", rng) for _ in range(BLOCK_ROWS + 18)])
+    add_records(tmp_path, list(reversed(records[:-2])))
+    add_records(tmp_path, [GalleryRecord("stale", template("sparse", rng))])
+    (tmp_path / "stale.rtpl").unlink()
+    for rec in records[-2:]:
+        save_template(rec, tmp_path / f"{rec.subject_id}.rtpl")
+    for gallery in (load_gallery(tmp_path), Gallery(records)):
+        assert gallery.subject_ids == [rec.subject_id for rec in records]
+        screen = GalleryScreen(gallery)
+        for spectra in (screen._cos, screen._sin):
+            assert spectra.flags.c_contiguous
+            assert spectra.shape[1] == len(records)
+        for q in (records[0].template, records[-1].template):
+            screened, bound = screen.totals(q, WEIGHTS)
+            exact = [total_si(rec.template, q, WEIGHTS).total for rec in gallery]
+            assert np.abs(screened - exact).max() <= bound
 
 
 @settings(max_examples=50, deadline=None)

@@ -918,7 +918,13 @@ class TestBlockEquivalence:
             b, r = divmod(int(block.rows[i]), BLOCK_ROWS)
             assert np.shares_memory(rec.template.vectors, block.blocks[b][r])
         assert block.get("s002") is block.get("s002")
-        assert Gallery(list(block)).blocks is None
+        # Gallery(records) copies the records' amplitudes into read-only blocks.
+        copy = Gallery(list(block))
+        assert not any(b.flags.writeable for b in copy.blocks)
+        assert [len(b) for b in copy.blocks] == [BLOCK_ROWS, len(block) - BLOCK_ROWS]
+        for i, rec in enumerate(block):
+            assert np.array_equal(copy.amplitudes(i), rec.template.vectors)
+            assert not any(np.shares_memory(b, rec.template.vectors) for b in copy.blocks)
 
     def test_enrol_rewrites_the_snapshot_from_the_block(self, tmp_path):
         gal = self.gallery(tmp_path)
