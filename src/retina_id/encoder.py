@@ -82,6 +82,13 @@ def classify(distance: float) -> int | None:
     return None
 
 
+def wrap_orientation(degrees: float) -> float:
+    """degrees modulo 360, in [0, 360): an angle a hair below 0, which the
+    modulo rounds up to 360.0, folds to 0.0."""
+    theta = degrees % 360.0
+    return 0.0 if theta == 360.0 else theta
+
+
 def polarize(corners, od) -> list[PolarCorner]:
     """Convert pixel corners to polar coordinates about the od centre,
     dropping corners at GATE_RADIUS or further.
@@ -96,7 +103,7 @@ def polarize(corners, od) -> list[PolarCorner]:
         dist = math.hypot(dx, dy)
         if dist >= GATE_RADIUS:
             continue
-        theta = math.degrees(math.atan2(-dy, dx)) % 360.0
+        theta = wrap_orientation(math.degrees(math.atan2(-dy, dx)))
         out.append(PolarCorner(distance=dist, orientation=theta, response=c.response))
     return out
 

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import GATE_RADIUS, SLOTS, PolarCorner, encode, gated_template
+from .encoder import GATE_RADIUS, SLOTS, PolarCorner, encode, gated_template, wrap_orientation
 from .harris import DEFAULT_THRESHOLD, HarrisParams, is_finite
 from .imaging import load_image, rotate_about, to_intensity
 from .matcher import GalleryScreen, Weights, identify, total_si
@@ -177,7 +177,7 @@ def perturb(corners, angle_deg: float, spec: ExperimentSpec, rng: np.random.Gene
     d_dist = rng.uniform(-spec.jitter_px, spec.jitter_px, n)
     out = []
     for i, pc in enumerate(corners):
-        theta = (pc.orientation + angle_deg + d_theta[i]) % 360.0
+        theta = wrap_orientation(pc.orientation + angle_deg + d_theta[i])
         dist = min(max(pc.distance + d_dist[i], 0.0), MAX_DISTANCE)
         out.append(PolarCorner(distance=dist, orientation=theta, response=pc.response))
     return out
@@ -390,8 +390,9 @@ def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
 def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
     """False-accept / false-reject rates over verification thresholds.
 
-    `gallery` is an EvalGallery, screened by its own screen, or an iterable
-    of records, screened by a GalleryScreen of their store.Gallery (so a
+    `gallery` is an EvalGallery, screened by its own screen and scored with
+    its own weights (other weights raise ValueError), or an iterable of
+    records, screened by a GalleryScreen of their store.Gallery (so a
     repeated id raises DuplicateSubjectError); `probes` is an iterable of
     (subject_id, FeatureTemplate), read once.  Every record whose screened
     total against a probe lies within the screen's bound B of a threshold is
@@ -401,7 +402,8 @@ def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -
     Returns (threshold, far_pct, frr_pct) rows in input threshold order.
     """
     if isinstance(gallery, EvalGallery):
-        records, screen = gallery.records, gallery.screen
+        gallery = build_eval_gallery(gallery, gallery.spec, weights or gallery.weights)
+        records, screen, weights = gallery.records, gallery.screen, gallery.weights
     else:
         records = Gallery(gallery)
         screen = GalleryScreen(records)

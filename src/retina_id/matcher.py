@@ -22,16 +22,20 @@ query against many enrolled rows at once.  It stacks the rows class-major,
 lists every occupied-slot pair (row slot p, query slot q) of each class in
 row-major (p, q) order, evaluates their cosine terms as one array, and adds
 them up with a single np.bincount whose bins are offset by (class * rows +
-row) * 360.  The cosine is taken once per pair of distinct amplitudes and
-copied to every slot pair holding those values: a pure function of its
-inputs, so every term is bit-for-bit the value the plain expression gives.
+row) * 360.  The cosine is taken once per pair of distinct amplitudes of a
+class, which np.unique gives with every slot's index into them, and copied
+to every slot pair holding those values: a pure function of its inputs, so
+every term is bit-for-bit the value the plain expression gives.
 bincount adds weights in input order, and each bin only ever receives the
 pairs of its own row and class, in the (p, q) order of a plain double loop
 over (phi, tau); so every profile is bit-for-bit identical to the naive
 evaluation, however many rows share a call.  Rows are taken in consecutive
 runs bounded by a fixed pair budget, so memory does not grow with the
 gallery; a run boundary always falls between rows, never inside one, so no
-bin's addition order depends on where the runs split.
+bin's addition order depends on where the runs split.  The screens make
+every gallery-wide decision, so the kernel's calls are small: eval --seed 1
+--far-frr-csv makes 50 calls of one row (the self totals), a CLI verify
+one of one row and identify --top-k 3 one of about 3 rows.
 
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
@@ -189,26 +193,6 @@ def _check_amplitudes(v: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} amplitudes must be 0 or in (0, 360]")
 
 
-def _equal_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(firsts, labels) with values == firsts[labels], one label per run of
-    equal neighbours; a pulse paints one amplitude over adjacent slots."""
-    starts = np.empty(values.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    labels = np.cumsum(starts)
-    labels -= 1
-    return values[starts], labels
-
-
-def _class_runs(firsts: np.ndarray, labels: np.ndarray, lo: int, hi: int):
-    """The (firsts, labels) of _equal_runs for the values lo:hi alone, taken
-    from those of all the values."""
-    if lo == hi:
-        return firsts[:0], labels[:0]
-    first = labels[lo]
-    return firsts[first:labels[hi - 1] + 1], labels[lo:hi] - first
-
-
 def _run_profiles(run: list, query: list) -> np.ndarray:
     """Profiles of one run of enrolled rows, shaped (classes, rows, SLOTS)."""
     planes = np.stack(run, axis=1)
@@ -225,20 +209,19 @@ def _run_profiles(run: list, query: list) -> np.ndarray:
     # plus 360 when q <= p.
     p = flat % SLOTS
     base = flat - 2 * p - 1
-    runs = _equal_runs(amps)  # of all classes at once, split per class below
     terms = []
     bins = []
     lo = 0
-    for hi, (q, q_firsts, q_labels) in zip(ends, query):
+    for hi, (q, q_values, q_inverse) in zip(ends, query):
         # cos(2.0 * ((a - b) * pi / 180.0)) once per pair of distinct
         # amplitudes, then spread to every slot pair in row-major (p, q) order.
-        a_firsts, a_labels = _class_runs(*runs, lo, hi)
-        t = np.subtract.outer(a_firsts, q_firsts)
+        a_values, a_inverse = np.unique(amps[lo:hi], return_inverse=True)
+        t = np.subtract.outer(a_values, q_values)
         t *= np.pi
         t /= 180.0
         t *= 2.0
         np.cos(t, out=t)
-        terms.append(t.take(a_labels, 0).take(q_labels, 1).ravel())
+        terms.append(t.take(a_inverse, 0).take(q_inverse, 1).ravel())
         k = np.add.outer(base[lo:hi], q)
         np.add(k, SLOTS, out=k, where=np.greater_equal.outer(p[lo:hi], q))
         bins.append(k.ravel())
@@ -256,19 +239,20 @@ def _profiles(rows, query: np.ndarray):
     flat = np.flatnonzero(query)
     bounds = [0, *np.searchsorted(flat, [(c + 1) * SLOTS for c in range(len(query))]).tolist()]
     q = flat % SLOTS
-    runs = _equal_runs(query.ravel()[flat])
-    query_runs = [(q[lo:hi], *_class_runs(*runs, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    amps = query.ravel()[flat]
+    query_classes = [(q[lo:hi], *np.unique(amps[lo:hi], return_inverse=True))
+                     for lo, hi in zip(bounds, bounds[1:])]
     widest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     run, cost = [], 0
     for r in rows:
         r_cost = np.count_nonzero(r) * widest + r.size
         if run and cost + r_cost > _PAIR_BUDGET:
-            yield _run_profiles(run, query_runs)
+            yield _run_profiles(run, query_classes)
             run, cost = [], 0
         run.append(r)
         cost += r_cost
     if run:
-        yield _run_profiles(run, query_runs)
+        yield _run_profiles(run, query_classes)
 
 
 def sim_profile(enrolled: np.ndarray, query: np.ndarray) -> np.ndarray:

@@ -358,14 +358,18 @@ def manual_od(x: float, y: float, intensity: np.ndarray) -> OdCenter:
 
 def od_from_sidecar(image_path, intensity: np.ndarray) -> OdCenter | None:
     """Honour an operator-placed `<image>.od` sidecar holding exactly the two
-    tokens `x y`; returns None when the sidecar is absent."""
+    tokens `x y`; returns None when the sidecar is absent.  Every ValueError
+    it raises names the sidecar."""
     sidecar = Path(str(image_path) + ".od")
     if not sidecar.exists():
         return None
-    tokens = sidecar.read_text(encoding="utf-8").split()
-    if len(tokens) != 2:
-        raise ValueError(f"{sidecar}: expected 'x y'")
-    return manual_od(float(tokens[0]), float(tokens[1]), intensity)
+    try:
+        tokens = sidecar.read_text(encoding="utf-8").split()
+        if len(tokens) != 2:
+            raise ValueError("expected 'x y'")
+        return manual_od(float(tokens[0]), float(tokens[1]), intensity)
+    except ValueError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from exc
 
 
 def resolve_od(intensity: np.ndarray, image_path, params: OdParams | None = None,

@@ -342,13 +342,19 @@ class TestEnroll:
         assert r.returncode == 0, r.stderr
         assert "od 80 80 manual" in (gal / "carol.rtpl").read_text()
 
-    @pytest.mark.parametrize("text", ["80 80 junk\n", "1 2 3 4\n"])
+    # Every sidecar error names the sidecar: a wrong token count, a token
+    # that is no number, a centre outside the map and bytes that are not UTF-8.
+    @pytest.mark.parametrize("text", [b"80 80 junk\n", b"1 2 3 4\n", b"abc def\n",
+                                      b"1000 1000\n", b"80 \xff\xfe80\n"])
     def test_sidecar_with_extra_tokens_exit_2(self, eye_image, tmp_path, text):
-        (tmp_path / "eye.pgm.od").write_text(text)
+        sidecar = tmp_path / "eye.pgm.od"
+        sidecar.write_bytes(text)
         gal = tmp_path / "gal"
         r = run_cli("enroll", eye_image, "carol", "--gallery", gal)
         assert r.returncode == 2
-        assert "eye.pgm.od: expected 'x y'" in r.stderr
+        assert f"error: {sidecar}: " in r.stderr
+        if len(text.split()) != 2:
+            assert "eye.pgm.od: expected 'x y'" in r.stderr
         assert not (gal / "carol.rtpl").exists()
 
     def test_auto_detected_od_recorded(self, eye_image, tmp_path):
@@ -690,7 +696,8 @@ class TestSynthEval:
 
     def test_eval_images_output_pinned(self, tmp_path):
         # Four seeded DRIVE-size captures, sparse and dense, with no .od
-        # sidecars, so every OD, the enrolment's and each probe's, is searched.
+        # sidecars, so each enrolment OD is searched; every rotated probe is
+        # polarized about its subject's enrolment OD.
         fundus = load_fundus()
         images = tmp_path / "images"
         images.mkdir()

@@ -86,6 +86,13 @@ class TestPolarize:
         got = polarize([Corner(x=120, y=100, response=3.3e5)], OD)
         assert got[0].response == 3.3e5
 
+    def test_angle_a_hair_below_zero_folds_to_zero(self):
+        # atan2 gives about -1e-14 degrees, which modulo 360 rounds to 360.0.
+        od = OdCenter(50.0, 99.99999999999999, 1.0, "manual")
+        (pc,) = polarize([Corner(x=100, y=100, response=1e5)], od)
+        assert pc.orientation == 0.0
+        assert (encode([pc]).vectors[2][[0, 1, 2, 3]] == 360.0).all()
+
 
 class TestEncode:
     def test_empty_input_all_zero(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from retina_id import evaluation
-from retina_id.encoder import encode
+from retina_id.encoder import PolarCorner, encode
 from retina_id.evaluation import (
     MAX_CORNERS,
     MAX_SWEEP_POINTS,
@@ -91,9 +91,15 @@ class TestPerturb:
             assert d_theta <= 0.5 + 1e-12
             assert abs(after.distance - before.distance) <= 0.5 + 1e-12
 
+    def test_angle_a_hair_below_zero_folds_to_zero(self):
+        # 0.3 - 0.30000000000000004 is about -5.6e-17, which modulo 360
+        # rounds to 360.0.
+        spec = ExperimentSpec(jitter_px=0.0, jitter_deg=0.0)
+        (pc,) = perturb([PolarCorner(10.0, 0.3, 1.0)], -0.30000000000000004, spec, rng_for(79))
+        assert pc.orientation == 0.0
+
     def test_distance_clamped_inside_gate(self):
         spec = ExperimentSpec(jitter_px=2.0, jitter_deg=0.0)
-        from retina_id.encoder import PolarCorner
         pcs = [PolarCorner(79.0, 10.0, 1e5)]
         for trial in range(50):
             got = perturb(pcs, 0.0, spec, rng_for(100 + trial))
@@ -190,6 +196,18 @@ class TestFarFrr:
         records, probes = self.setup_sweep()
         rows = far_frr_sweep(records, probes, np.linspace(0, 200, 400))
         assert any(far == 0.0 and frr == 0.0 for _, far, frr in rows)
+
+    def test_eval_gallery_scores_with_its_own_weights(self):
+        weights = Weights(5.0, 0.0, 0.0)
+        gallery = build_eval_gallery(SyntheticSource(4, 8), ExperimentSpec(rng_seed=3), weights)
+        probes = [(rec.subject_id, rec.template) for rec in gallery.records]
+        thresholds = [10.0, 50.0, 100.0]
+        rows = far_frr_sweep(gallery, probes, thresholds)
+        assert rows == far_frr_sweep(list(gallery.records), probes, thresholds, weights)
+        assert rows == [(10.0, 0.0, 0.0), (50.0, 0.0, 100.0), (100.0, 0.0, 100.0)]
+        assert far_frr_sweep(gallery, probes, thresholds, weights) == rows
+        with pytest.raises(ValueError, match="other weights"):
+            far_frr_sweep(gallery, probes, thresholds, Weights())
 
     def test_empty_inputs_rejected(self):
         records, probes = self.setup_sweep()

@@ -346,3 +346,57 @@ class TestBatchedScorer:
         want = [(float(t), 100.0 * np.count_nonzero(imp >= t) / imp.size,
                  100.0 * np.count_nonzero(gen < t) / gen.size) for t in thresholds]
         assert far_frr_sweep(records, probes, thresholds, self.weights) == want
+
+
+class TestRepeatedAmplitudes:
+    """The kernel takes each cosine once per pair of distinct amplitudes of
+    a class and copies it to every slot pair holding them.  These templates
+    repeat amplitudes in every way a class can: apart, across the wrap from
+    slot 359 to slot 0, across the boundary between two classes, and over
+    whole rows; every score must equal the plain double loop exactly."""
+
+    weights = Weights(1.0, 2.5, 4.0)
+
+    @pytest.fixture(scope="class")
+    def templates(self):
+        scattered = np.zeros((3, 360))
+        scattered[:, [5, 90, 200, 301]] = 100.0  # equal, not adjacent
+        scattered[:, [6, 150]] = 37.5
+        # Pulses of 359.5 over slots 359, 0, 1 (and 2), with others between.
+        wrapped = encode([PolarCorner(60.0, 359.5, 1e5), PolarCorner(10.0, 359.5, 2e5),
+                          PolarCorner(30.0, 180.25, 3e5), PolarCorner(60.0, 1.0, 4e5)])
+        # The last occupied slot of each class holds the first one's value of
+        # the next class: flat order makes them neighbours.
+        straddle = np.zeros((3, 360))
+        straddle[:, [0, 359]] = 42.0
+        straddle[:, 100] = 7.0
+        rng = np.random.default_rng(2040)
+        dense = rng.choice([0.0, 30.0, 60.0, 360.0], size=(3, 360))
+        return {"scattered": FeatureTemplate(scattered), "wrapped": wrapped,
+                "straddle": FeatureTemplate(straddle), "dense": FeatureTemplate(dense),
+                "full_17": FeatureTemplate(np.full((3, 360), 17.25)),
+                "full_360": FeatureTemplate(np.full((3, 360), 360.0))}
+
+    @pytest.fixture(scope="class")
+    def records(self, templates):
+        return [GalleryRecord(subject_id=sid, template=t) for sid, t in templates.items()]
+
+    def test_dense_query_splits_into_runs_of_several_rows(self, records, templates):
+        rows = [rec.template.vectors for rec in records]
+        runs = list(matcher._profiles(rows, templates["dense"].vectors))
+        assert len(runs) >= 2
+        assert runs[0].shape[1] >= 3  # scattered, wrapped and straddle share a run
+
+    @pytest.mark.parametrize("name", ["straddle", "dense", "full_17"])
+    def test_equal_to_double_loop(self, records, templates, name):
+        query = templates[name]
+        by_id = dict(identify(query, records, self.weights))
+        for rec in records:
+            profiles = [sim_profile_brute(a, b) for a, b in zip(rec.template.vectors, query.vectors)]
+            for a, b, want in zip(rec.template.vectors, query.vectors, profiles):
+                assert np.array_equal(sim_profile(a, b), want), rec.subject_id
+            (s1, b1), (s2, b2), (s3, b3) = map(si_class, profiles)
+            want = MatchScore(s1, s2, s3, self.weights.w1 * s1 + self.weights.w2 * s2
+                              + self.weights.w3 * s3, (b1, b2, b3))
+            assert total_si(rec.template, query, self.weights) == want, rec.subject_id
+            assert by_id[rec.subject_id] == want, rec.subject_id
