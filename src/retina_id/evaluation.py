@@ -210,15 +210,15 @@ def sample_angle(spec: ExperimentSpec, rng: np.random.Generator) -> float:
     return float(rng.uniform(-spec.angle_range, spec.angle_range))
 
 
-def _probes(spec: ExperimentSpec, branch: tuple, records, trials: int, probe_fn):
+def _probes(spec: ExperimentSpec, branch: tuple, subject_ids, trials: int, probe_fn):
     """Yield (subject_id, angle, probe) for the seed-tree leaves
     [rng_seed, *branch, subject, trial], subject-major."""
-    for subject, rec in enumerate(records):
+    for subject, subject_id in enumerate(subject_ids):
         for trial in range(trials):
             rng = np.random.default_rng(
                 np.random.SeedSequence([spec.rng_seed, *branch, subject, trial]))
             angle = sample_angle(spec, rng)
-            yield rec.subject_id, angle, probe_fn(subject, angle, rng)
+            yield subject_id, angle, probe_fn(subject, angle, rng)
 
 
 def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
@@ -228,7 +228,8 @@ def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
     bound B cannot rule out of first place in either ranking is a candidate.
     A lone candidate is first in both rankings, as an identify call on it
     alone would rank it whatever its score, so it is taken from the screen.
-    Two or more are re-scored in one exact identify call, and both winners
+    Two or more are re-scored in one exact identify call on the subset of
+    the gallery holding them, which reads its blocks, and both winners
     are taken from its exact totals: the raw one by descending total, ties
     by subject id, and the normalised one by descending total / self total
     (0 when the self total is not positive), ties by subject id.
@@ -245,10 +246,11 @@ def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
         keep |= ~(norm + slack < float((norm - slack).max()))
     candidates = np.flatnonzero(keep)
     if candidates.size == 1:
-        sid = gallery.records[candidates[0]].subject_id
+        sid = gallery.records.subject_ids[candidates[0]]
         return sid, sid
-    ranked = identify(probe, [gallery.records[i] for i in candidates], gallery.weights)
-    self_total = {gallery.records[i].subject_id: float(self_totals[i]) for i in candidates}
+    view = gallery.records.subset(candidates)
+    ranked = identify(probe, view, gallery.weights)
+    self_total = dict(zip(view.subject_ids, self_totals[candidates].tolist()))
 
     def normalized_key(item):
         sid, ms = item
@@ -262,7 +264,8 @@ def _run_count(gallery: EvalGallery, count: int) -> RotationAccuracy:
     hits = 0
     hits_norm = 0
     missed = []
-    for sid, angle, probe in _probes(gallery.spec, (1, count), gallery.records, count, gallery.probe_fn):
+    for sid, angle, probe in _probes(gallery.spec, (1, count), gallery.records.subject_ids, count,
+                                     gallery.probe_fn):
         raw, normalized = _rank1(gallery, probe)
         if raw == sid:
             hits += 1
@@ -448,7 +451,7 @@ def far_frr_csv(source, spec: ExperimentSpec, probes_per_subject: int,
     check_sweep(probes_per_subject, points)
     gallery = build_eval_gallery(source, spec, weights)
     probes = ((sid, probe) for sid, _, probe in _probes(
-        spec, (2,), gallery.records, probes_per_subject, gallery.probe_fn))
+        spec, (2,), gallery.records.subject_ids, probes_per_subject, gallery.probe_fn))
     thresholds = np.linspace(0.0, 1.05 * float(gallery.self_totals.max()), points)
     rows = far_frr_sweep(gallery, probes, thresholds, weights)
     lines = ["threshold,far_percent,frr_percent"]

@@ -39,19 +39,19 @@ one of one row and identify --top-k 3 one of about 3 rows.
 
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
-planes (0 on empty slots) with the query's.  The screen reads a
+planes (0 on empty slots) with the query's.  GalleryScreen reads a
 store.Gallery's amplitude blocks of at most store.BLOCK_ROWS records in
-place.  GalleryScreen keeps the conjugated rfft of every record's planes,
-built once per gallery block by block (about 17 KB per record, plus about
-6 KB of work arrays); per query and class, one irfft gives every record's
-profile, and so every record's screened total.
-identify's top_k screen (see Callers) builds the same spectra block by
-block and keeps none of them.  Both compute planes, spectra and totals
-through the same functions, so the bound below covers both.  A screened
-total is not bit-for-bit the exact one, so GalleryScreen.totals also
-returns a bound B on |screened - exact| for every record, and a caller
-decides exactly by re-scoring with the exact kernel every record whose
-screened total B cannot place.
+place and keeps the conjugated rfft of every record's planes, built once
+per gallery block by block (about 17 KB per record, plus about 6 KB of
+work arrays); per query and class, one irfft gives every record's
+profile, and so every record's screened total.  identify's top_k screen
+(see Callers) builds the same spectra for the records it visits, their
+rows gathered BLOCK_ROWS at a time, and keeps none of them.  Both compute
+planes, spectra and totals through the same functions, so the bound below
+covers both.  A screened total is not bit-for-bit the exact one, so
+GalleryScreen.totals also returns a bound B on |screened - exact| for
+every record, and a caller decides exactly by re-scoring with the exact
+kernel every record whose screened total B cannot place.
 
 The bound.  Write u = 2**-53, gamma(k) = k u / (1 - k u), n = 360, and
 compare both totals with the real-arithmetic profile S(phi) of the stored
@@ -101,18 +101,35 @@ makes with B (each within a few u of a value at most n (w1 + w2 + w3)).
 B comes to about 3e-8 per unit weight.  Weights refuses weights for which
 n (w1 + w2 + w3) overflows, so the largest total and B stay finite.
 
+The ceiling.  Let m_c be the smaller of the row's and the query's occupied
+slots in class c.  A term of S_c(phi) needs both of its slots occupied, and
+each row slot meets one query slot per shift, so S_c sums at most m_c
+terms and |S_c| <= m_c: the real total is at most w1 m1 + w2 m2 + w3 m3.
+The screened total lies within B / 2 of the real one (the bound above
+before its factor 2), so it is at most w1 m1 + w2 m2 + w3 m3 + B / 2.  The
+ceiling U = fl(w1 m1 + w2 m2 + w3 m3) + B, the products taken in the
+screened totals' order (no matmul, so no BLAS blocking), loses at most
+gamma(3) n per unit weight in the sum and a few u of n (w1 + w2 + w3) in
+adding B, both far inside the other half of B; so every screened total is
+at most its record's U.
+
 Callers.  verify, total_si and sim_profile use the exact kernel alone, and
 so does identify without top_k, reading a store.Gallery's rows.  With
-top_k = k below the gallery size it screens every block (a loaded
-gallery's rows of unlinked files included, their totals then dropped) and
-re-scores exactly only the records whose screened total is not below
-S_k - 2B, S_k being the k-th largest screened total.
-The k records screened at or above S_k have exact totals of at least
-S_k - B.  A record screened below S_k - 2B has an exact total below
-S_k - B, so it is strictly below the k-th exact total and cannot tie into
-the first k.  A NaN cut keeps every record.  So the rows
-identify returns are the full exact ranking's first k, bit for bit; the
-CLI's identify passes its --top-k.
+top_k = k below the gallery size it screens the records in descending U,
+ties in record order, BLOCK_ROWS at a time, and after each chunk sets the
+cut S_k - 2B, S_k being the k-th largest screened total so far.  It stops
+before the first record whose U is below the cut: that record and every
+later one has a screened total below the cut, and so below S_k, which
+they can therefore not move; the records kept, those screened not below
+the cut, are the ones a screen of every record would keep.  Only they are
+re-scored exactly.  The k records screened at or above S_k have exact
+totals of at least S_k - B.  A record screened below S_k - 2B has an exact
+total below S_k - B, so it is strictly below the k-th exact total and
+cannot tie into the first k.  A NaN cut keeps, and so screens, every
+record.  So the rows identify returns are the full exact ranking's first
+k, bit for bit; the CLI's identify passes its --top-k.  The saving is in
+records sparser than the query: a gallery as dense as its probes has
+every U above the cut and is screened whole.
 
 The evaluation's rotation protocol and FAR/FRR sweep rank by screened totals
 and then re-score exactly, through identify (without top_k) or total_si,
@@ -369,20 +386,39 @@ def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndar
 
 def _top_candidates(query: FeatureTemplate, gallery: Gallery, weights: Weights, k: int) -> np.ndarray:
     """The positions, ascending, of the gallery's records that the screen
-    cannot rule out of identify's first k.  The screen reads the gallery's
-    amplitude blocks in place, rows it holds for no record included; so
-    nothing gallery-sized is built besides the screened totals."""
+    cannot rule out of identify's first k.  Records are screened BLOCK_ROWS
+    at a time in descending order of their ceiling U (ties in record order),
+    their rows gathered from the gallery's blocks, until the next record's U
+    is below the cut S_k - 2B of the records screened so far; see the module
+    docstring.  Nothing gallery-sized is built besides the slot counts, the
+    ceilings and the screened totals."""
+    bound = _bound(weights)
+    counts = np.zeros((len(gallery.blocks) * BLOCK_ROWS, 3), dtype=np.intp)
+    for lo, block in zip(range(0, counts.shape[0], BLOCK_ROWS), gallery.blocks):
+        # A uint16 sum holds 360 and takes about 60% of count_nonzero's time.
+        counts[lo:lo + len(block)] = (block != 0).sum(axis=2, dtype=np.uint16)
+    m = np.minimum(counts[gallery.rows], np.count_nonzero(query.vectors, axis=1)).T
+    ceiling = weights.w1 * m[0] + weights.w2 * m[1] + weights.w3 * m[2] + bound
+    order = np.argsort(-ceiling, kind="stable")
     query_spectra = _query_spectra(query)
     work = np.empty((2, BLOCK_ROWS, SLOTS // 2 + 1), dtype=np.complex128)
-    screened = np.empty(len(gallery.blocks) * BLOCK_ROWS)
-    for lo, block in zip(range(0, screened.size, BLOCK_ROWS), gallery.blocks):
-        cos, sin = _spectra(block, "enrolled")
-        screened[lo:lo + len(block)] = _screened_totals(cos, sin, query_spectra, weights,
-                                                        work[:, :len(block)])
-    screened = screened[gallery.rows]
-    # A NaN cut keeps every record.
-    cut = np.partition(screened, -k)[-k] - 2 * _bound(weights)
-    return np.flatnonzero(~(screened < cut))
+    # One gather buffer for every chunk: it stays in cache, where a fresh
+    # array per chunk cost about 10% more in _spectra.
+    vectors = np.empty((BLOCK_ROWS, 3, SLOTS))
+    screened = np.empty(len(order))
+    cut, end = -np.inf, 0
+    # A NaN cut keeps every record, and so screens every one.
+    while end < len(order) and not ceiling[order[end]] < cut:
+        chunk = order[end:end + BLOCK_ROWS]
+        for j, row in enumerate(gallery.rows[chunk].tolist()):
+            vectors[j] = gallery.blocks[row // BLOCK_ROWS][row % BLOCK_ROWS]
+        cos, sin = _spectra(vectors[:len(chunk)], "enrolled")
+        screened[end:end + len(chunk)] = _screened_totals(cos, sin, query_spectra, weights,
+                                                          work[:, :len(chunk)])
+        end += len(chunk)
+        if end >= k:
+            cut = np.partition(screened[:end], -k)[-k] - 2 * bound
+    return np.sort(order[:end][~(screened[:end] < cut)])
 
 
 class GalleryScreen:

@@ -139,13 +139,15 @@ class Gallery:
     BLOCK_ROWS (3, SLOTS) rows (see the module docstring): record i's are
     row rows[i] % BLOCK_ROWS of block rows[i] // BLOCK_ROWS.  Records are
     built on first use and kept, each template a read-only view of its row.
+    `subset` gives the Gallery of some of the records over the same blocks.
 
     `files` holds, for a directory that `load_gallery` read, each `.rtpl`
     file's (sha256 digest, byte length, range of its records' positions):
     what `add_records` writes to the snapshot; otherwise it is empty."""
 
     def __init__(self, records=(), *, _loaded=None):
-        # _loaded: _load_directory's (_fill's meta, sealed blocks, rows, files)
+        # _loaded: (_fill's meta, sealed blocks, rows, files), from
+        # _load_directory or subset
         if _loaded is None:
             blocks = []
             meta = _fill(blocks, 0, records)
@@ -184,6 +186,13 @@ class Gallery:
     def get(self, subject_id: str):
         i = self._by_id.get(subject_id)
         return None if i is None else self[i]
+
+    def subset(self, positions) -> Gallery:
+        """The Gallery of the records at `positions`, in that order, reading
+        this gallery's blocks in place; its `files` is empty."""
+        positions = np.asarray(positions, dtype=np.intp)
+        meta = [self._meta[i] for i in positions.tolist()]
+        return Gallery(_loaded=(meta, self.blocks, self.rows[positions], ()))
 
 
 def _positions(subject_ids) -> dict:

@@ -17,7 +17,8 @@ from retina_id.evaluation import (
     rotation_protocol,
     synth_constellation,
 )
-from retina_id.matcher import Weights
+from retina_id.matcher import Weights, identify
+from retina_id.store import Gallery, GalleryRecord
 
 
 def rng_for(seed):
@@ -155,6 +156,39 @@ class TestRotationProtocol:
         assert lines[1].startswith("Accuracy")
         assert lines[2].startswith("Accuracy (normalized)")
         assert lines[-1] == "subjects: 4   probes: 20"
+
+    def test_near_ties_rescore_a_view_of_the_gallerys_blocks(self, monkeypatch):
+        # The twin probes of the tracer test in test_module_surface.py: s003
+        # is s001's twin, so every probe of either leaves two candidates,
+        # which identify re-scores from the EvalGallery's own blocks.
+        spec = ExperimentSpec(rng_seed=3)
+        records, constellations = build_synthetic_gallery(2, 8, seed=3)
+        records.append(GalleryRecord("s003", records[0].template))
+
+        def probe_fn(subject, angle, rng):
+            return encode(perturb(constellations[subject % 2], angle, spec, rng))
+
+        twins = evaluation.EvalGallery(spec, Weights(), records, probe_fn)
+        built, views = [], []
+        getitem = Gallery.__getitem__
+
+        def spy_getitem(gallery, i):
+            built.append(gallery)
+            return getitem(gallery, i)
+
+        def spy_identify(query, gallery, weights=None, top_k=None):
+            views.append(gallery)
+            return identify(query, gallery, weights, top_k)
+
+        monkeypatch.setattr(Gallery, "__getitem__", spy_getitem)
+        monkeypatch.setattr(evaluation, "identify", spy_identify)
+        report = rotation_protocol(twins, spec, counts=(1, 2))
+        assert [e.hits for e in report.entries] == [2, 4]
+        assert built == []
+        assert len(views) == 2 * (1 + 2)
+        for view in views:
+            assert view.blocks is twins.records.blocks
+            assert view.subject_ids == ["s001", "s003"]
 
     def test_csv_layout(self):
         spec = ExperimentSpec(rng_seed=10)

@@ -8,12 +8,16 @@ each other, so that the screen alone would order them by rounding noise.
 The rotation protocol and the FAR/FRR sweep rank by screened totals and
 re-score near-ties exactly; they must give the same hits, misidentifications,
 normalised hits and FAR/FRR rows as the exact loops in oracles.py.
-identify's top_k screen re-scores only the records within 2B of the k-th
-screened total; its rows must be the full exact ranking's first k, bit for
-bit.
+identify's top_k screen visits records in descending order of a slot-count
+ceiling U, stops before the first record whose U is below the cut S_k - 2B,
+and re-scores only the records within 2B of the k-th screened total; its
+rows must be the full exact ranking's first k, bit for bit, across chunk
+boundaries, at a U equal to the cut, and when nothing can be pruned.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +408,144 @@ class TestTopK:
                 identify(q, records, WEIGHTS, top_k=k)
         with pytest.raises(DuplicateSubjectError, match="'s00'"):
             far_frr_sweep(records, [("s00", q)], [0.0, 1.0], WEIGHTS)
+
+
+def spy_screened_rows(monkeypatch) -> list:
+    """The number of enrolled rows of each _spectra call identify makes."""
+    rows = []
+    spectra = matcher._spectra
+
+    def spy(vectors, name):
+        if name == "enrolled":
+            rows.append(len(vectors))
+        return spectra(vectors, name)
+
+    monkeypatch.setattr(matcher, "_spectra", spy)
+    return rows
+
+
+def class3_pulse(amplitudes) -> FeatureTemplate:
+    """Class-3 slots 0, 1, ... holding the amplitudes; classes 1 and 2 empty."""
+    v = np.zeros((3, SLOTS))
+    v[2, :len(amplitudes)] = amplitudes
+    return FeatureTemplate(v)
+
+
+class TestOrderedScreen:
+    def test_dense_records_are_screened_first_and_the_rest_skipped(self, monkeypatch):
+        # Each one-slot record's U is at most w3 + B, far below the dense
+        # query's self total, so one chunk holds every record that matters.
+        rng = np.random.default_rng(3030)
+        singles = [template("single", rng) for _ in range(2 * BLOCK_ROWS)]
+        dense = [template("full", rng) for _ in range(3)]
+        records = records_of(singles + dense)
+        want = ranking_bits(identify(dense[1], records, WEIGHTS))
+        rows = spy_screened_rows(monkeypatch)
+        assert ranking_bits(identify(dense[1], records, WEIGHTS, top_k=1)) == want[:1]
+        assert sum(rows) <= BLOCK_ROWS
+
+    def test_a_record_whose_ceiling_equals_the_cut_is_screened(self, monkeypatch):
+        # Weights (0, 0, 1) and a B of our choosing, b: the top record (the
+        # query, 8 slots) has U = 8 + b, 31 fillers (7 slots) U = 7 + b, and
+        # the boundary record (6 slots), first of the second chunk, U = 6 + b.
+        # The cut after the first chunk is S_1 - 2b; with b near 2/3 both
+        # sides round to the ulp of [4, 8), so some b makes them equal.  Any
+        # b >= B keeps the ranking exact.
+        weights = Weights(0.0, 0.0, 1.0)
+        query = class3_pulse(np.linspace(20.0, 300.0, 8))
+        fillers = [class3_pulse(np.linspace(30.0 + i, 310.0, 7)) for i in range(BLOCK_ROWS - 1)]
+        records = records_of([class3_pulse(np.linspace(40.0, 290.0, 6))] + fillers + [query],
+                             ["boundary"] + [f"f{i:02d}" for i in range(BLOCK_ROWS - 1)] + ["top"])
+        want = ranking_bits(identify(query, records, weights))
+        totals = []
+        screened_totals = matcher._screened_totals
+        monkeypatch.setattr(matcher, "_screened_totals",
+                            lambda *args: totals.append(screened_totals(*args)) or totals[-1])
+        identify(query, records, weights, top_k=1)
+        s1 = float(totals[0].max())
+        assert len(totals) == 1 and s1 > 7.0  # the default B stops after one chunk
+
+        b = (s1 - 6.0) / 3.0
+        for step in range(-64, 65):
+            at = b + step * math.ulp(b)
+            if 6.0 + at == s1 - 2.0 * at:
+                b = at
+                break
+        else:
+            pytest.fail("no b puts the boundary record's U at the cut")
+        below = b
+        while not 6.0 + below < s1 - 2.0 * below:
+            below = math.nextafter(below, 0.0)
+        rows = spy_screened_rows(monkeypatch)
+        for bound, want_rows in ((b, [BLOCK_ROWS, 1]), (below, [BLOCK_ROWS])):
+            monkeypatch.setattr(matcher, "_bound", lambda _, bound=bound: bound)
+            rows.clear()
+            assert ranking_bits(identify(query, records, weights, top_k=1)) == want[:1]
+            assert rows == want_rows, bound
+
+    def test_zero_weights_screen_everything_and_order_ties_by_id(self, monkeypatch):
+        # Every U is B and every screened total 0 > -2B, so nothing is pruned.
+        rng = np.random.default_rng(3031)
+        n = 2 * BLOCK_ROWS + 5
+        records = records_of([template(LIGHT_KINDS[i % 4], rng) for i in range(n)],
+                             [f"s{i:02d}" for i in reversed(range(n))])
+        zero = Weights(0.0, 0.0, 0.0)
+        rows = spy_screened_rows(monkeypatch)
+        top = identify(records[3].template, records, zero, top_k=3)
+        assert [sid for sid, _ in top] == ["s00", "s01", "s02"]
+        assert sum(rows) == n
+        assert_top_k_exact(records[3].template, records, zero, ks=(1, BLOCK_ROWS, BLOCK_ROWS + 1, n - 1))
+
+    def test_empty_query_screens_everything(self, monkeypatch):
+        rng = np.random.default_rng(3032)
+        n = 2 * BLOCK_ROWS + 3
+        records = records_of([template(LIGHT_KINDS[i % 4], rng) for i in range(n)])
+        empty = FeatureTemplate(np.zeros((3, SLOTS)))
+        rows = spy_screened_rows(monkeypatch)
+        top = identify(empty, records, WEIGHTS, top_k=2)
+        assert [(sid, ms.total) for sid, ms in top] == [("s00", 0.0), ("s01", 0.0)]
+        assert sum(rows) == n
+        assert_top_k_exact(empty, records, WEIGHTS, ks=(1, BLOCK_ROWS, BLOCK_ROWS + 1, n - 1))
+
+
+def loaded_out_of_order(records, directory: Path) -> Gallery:
+    """The records as a loaded directory: snapshot rows in reverse record
+    order, the snapshot's last, short block before the last block, an
+    unlinked file's row in it, and the last records parsed into the last
+    block."""
+    parsed = 2 if (len(records) - 1) % BLOCK_ROWS else 3
+    add_records(directory, list(reversed(records[:-parsed])))
+    add_records(directory, [GalleryRecord("stale", records[0].template)])
+    (directory / "stale.rtpl").unlink()
+    for rec in records[-parsed:]:
+        save_template(rec, directory / f"{rec.subject_id}.rtpl")
+    gallery = load_gallery(directory)
+    assert gallery.subject_ids == [rec.subject_id for rec in records]
+    assert 0 < len(gallery.blocks[-2]) < BLOCK_ROWS
+    return gallery
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(2 * BLOCK_ROWS, 3 * BLOCK_ROWS),
+    dense=st.sampled_from(FULL_KINDS),
+    twins=st.lists(st.integers(0, 3 * BLOCK_ROWS), max_size=4),
+    weights=WEIGHT_CHOICES,
+    k=st.integers(1, BLOCK_ROWS + 8),
+)
+def test_top_k_across_chunks(seed, n, dense, twins, weights, k):
+    rng = np.random.default_rng(seed)
+    templates = [template(str(kind), rng) for kind in rng.choice(LIGHT_KINDS, n - 1 - len(twins))]
+    templates.insert(int(rng.integers(len(templates) + 1)), template(dense, rng))
+    templates += [templates[i % len(templates)] for i in twins]
+    records = records_of(templates, [f"s{i:03d}" for i in range(n)])
+    queries = [templates[0], FeatureTemplate(np.roll(templates[1].vectors, int(rng.integers(SLOTS)), axis=1)),
+               template(str(rng.choice(LIGHT_KINDS)), rng)]
+    with tempfile.TemporaryDirectory() as directory:
+        for gallery in (Gallery(records), loaded_out_of_order(records, Path(directory))):
+            for q in queries:
+                assert_top_k_exact(q, gallery, weights, ks=(k,))
 
 
 def test_screen_spectra_are_contiguous_one_row_per_record(tmp_path):

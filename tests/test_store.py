@@ -936,3 +936,22 @@ class TestBlockEquivalence:
         assert sorted(g.rows) == list(range(len(g)))
         assert loaded(g) == load_outcome_from_text(gal)
         assert [r for r in loaded(g) if r[0] != "after"] == before
+
+
+def test_subset_reads_the_gallerys_blocks(tmp_path):
+    """Gallery.subset lists the records at the given positions, in that
+    order, over the same blocks: rows out of order, a stale row and a
+    parsed row included."""
+    gal = TestBlockEquivalence().gallery(tmp_path)
+    gallery = load_gallery(gal)
+    positions = [len(gallery) - 1, 3, 0, 17]
+    view = gallery.subset(positions)
+    assert view.blocks is gallery.blocks
+    assert view.subject_ids == [gallery.subject_ids[i] for i in positions]
+    assert view.files == ()
+    assert loaded(view) == [loaded(gallery)[i] for i in positions]
+    for j, i in enumerate(positions):
+        assert np.shares_memory(view.amplitudes(j), gallery.amplitudes(i))
+    assert view.get(gallery.subject_ids[5]) is None
+    with pytest.raises(store.DuplicateSubjectError):
+        gallery.subset([2, 2])
