@@ -12,14 +12,13 @@ key with dashes, and its type and default are the field's.  The one
 exception is the detector's `threshold` key, whose flag is `--det-threshold`
 because the bare `--threshold` flag is the verify decision threshold.
 Each command takes only the flags of the settings it reads, but checks a
-whole config file; a malformed line, an unknown key, a value of the wrong
-type and a value its settings group refuses (out of range, or at odds with
-another field) are reported as `<file>:<line>: ...`, naming the first bad
-line in the file; an error that flags alone cause names no line and comes
-after every bad line.  Only full flag names parse.
-`main` resolves the settings once per call and passes them to the
-command's `cmd_*` function, so a bad config file exits 2 before the command
-reads anything.
+whole config file; a line not UTF-8 or malformed, an unknown key, a value of
+the wrong type and a value its settings group refuses (out of range, or at
+odds with another field) are reported as `<file>:<line>: ...`, naming the
+first bad line in the file; an error that flags alone cause names no line
+and comes after every bad line.  Only full flag names parse.  `main` builds
+its parser once per process and resolves the settings once per call, so a
+bad config file exits 2 before the command's `cmd_*` reads anything.
 
 `enroll` and `synth` write only through `store.add_records`, to the
 `gallery` setting (`synth --out` is another spelling of `--gallery`).
@@ -32,6 +31,7 @@ SyntheticSource.n_corners and DEFAULT_COUNTS.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -93,10 +93,15 @@ class _LineError(ValueError):
 
 def _parse_config(path: str) -> tuple[dict[str, tuple[str, int]], list[_LineError]]:
     """Each key's value and the number of the line that set it, read up to
-    the first line that is not `key = value` with a known key; that line's
-    error, if any, in a list."""
+    the first line that is not valid UTF-8 or not `key = value` with a known
+    key; that line's error, if any, in a list."""
     cfg: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        try:
+            raw.encode("utf-8")  # a byte that is not UTF-8 became a lone surrogate
+        except UnicodeEncodeError:
+            return cfg, [_LineError(path, lineno, "not valid UTF-8")]
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -242,9 +247,9 @@ def cmd_eval(args, settings: Settings) -> int:
     if args.far_frr_csv:
         check_sweep(args.sweep_probes, args.sweep_points)
     gallery = build_eval_gallery(source, spec, settings.weights)
-    sweep = (far_frr_csv(gallery, spec, args.sweep_probes, args.sweep_points, settings.weights)
+    sweep = (far_frr_csv(gallery, args.sweep_probes, args.sweep_points)
              if args.far_frr_csv else None)
-    report = rotation_protocol(gallery, spec, counts, settings.weights)
+    report = rotation_protocol(gallery, counts)
     sys.stdout.write(report.to_table())
     if args.csv:
         Path(args.csv).write_bytes(report.to_csv().encode("utf-8"))
@@ -259,6 +264,7 @@ def _subject_id(text: str) -> str:
     return text
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # One parent parser per settings group: the --config and --od flags, then
     # each _SETTINGS key under its owner (gallery and seed are groups of one).

@@ -17,14 +17,16 @@ and `[seed, 2, subject, trial]` for the FAR/FRR sweep's probes.  A probe
 draws its angle (sample_angle), then its jitter (perturb, synthetic only);
 subjects are walked in gallery order, trials in order within each.
 
-The protocol and the sweep share one EvalGallery per run: its records as a
-store.Gallery, probe builder, exact self-match totals and the
-matcher.GalleryScreen of its records.  Both rank probes by screened totals,
-then re-score with the exact kernel every record that the screen's bound
-cannot place (see _rank1 and far_frr_sweep), so every hit, miss, tie, FAR
-and FRR is the exact kernel's.  The protocol takes a lone record that the
-bound cannot rule out of first place from the screen, since it is first
-whatever its exact total; it calls identify only when two or more remain.
+The protocol and the sweep run on one EvalGallery, built once per run by
+build_eval_gallery: its spec and weights, its records as a store.Gallery,
+probe builder, exact self-match totals and the matcher.GalleryScreen of its
+records; rotation_protocol and far_frr_csv take it alone.  Both rank probes
+by screened totals (the sweep with a GalleryScreen of its own), then
+re-score with the exact kernel every record that the screen's bound cannot
+place (see _rank1 and far_frr_sweep), so every hit, miss, tie, FAR and FRR
+is the exact kernel's.  The protocol takes a lone record that the bound
+cannot rule out of first place from the screen, since it is first whatever
+its exact total; it calls identify only when two or more remain.
 
 Synthetic distances stay inside the encoder's GATE_RADIUS; an image stem's
 characters outside the store's subject-id rule become `_`.  MAX_CORNERS and
@@ -291,11 +293,15 @@ def _build_image_gallery(source: ImageSource):
     records = []
     maps = []
     for f in files:
-        m = to_intensity(load_image(f))
-        od = resolve_od(m, f, source.od)
+        try:
+            m = to_intensity(load_image(f))
+            od = resolve_od(m, f, source.od)
+            template = gated_template(m, od, source.harris)
+        except ValueError as exc:
+            raise ValueError(f"{f}: {exc}") from exc
         records.append(GalleryRecord(
             subject_id=_sanitize_subject(f.stem),
-            template=gated_template(m, od, source.harris),
+            template=template,
             source_image=f.name,
             od=od,
         ))
@@ -322,7 +328,7 @@ def _gallery(source, spec: ExperimentSpec):
             rotated = rotate_about(maps[i], (od.x, od.y), angle)
             return gated_template(rotated, od, source.harris)
     else:
-        raise TypeError("source must be SyntheticSource, ImageSource or EvalGallery")
+        raise TypeError("source must be SyntheticSource or ImageSource")
     if len(records) < 2:
         raise ValueError("identification needs at least 2 subjects")
     return records, probe_fn
@@ -333,9 +339,9 @@ class EvalGallery:
     """One probe source's gallery, built once for a spec and weights and
     shared by the rotation protocol and the FAR/FRR sweep: the store.Gallery
     of the records, which owns their amplitudes, their probe builder, and
-    the exact self-match totals and FFT screen computed here from that
-    Gallery and the weights, so neither can belong to another gallery.
-    Like its screen, an EvalGallery is not thread-safe."""
+    the exact self-match totals and the protocol's FFT screen computed here
+    from that Gallery and the weights, so neither can belong to another
+    gallery.  Like its screen, an EvalGallery is not thread-safe."""
 
     spec: ExperimentSpec
     weights: Weights
@@ -353,14 +359,9 @@ class EvalGallery:
 
 
 def build_eval_gallery(source, spec: ExperimentSpec, weights: Weights | None = None) -> EvalGallery:
-    """The EvalGallery of a probe source; an EvalGallery built for the same
-    spec and weights is returned as it is."""
-    weights = weights or Weights()
-    if isinstance(source, EvalGallery):
-        if (source.spec, source.weights) != (spec, weights):
-            raise ValueError("the gallery was built for another spec or other weights")
-        return source
-    return EvalGallery(spec, weights, *_gallery(source, spec))
+    """The EvalGallery of a SyntheticSource or ImageSource for a spec and
+    weights (default Weights())."""
+    return EvalGallery(spec, weights or Weights(), *_gallery(source, spec))
 
 
 def check_counts(counts) -> tuple:
@@ -379,37 +380,30 @@ def check_sweep(probes_per_subject: int, points: int) -> None:
         raise ValueError(f"sweep points must be at most {MAX_SWEEP_POINTS}")
 
 
-def rotation_protocol(source, spec: ExperimentSpec, counts=DEFAULT_COUNTS,
-                      weights: Weights | None = None) -> AccuracyReport:
-    """Run the rotation experiment for each count in `counts` over one
-    shared gallery and merge the results into a single report.  `source`
-    is a probe source or the EvalGallery built from one."""
+def rotation_protocol(gallery: EvalGallery, counts=DEFAULT_COUNTS) -> AccuracyReport:
+    """Run the rotation experiment for each count in `counts` over the
+    gallery, with its spec and weights, and merge the results into a single
+    report."""
     counts = check_counts(counts)
-    gallery = build_eval_gallery(source, spec, weights)
     entries = tuple(_run_count(gallery, c) for c in counts)
     return AccuracyReport(entries=entries, subjects=len(gallery.records))
 
 
-def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
+def far_frr_sweep(records, probes, thresholds, weights: Weights | None = None) -> list[tuple[float, float, float]]:
     """False-accept / false-reject rates over verification thresholds.
 
-    `gallery` is an EvalGallery, screened by its own screen and scored with
-    its own weights (other weights raise ValueError), or an iterable of
-    records, screened by a GalleryScreen of their store.Gallery (so a
-    repeated id raises DuplicateSubjectError); `probes` is an iterable of
-    (subject_id, FeatureTemplate), read once.  Every record whose screened
-    total against a probe lies within the screen's bound B of a threshold is
-    re-scored with total_si, and each threshold is applied to the same
-    totals.  So every accept and reject is the exact total's, and FAR is
+    `records` is a store.Gallery, read as it is, or an iterable of records,
+    read as their Gallery (so a repeated id raises DuplicateSubjectError);
+    either is screened by a GalleryScreen of that Gallery.  `probes` is an
+    iterable of (subject_id, FeatureTemplate), read once.  Every record
+    whose screened total against a probe lies within the screen's bound B
+    of a threshold is re-scored with total_si, and each threshold is
+    applied to the same totals.  So every accept and reject is the exact total's, and FAR is
     non-increasing and FRR non-decreasing in the threshold by construction.
     Returns (threshold, far_pct, frr_pct) rows in input threshold order.
     """
-    if isinstance(gallery, EvalGallery):
-        gallery = build_eval_gallery(gallery, gallery.spec, weights or gallery.weights)
-        records, screen, weights = gallery.records, gallery.screen, gallery.weights
-    else:
-        records = Gallery(gallery)
-        screen = GalleryScreen(records)
+    records = records if isinstance(records, Gallery) else Gallery(records)
+    screen = GalleryScreen(records)
     thresholds = [float(t) for t in thresholds]
     if not records or not thresholds:
         raise ValueError("gallery, probes and thresholds must be non-empty")
@@ -439,21 +433,19 @@ def far_frr_sweep(gallery, probes, thresholds, weights: Weights | None = None) -
     return rows
 
 
-def far_frr_csv(source, spec: ExperimentSpec, probes_per_subject: int,
-                points: int, weights: Weights) -> str:
-    """FAR/FRR sweep of a probe source's gallery (or of an EvalGallery built
-    from one) as CSV text.
+def far_frr_csv(gallery: EvalGallery, probes_per_subject: int, points: int) -> str:
+    """FAR/FRR sweep of the gallery's records, with its spec and weights, as
+    CSV text.
 
     Each subject gets `probes_per_subject` probes from seed-tree branch 2;
     `points` thresholds (at most MAX_SWEEP_POINTS) run evenly from 0 to 1.05
     times the largest self-match total.  Rows are `threshold,far_percent,frr_percent`.
     """
     check_sweep(probes_per_subject, points)
-    gallery = build_eval_gallery(source, spec, weights)
     probes = ((sid, probe) for sid, _, probe in _probes(
-        spec, (2,), gallery.records.subject_ids, probes_per_subject, gallery.probe_fn))
+        gallery.spec, (2,), gallery.records.subject_ids, probes_per_subject, gallery.probe_fn))
     thresholds = np.linspace(0.0, 1.05 * float(gallery.self_totals.max()), points)
-    rows = far_frr_sweep(gallery, probes, thresholds, weights)
+    rows = far_frr_sweep(gallery.records, probes, thresholds, gallery.weights)
     lines = ["threshold,far_percent,frr_percent"]
     lines += [f"{fmt_num(t)},{fmt_num(far)},{fmt_num(frr)}" for t, far, frr in rows]
     return "\n".join(lines) + "\n"

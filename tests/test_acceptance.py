@@ -21,6 +21,7 @@ from retina_id.evaluation import (
     ExperimentSpec,
     ImageSource,
     SyntheticSource,
+    build_eval_gallery,
     build_synthetic_gallery,
     far_frr_sweep,
     perturb,
@@ -140,7 +141,7 @@ def test_criterion_06_rotation_protocol_accuracy():
     with criterion(6, "50-subject rotation protocol reaches >=99% rank-1 per count (<60s)"):
         spec = ExperimentSpec(angle_range=15.0, jitter_px=0.5, jitter_deg=0.5, rng_seed=42)
         start = time.perf_counter()
-        report = rotation_protocol(SyntheticSource(50, 20), spec, counts=(5, 10, 20))
+        report = rotation_protocol(build_eval_gallery(SyntheticSource(50, 20), spec), counts=(5, 10, 20))
         elapsed = time.perf_counter() - start
         print()
         print(report.to_table())
@@ -167,7 +168,7 @@ def test_criterion_07_real_image_protocol_optional():
         pytest.skip("real fundus image directory not available")
     with criterion(7, f"real-image rotation protocol on {found} reaches >=95% rank-1"):
         spec = ExperimentSpec(angle_range=15.0, rng_seed=42)
-        report = rotation_protocol(ImageSource(found), spec, counts=(5,))
+        report = rotation_protocol(build_eval_gallery(ImageSource(found), spec), counts=(5,))
         print()
         print(report.to_table())
         assert report.entries[0].accuracy >= 95.0

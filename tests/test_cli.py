@@ -2,6 +2,8 @@
 codes and stream handling; the few that watch the CLI's internal calls run
 `cli.main` in-process."""
 
+import argparse
+import hashlib
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from retina_id.evaluation import (
     DEFAULT_COUNTS,
     MAX_CORNERS,
     MAX_SWEEP_POINTS,
+    EvalGallery,
     ExperimentSpec,
     SyntheticSource,
     build_synthetic_gallery,
@@ -203,6 +206,20 @@ class TestDetect:
         assert capsys.readouterr().err.startswith(f"error: {cfg}:1: bad value for 'w2'")
         assert cli.main(argv[:2] + argv[4:]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: sigma must be")
+
+    @pytest.mark.parametrize("data,line,message", [
+        (b"w1 = 2\n# caf\xe9\nw2 = 3\n", 2, "not valid UTF-8"),
+        (b"\xff", 1, "not valid UTF-8"),
+        (b"w1 = 2\r\nk = 0.1\x0cbad\xfe\n", 3, "not valid UTF-8"),
+        (b"w1 = x\n\xff\n", 1, "bad value for 'w1'"),
+    ], ids=["comment", "first-byte", "cr-lf-and-form-feed", "bad-value-first"])
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys, data, line, message):
+        # Lines are counted as for a decoded file, and a bad line before
+        # the undecodable one is named first.
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(data)
+        assert cli.main(["identify", "x.pgm", "--config", str(cfg)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {message}")
 
     def test_out_of_range_flag_names_no_config_line(self, square_image, tmp_path):
         # The flag's value is at fault, so no config line is named.
@@ -626,6 +643,26 @@ class TestSynthEval:
         assert "duplicate subject" in r.stderr and "'a'" in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("name,data,message", [
+        ("bad.pgm", b"XX\n", "{image}: unsupported magic 'XX'"),
+        ("flat.pgm", b"P5\n160 160\n255\n" + b"\x80" * 160 * 160, "{image}: no od contrast"),
+        ("side.pgm", None, "{image}: {image}.od: expected 'x y'"),
+    ], ids=["magic", "flat", "sidecar"])
+    def test_eval_image_error_names_the_image(self, eye_image, tmp_path, name, data, message):
+        images = tmp_path / "imgs"
+        images.mkdir()
+        (images / "a.pgm").write_bytes(eye_image.read_bytes())
+        image = images / name
+        if data is None:
+            image.write_bytes(eye_image.read_bytes())
+            (images / f"{name}.od").write_text("80\n")
+        else:
+            image.write_bytes(data)
+        r = run_cli("eval", "--images", images, "--rotations", "1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: {message.format(image=image)}")
+
     def test_eval_table_and_seeded_csv_identical(self, tmp_path):
         args = ("eval", "--subjects", "6", "--corners", "12", "--rotations", "2,3",
                 "--seed", "21")
@@ -693,6 +730,30 @@ class TestSynthEval:
         assert sweep.read_bytes() == (
             b"threshold,far_percent,frr_percent\n"
             b"0,100,0\n6.825,49.107143,25\n13.65,0,62.5\n20.475,0,93.75\n27.3,0,100\n")
+
+    def test_eval_default_size_output_pinned(self, tmp_path):
+        # The default 50-subject run with a sweep, as the rotation-eval
+        # benchmark runs it.  The 100-row sweep is pinned by its digest and
+        # the rows where FAR reaches 0 and FRR leaves it.
+        acc = tmp_path / "acc.csv"
+        sweep = tmp_path / "sweep.csv"
+        r = run_cli("eval", "--seed", "1", "--csv", acc, "--far-frr-csv", sweep)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == (
+            "Times of rotation       5      10     20     Mean\n"
+            "Accuracy                100%   100%   100%   100%\n"
+            "Accuracy (normalized)   100%   100%   100%   100%\n"
+            "\n"
+            "subjects: 50   probes: 1750\n")
+        assert acc.read_bytes() == b"rotations,accuracy_percent\n5,100\n10,100\n20,100\nmean,100\n"
+        data = sweep.read_bytes()
+        lines = data.decode("ascii").splitlines()
+        assert len(lines) == 101
+        assert lines[32:36] == ["83.512121,0.013605,0", "86.206061,0.013605,0", "88.9,0,0",
+                                "91.593939,0,0.666667"]
+        assert lines[-1] == "266.7,0,100"
+        assert hashlib.sha256(data).hexdigest() == (
+            "bef4eabdcbe4dd5c4485cf4f5d4d9360b3c2d2e6bf62f40f44aec70cf59ea1e2")
 
     def test_eval_images_output_pinned(self, tmp_path):
         # Four seeded DRIVE-size captures, sparse and dense, with no .od
@@ -820,15 +881,36 @@ class TestEvalInputs:
         def build(source, spec, weights):
             return SimpleNamespace(source=source, spec=spec)
 
-        def protocol(gallery, spec, counts, weights):
-            assert gallery.spec == spec
-            calls.append((gallery.source, spec, counts))
+        def protocol(gallery, counts):
+            calls.append((gallery.source, gallery.spec, counts))
             return SimpleNamespace(to_table=lambda: "")
 
         monkeypatch.setattr(cli, "build_eval_gallery", build)
         monkeypatch.setattr(cli, "rotation_protocol", protocol)
         assert cli.main(["eval", *argv]) == 0
         return calls
+
+    def test_eval_passes_one_gallery_to_sweep_and_protocol(self, monkeypatch, tmp_path):
+        galleries = []
+
+        def sweep(gallery, probes_per_subject, points):
+            galleries.append(gallery)
+            return ""
+
+        def protocol(gallery, counts):
+            galleries.append(gallery)
+            return SimpleNamespace(to_table=lambda: "")
+
+        monkeypatch.setattr(cli, "far_frr_csv", sweep)
+        monkeypatch.setattr(cli, "rotation_protocol", protocol)
+        argv = ["eval", "--subjects", "3", "--corners", "5", "--rotations", "1", "--seed", "4",
+                "--w2", "2", "--far-frr-csv", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 0
+        swept, ranked = galleries
+        assert swept is ranked
+        assert isinstance(swept, EvalGallery)
+        assert swept.spec == ExperimentSpec(rng_seed=4)
+        assert swept.weights == Weights(w2=2.0)
 
     def test_eval_defaults_come_from_the_library(self, monkeypatch):
         assert self.protocol_calls(monkeypatch, []) == [(
@@ -938,6 +1020,32 @@ class TestFlagSurface:
             cli.main(argv + (["--threshold", "1"] if command == "verify" else []))
         assert exc.value.code == 2
         assert "invalid subject_id 'bad id'" in capsys.readouterr().err
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        # The second call reuses the first one's parser, and neither call's
+        # flags leak into the other: each prints what a fresh process prints.
+        calls = [["eval", "--subjects", "8", "--corners", "4", "--rotations", "2,3", "--seed", "23",
+                  "--jitter-px", "3", "--jitter-deg", "4", "--angle-range", "40", "--w3", "2"],
+                 ["eval", "--subjects", "8", "--corners", "4", "--rotations", "2,3"]]
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        try:
+            outputs = []
+            for argv in calls:
+                assert cli.main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+                assert made.count("retina-id") == 1
+        finally:
+            cli._build_parser.cache_clear()
+        assert outputs[0] != outputs[1]
+        assert outputs == [run_cli(*argv).stdout for argv in calls]
 
     def test_synth_out_is_the_gallery_setting(self):
         parse = cli._build_parser().parse_args

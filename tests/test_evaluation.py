@@ -13,12 +13,15 @@ from retina_id.evaluation import (
     build_synthetic_gallery,
     far_frr_csv,
     far_frr_sweep,
+    fmt_num,
     perturb,
     rotation_protocol,
     synth_constellation,
 )
-from retina_id.matcher import Weights, identify
+from retina_id.matcher import Weights, identify, total_si
 from retina_id.store import Gallery, GalleryRecord
+
+from oracles import far_frr_sweep_exact
 
 
 def rng_for(seed):
@@ -111,45 +114,44 @@ class TestRotationProtocol:
     def test_small_noiseless_run_is_perfect(self):
         spec = ExperimentSpec(angle_range=15.0, jitter_px=0.0, jitter_deg=0.0,
                               rng_seed=5, integer_angles=True)
-        report = rotation_protocol(SyntheticSource(6, 12), spec, counts=(3,))
+        report = rotation_protocol(build_eval_gallery(SyntheticSource(6, 12), spec), counts=(3,))
         assert report.entries[0].accuracy == 100.0
         assert report.entries[0].misidentified == ()
 
     def test_hits_plus_misses_equal_trials(self):
         spec = ExperimentSpec(rng_seed=6)
-        report = rotation_protocol(SyntheticSource(5, 8), spec, counts=(4,))
+        report = rotation_protocol(build_eval_gallery(SyntheticSource(5, 8), spec), counts=(4,))
         e = report.entries[0]
         assert e.hits + len(e.misidentified) == e.trials == 20
 
     def test_one_subject_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            rotation_protocol(SyntheticSource(1, 10), ExperimentSpec(), counts=(2,))
+            rotation_protocol(build_eval_gallery(SyntheticSource(1, 10), ExperimentSpec()), counts=(2,))
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError, match="counts"):
-            rotation_protocol(SyntheticSource(3, 10), ExperimentSpec(), counts=())
+            rotation_protocol(build_eval_gallery(SyntheticSource(3, 10), ExperimentSpec()), counts=())
 
     def test_non_source_rejected(self):
         with pytest.raises(TypeError, match="source must be"):
-            rotation_protocol([SyntheticSource(3, 10)], ExperimentSpec(), counts=(2,))
+            build_eval_gallery([SyntheticSource(3, 10)], ExperimentSpec())
 
-    def test_gallery_built_for_other_weights_rejected(self):
+    def test_eval_gallery_is_not_a_source(self):
         spec = ExperimentSpec(rng_seed=11)
         gallery = build_eval_gallery(SyntheticSource(3, 10), spec)
-        assert build_eval_gallery(gallery, spec, Weights()) is gallery
-        with pytest.raises(ValueError, match="another spec or other weights"):
-            build_eval_gallery(gallery, spec, Weights(w1=2.0))
+        with pytest.raises(TypeError, match="source must be"):
+            build_eval_gallery(gallery, spec)
 
     def test_reports_are_reproducible(self):
         spec = ExperimentSpec(rng_seed=8)
-        a = rotation_protocol(SyntheticSource(5, 10), spec, counts=(2, 3))
-        b = rotation_protocol(SyntheticSource(5, 10), spec, counts=(2, 3))
+        a = rotation_protocol(build_eval_gallery(SyntheticSource(5, 10), spec), counts=(2, 3))
+        b = rotation_protocol(build_eval_gallery(SyntheticSource(5, 10), spec), counts=(2, 3))
         assert a.to_csv() == b.to_csv()
         assert a.to_table() == b.to_table()
 
     def test_table_layout(self):
         spec = ExperimentSpec(rng_seed=9)
-        report = rotation_protocol(SyntheticSource(4, 10), spec, counts=(2, 3))
+        report = rotation_protocol(build_eval_gallery(SyntheticSource(4, 10), spec), counts=(2, 3))
         table = report.to_table()
         lines = table.splitlines()
         assert lines[0].split() == ["Times", "of", "rotation", "2", "3", "Mean"]
@@ -182,7 +184,7 @@ class TestRotationProtocol:
 
         monkeypatch.setattr(Gallery, "__getitem__", spy_getitem)
         monkeypatch.setattr(evaluation, "identify", spy_identify)
-        report = rotation_protocol(twins, spec, counts=(1, 2))
+        report = rotation_protocol(twins, counts=(1, 2))
         assert [e.hits for e in report.entries] == [2, 4]
         assert built == []
         assert len(views) == 2 * (1 + 2)
@@ -192,7 +194,7 @@ class TestRotationProtocol:
 
     def test_csv_layout(self):
         spec = ExperimentSpec(rng_seed=10)
-        report = rotation_protocol(SyntheticSource(4, 10), spec, counts=(2, 3))
+        report = rotation_protocol(build_eval_gallery(SyntheticSource(4, 10), spec), counts=(2, 3))
         lines = report.to_csv().splitlines()
         assert lines[0] == "rotations,accuracy_percent"
         assert lines[1].startswith("2,") and lines[2].startswith("3,")
@@ -231,17 +233,29 @@ class TestFarFrr:
         rows = far_frr_sweep(records, probes, np.linspace(0, 200, 400))
         assert any(far == 0.0 and frr == 0.0 for _, far, frr in rows)
 
-    def test_eval_gallery_scores_with_its_own_weights(self):
+    def test_eval_gallery_scores_with_its_own_weights(self, monkeypatch):
+        # far_frr_csv sweeps the gallery's own Gallery, not a copy, with the
+        # gallery's weights; so do its thresholds, from its self totals.
         weights = Weights(5.0, 0.0, 0.0)
         gallery = build_eval_gallery(SyntheticSource(4, 8), ExperimentSpec(rng_seed=3), weights)
-        probes = [(rec.subject_id, rec.template) for rec in gallery.records]
-        thresholds = [10.0, 50.0, 100.0]
-        rows = far_frr_sweep(gallery, probes, thresholds)
-        assert rows == far_frr_sweep(list(gallery.records), probes, thresholds, weights)
-        assert rows == [(10.0, 0.0, 0.0), (50.0, 0.0, 100.0), (100.0, 0.0, 100.0)]
-        assert far_frr_sweep(gallery, probes, thresholds, weights) == rows
-        with pytest.raises(ValueError, match="other weights"):
-            far_frr_sweep(gallery, probes, thresholds, Weights())
+        calls = []
+
+        def spy(records, probes, thresholds, weights=None):
+            probes = list(probes)
+            calls.append((records, probes, weights))
+            return far_frr_sweep(records, probes, thresholds, weights)
+
+        monkeypatch.setattr(evaluation, "far_frr_sweep", spy)
+        csv = far_frr_csv(gallery, 1, 3)
+        [(records, probes, used)] = calls
+        assert records is gallery.records and used is gallery.weights
+        top = 1.05 * max(total_si(rec.template, rec.template, weights).total
+                         for rec in gallery.records)
+        thresholds = np.linspace(0.0, top, 3)
+        want = far_frr_sweep_exact(list(gallery.records), probes, thresholds, weights)
+        assert csv.splitlines()[1:] == [
+            f"{fmt_num(t)},{fmt_num(far)},{fmt_num(frr)}" for t, far, frr in want]
+        assert want != far_frr_sweep_exact(list(gallery.records), probes, thresholds, Weights())
 
     def test_empty_inputs_rejected(self):
         records, probes = self.setup_sweep()
@@ -257,11 +271,11 @@ class TestFarFrrCsv:
     @pytest.mark.parametrize("probes,points", [(0, 5), (1, 0), (-1, 5), (1, -1)])
     def test_counts_below_one_rejected(self, probes, points):
         with pytest.raises(ValueError, match="at least 1"):
-            far_frr_csv(SyntheticSource(3, 10), ExperimentSpec(), probes, points, Weights())
+            far_frr_csv(build_eval_gallery(SyntheticSource(3, 10), ExperimentSpec()), probes, points)
 
     def test_one_subject_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            far_frr_csv(SyntheticSource(1, 10), ExperimentSpec(), 1, 5, Weights())
+            far_frr_csv(build_eval_gallery(SyntheticSource(1, 10), ExperimentSpec()), 1, 5)
 
     def test_points_above_bound_rejected_before_gallery(self, monkeypatch):
         def no_gallery(*args):
@@ -269,8 +283,7 @@ class TestFarFrrCsv:
 
         monkeypatch.setattr(evaluation, "build_synthetic_gallery", no_gallery)
         with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_POINTS}"):
-            far_frr_csv(SyntheticSource(3, 5), ExperimentSpec(), 1, MAX_SWEEP_POINTS + 1,
-                        Weights())
+            far_frr_csv(None, 1, MAX_SWEEP_POINTS + 1)
 
 
 class TestImagePath:
@@ -298,7 +311,7 @@ class TestImagePath:
         self.make_image(tmp_path, "subj_b.pgm", [(45, 48), (58, 140), (66, 275)])
         spec = ExperimentSpec(angle_range=10.0, rng_seed=15)
         source = ImageSource(tmp_path)
-        report = rotation_protocol(source, spec, counts=(3,))
+        report = rotation_protocol(build_eval_gallery(source, spec), counts=(3,))
         assert report.subjects == 2
         assert report.entries[0].trials == 6
         assert report.entries[0].accuracy == 100.0
@@ -309,20 +322,20 @@ class TestImagePath:
         # becomes `_`.
         self.make_image(tmp_path, f"{stem}.pgm", [(40, 0), (55, 95), (62, 200)])
         self.make_image(tmp_path, "plain.pgm", [(45, 48), (58, 140), (66, 275)])
-        report = rotation_protocol(ImageSource(tmp_path), ExperimentSpec(angle_range=10.0),
-                                   counts=(1,))
+        report = rotation_protocol(
+            build_eval_gallery(ImageSource(tmp_path), ExperimentSpec(angle_range=10.0)), counts=(1,))
         assert report.subjects == 2
         assert report.entries[0].trials == 2
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="images"):
-            rotation_protocol(ImageSource(tmp_path), ExperimentSpec(), counts=(2,))
+            rotation_protocol(build_eval_gallery(ImageSource(tmp_path), ExperimentSpec()), counts=(2,))
 
     def test_far_frr_sweep(self, tmp_path):
         self.make_image(tmp_path, "subj_a.pgm", [(40, 0), (55, 95), (62, 200)])
         self.make_image(tmp_path, "subj_b.pgm", [(45, 48), (58, 140), (66, 275)])
-        csv = far_frr_csv(ImageSource(tmp_path), ExperimentSpec(angle_range=10.0), 2, 7,
-                          Weights())
+        csv = far_frr_csv(build_eval_gallery(ImageSource(tmp_path), ExperimentSpec(angle_range=10.0)),
+                          2, 7)
         lines = csv.splitlines()
         assert lines[0] == "threshold,far_percent,frr_percent"
         assert len(lines) == 8

@@ -5,12 +5,15 @@ The benchmark's tracer (perfbench/tracer.py) wraps package functions by
 and must still be called through its module global.  Modules also never
 import a sibling's `_private` name, only `store` calls the gallery
 writer's parts, so every write goes through `store.add_records`, and only
-`encoder.gated_template` turns detected corners into a template.
+`encoder.gated_template` turns detected corners into a template.  The
+README's library block imports, and its call forms name real parameters.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ from retina_id.store import GalleryRecord
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "retina_id"
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def tracer_targets() -> dict[str, list[tuple[str, str]]]:
@@ -62,8 +66,9 @@ def test_evaluation_calls_reach_the_tracer():
     eval_spec = evaluation.ExperimentSpec(rng_seed=3)
     source = evaluation.SyntheticSource(3, 8)
     with tracer.installed():
-        evaluation.far_frr_csv(source, eval_spec, 1, 4, Weights())
-        evaluation.rotation_protocol(source, eval_spec, counts=(1, 2))
+        gallery = evaluation.build_eval_gallery(source, eval_spec)
+        evaluation.far_frr_csv(gallery, 1, 4)
+        evaluation.rotation_protocol(gallery, counts=(1, 2))
     names = [span[0] for span in tracer.spans]
     assert {
         "evaluation.rotation_protocol", "evaluation.build_synthetic_gallery",
@@ -87,7 +92,7 @@ def test_evaluation_calls_reach_the_tracer():
     twins = evaluation.EvalGallery(eval_spec, Weights(), records, probe_fn)
     tracer = new_tracer()
     with tracer.installed():
-        report = evaluation.rotation_protocol(twins, eval_spec, counts=(1, 2))
+        report = evaluation.rotation_protocol(twins, counts=(1, 2))
     names = [span[0] for span in tracer.spans]
     assert names.count("matcher.identify") == 2 * (1 + 2)
     # s002 is always found; a twin probe ties, and the tie goes to s001.
@@ -192,3 +197,23 @@ def test_only_the_encoder_chains_corners_into_templates():
         if {"detect_corners", "polarize"} & calls:
             offenders.append((path.name, sorted({"detect_corners", "polarize"} & calls)))
     assert offenders == []
+
+
+def test_readme_library_surface_runs():
+    """The README's "Library surface" python block runs, and every call form
+    the section writes out for a function it imports, as `name(a, b=...)`,
+    names that function's leading parameters in order."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library surface\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    checked = set()
+    for name, params in re.findall(r"`(\w+)\(([^()`]*)\)`", section):
+        fn = namespace.get(name)
+        if not inspect.isfunction(fn):
+            continue
+        documented = [p.split("=", 1)[0].strip() for p in params.split(",") if p.strip()]
+        assert documented == list(inspect.signature(fn).parameters)[:len(documented)], name
+        checked.add(name)
+    assert {"build_eval_gallery", "rotation_protocol", "far_frr_csv", "far_frr_sweep"} <= checked

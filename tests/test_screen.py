@@ -94,7 +94,7 @@ def make_gallery(templates, probes, weights, seed=0, ids=None):
 
 
 def assert_protocol_exact(gallery, counts=(1, 3)):
-    report = rotation_protocol(gallery, gallery.spec, counts, gallery.weights)
+    report = rotation_protocol(gallery, counts)
     want = rotation_counts_exact(gallery.records, gallery.probe_fn, gallery.spec, counts,
                                  gallery.weights)
     got = [(e.hits, e.misidentified, e.hits_normalized) for e in report.entries]
@@ -173,7 +173,7 @@ class TestExactDecisions:
         twin = template("pulses", rng)
         templates = [twin, template("pulses", rng), twin]
         gallery = make_gallery(templates, [twin], WEIGHTS, ids=["twin_b", "other", "twin_a"])
-        report = rotation_protocol(gallery, gallery.spec, (2,), WEIGHTS)
+        report = rotation_protocol(gallery, (2,))
         # Every probe is the twin: both rankings pick twin_a, the smaller id.
         (entry,) = report.entries
         assert entry.hits == entry.hits_normalized == 2
@@ -194,7 +194,7 @@ class TestExactDecisions:
         probe = FeatureTemplate(twin.vectors.copy())
         gallery = EvalGallery(ExperimentSpec(rng_seed=3), WEIGHTS, records, lambda *_: probe)
         records[0].template.vectors[:] = 0.0
-        report = rotation_protocol(gallery, gallery.spec, (1, 2), WEIGHTS)
+        report = rotation_protocol(gallery, (1, 2))
         got = [(e.hits, e.misidentified, e.hits_normalized) for e in report.entries]
         assert got == rotation_counts_exact(built, gallery.probe_fn, gallery.spec, (1, 2), WEIGHTS)
         assert [e.hits for e in report.entries] == [1, 2]
@@ -202,7 +202,7 @@ class TestExactDecisions:
         probes = [(rec.subject_id, probe) for rec in built]
         exact = [total_si(rec.template, probe, WEIGHTS).total for rec in built]
         thresholds = sorted({x for t in exact for x in (np.nextafter(t, -1), t, np.nextafter(t, 1e9))})
-        assert (far_frr_sweep(gallery, probes, thresholds, WEIGHTS)
+        assert (far_frr_sweep(gallery.records, probes, thresholds, WEIGHTS)
                 == far_frr_sweep_exact(built, probes, thresholds, WEIGHTS))
 
     def test_near_ties_decided_exactly(self):
@@ -213,7 +213,7 @@ class TestExactDecisions:
         rng = np.random.default_rng(3012)
         templates = [template(k, rng) for k in KINDS]
         gallery = make_gallery(templates, templates, Weights(0.0, 0.0, 0.0))
-        report = rotation_protocol(gallery, gallery.spec, (1,), gallery.weights)
+        report = rotation_protocol(gallery, (1,))
         assert report.entries[0].hits == 1  # only s00 wins a tie of all records
         assert_protocol_exact(gallery)
 
@@ -261,7 +261,7 @@ def test_screened_decisions_equal_the_exact_loops(seed, kinds, full, twins, weig
     thresholds += [x for t in exact[:6] for x in (np.nextafter(t, -1), t, np.nextafter(t, 1e9))]
     want = far_frr_sweep_exact(gallery.records, sweep_probes, thresholds, weights)
     assert far_frr_sweep(gallery.records, sweep_probes, thresholds, weights) == want
-    assert far_frr_sweep(gallery, sweep_probes, thresholds, weights) == want
+    assert far_frr_sweep(list(gallery.records), sweep_probes, thresholds, weights) == want
 
 
 def records_of(templates, ids=None):
