@@ -362,6 +362,35 @@ class TestGalleryListing:
         assert capsys.readouterr().err.endswith(message + "\n")
 
 
+class TestReadFile:
+    """A `.rtpl` file is read in fixed-size reads until one comes back
+    short: a file longer than one read and one exactly one read long."""
+
+    @pytest.mark.parametrize("reads", [1, 3])
+    def test_reads_until_a_short_read(self, tmp_path, monkeypatch, reads):
+        save_template(record(np.random.default_rng(74), sid="a"), tmp_path / "a.rtpl")
+        data = (tmp_path / "a.rtpl").read_bytes()
+        size = len(data) if reads == 1 else len(data) // 2 - 1
+        monkeypatch.setattr(store, "_READ_BYTES", size)
+        assert load_gallery(tmp_path).subject_ids == ["a"]
+        asked = []
+        real_read = os.read
+
+        def read(fd, n):
+            asked.append(n)
+            return real_read(fd, n)
+
+        monkeypatch.setattr(os, "read", read)
+        dir_fd = os.open(tmp_path, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            got = store._read_file(tmp_path, dir_fd, "a.rtpl")
+        finally:
+            os.close(dir_fd)
+        assert got == data
+        # A file exactly one read long needs a second, empty read to end.
+        assert asked == [size] * (reads + (reads == 1))
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd (Linux)")
 class TestNoDescriptorLeak:
     def open_fds(self):
@@ -543,29 +572,49 @@ def parses(monkeypatch):
 
 
 def split_snapshot(data: bytes):
-    """(head, amplitudes, index) of a snapshot's bytes."""
+    """(head, slots, index) of a snapshot's bytes: slots holds each record's
+    (positions, values) in index order, and each record's index row ends in
+    its slot count."""
     body = data[:-32]
     n = int.from_bytes(body[-8:], "little")
-    amplitudes = np.frombuffer(body[24:-8 - n], "<f8").reshape(-1, 3, 360).copy()
-    return body[:24], amplitudes, json.loads(body[-8 - n:-8])
+    index = json.loads(body[-8 - n:-8])
+    counts = [row[-1] for _, _, rows in index for row in rows]
+    slots, at = [], 24
+    for lo in range(0, len(counts), BLOCK_ROWS):
+        section = counts[lo:lo + BLOCK_ROWS]
+        total = sum(section)
+        values = np.frombuffer(body, "<f8", total, at)
+        positions = np.frombuffer(body, "<u2", total, at + 8 * total)
+        at += 10 * total
+        for end, count in zip(np.cumsum(section).tolist(), section):
+            slots.append((positions[end - count:end].copy(), values[end - count:end].copy()))
+    assert at == len(body) - 8 - n
+    return body[:24], slots, index
 
 
-def join_snapshot(head, amplitudes, index) -> bytes:
-    """A snapshot with a valid trailer around whatever it is given."""
+def join_snapshot(head, slots, index) -> bytes:
+    """A snapshot with a valid trailer around whatever it is given: the
+    records' slots in sections of BLOCK_ROWS, values then positions."""
+    sections = []
+    for lo in range(0, len(slots), BLOCK_ROWS):
+        block = slots[lo:lo + BLOCK_ROWS]
+        sections += [np.concatenate([v for _, v in block]).astype("<f8").tobytes(),
+                     np.concatenate([p for p, _ in block]).astype("<u2").tobytes()]
     tail = json.dumps(index).encode("ascii")
-    body = head + np.ascontiguousarray(amplitudes, "<f8").tobytes() + tail + len(tail).to_bytes(8, "little")
+    body = head + b"".join(sections) + tail + len(tail).to_bytes(8, "little")
     return body + hashlib.sha256(body).digest()
 
 
-def forge(head, amplitudes, index, case):
+def forge(head, slots, index, case):
     """Edit a split snapshot into one that must be ignored as a whole."""
     row = index[0][2][0]
+    positions, values = slots[0]
     if case == "foreign version":
-        head = b"RETINA-SNAPSHOT v2\n".ljust(24, b"\0")
+        head = b"RETINA-SNAPSHOT v1\n".ljust(24, b"\0")
     elif case == "nan amplitude":
-        amplitudes[0, 0, 0] = np.nan
+        values[0] = np.nan
     elif case == "amplitude over 360":
-        amplitudes[0, 1, 5] = 360.5
+        values[1] = 360.5
     elif case == "nan od":
         row[1] = float("nan")
     elif case == "od as text":
@@ -583,7 +632,7 @@ def forge(head, amplitudes, index, case):
     elif case == "duplicate ids":
         row[0] = index[1][2][0][0]
     elif case == "record missing amplitudes":
-        amplitudes = amplitudes[:-1]
+        slots = slots[:-1]
     elif case == "amplitudes missing a record":
         index[-1][2] = []
     elif case == "short row":
@@ -592,13 +641,40 @@ def forge(head, amplitudes, index, case):
         index[0][0] = "zz"
     elif case == "index not a list":
         index = {"files": index}
-    return join_snapshot(head, amplitudes, index)
+    elif case == "position 1080":
+        positions[-1] = 1080
+    elif case == "repeated position":
+        positions[1] = positions[0]
+    elif case == "decreasing positions":
+        positions[[0, 1]] = positions[[1, 0]]
+    elif case == "count one slot more":
+        row[-1] += 1
+    elif case == "count one slot less":
+        row[-1] -= 1
+    elif case == "count as text":
+        row[-1] = str(row[-1])
+    return join_snapshot(head, slots, index)
 
 
 FORGED = ["foreign version", "nan amplitude", "amplitude over 360", "nan od", "od as text",
           "unknown od source", "provenance not text", "provenance with newline", "bad id",
           "id not text", "duplicate ids", "record missing amplitudes",
-          "amplitudes missing a record", "short row", "digest not hex", "index not a list"]
+          "amplitudes missing a record", "short row", "digest not hex", "index not a list",
+          "position 1080", "repeated position", "decreasing positions", "count one slot more",
+          "count one slot less", "count as text"]
+
+
+def v1_snapshot(gallery) -> bytes:
+    """The version 1 snapshot of a gallery that add_records wrote in
+    filename order: dense amplitudes and five-field index rows."""
+    index = [[digest.hex(), size, [[r.subject_id, r.od.x, r.od.y, r.od.source, r.source_image]
+                                   for r in gallery.records[positions.start:positions.stop]]]
+             for digest, size, positions in gallery.files]
+    tail = json.dumps(index).encode("ascii")
+    body = (b"RETINA-SNAPSHOT v1\n".ljust(24, b"\0")
+            + b"".join(np.ascontiguousarray(r.template.vectors, "<f8").tobytes() for r in gallery)
+            + tail + len(tail).to_bytes(8, "little"))
+    return body + hashlib.sha256(body).digest()
 
 
 class TestSnapshot:
@@ -715,7 +791,7 @@ class TestSnapshot:
             "truncated": data[:-1],
             "half": data[:len(data) // 2],
             "no trailer": data[:-40],
-            "bit flipped": flip(24 + 8 * 363),
+            "bit flipped": flip(24 + 8 * 3),
             "last bit flipped": flip(len(data) - 1),
             "appended": data + b"\0",
             "text": render_record(record(np.random.default_rng(84))).encode("utf-8"),
@@ -735,6 +811,21 @@ class TestSnapshot:
         parses.clear()
         got = load_outcome(gal)
         assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
+        assert got == load_outcome_from_text(gal)
+
+    def test_v1_snapshot_is_ignored_and_rewritten_as_v2(self, tmp_path, parses):
+        gal = self.gallery(tmp_path)
+        snapshot = gal / SNAPSHOT_NAME
+        snapshot.write_bytes(v1_snapshot(load_gallery(gal)))
+        parses.clear()
+        got = load_outcome(gal)
+        assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
+        assert got == load_outcome_from_text(gal)
+        add_records(gal, [record(np.random.default_rng(89), sid="v2")])
+        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v2\n")
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == []
         assert got == load_outcome_from_text(gal)
 
     def test_entry_with_another_byte_length_is_not_used(self, tmp_path, parses):
@@ -821,6 +912,25 @@ class TestSnapshot:
         # one gallery-sized allocation.
         assert max(peaks) < 1.5 * gallery_bytes
 
+    def test_load_of_full_rows_builds_no_gallery_sized_temporary(self, tmp_path):
+        # Every slot occupied: the body, 10 bytes a slot, is larger than the
+        # dense amplitudes, and is still read a block at a time.
+        n = 300
+        rng = np.random.default_rng(7)
+        add_records(tmp_path, [GalleryRecord(f"f{i:03d}", FeatureTemplate(
+            np.round(rng.uniform(1.0, 360.0, (3, 360)), 9))) for i in range(n)])
+        gallery_bytes = n * 3 * 360 * 8
+        assert (tmp_path / SNAPSHOT_NAME).stat().st_size > 1.25 * gallery_bytes
+        tracemalloc.start()
+        try:
+            gallery = load_gallery(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(gallery.amplitudes(n - 1)) == 3 * 360
+        assert loaded(gallery) == load_outcome_from_text(tmp_path)
+        assert peak < 1.5 * gallery_bytes
+
     @settings(max_examples=25, deadline=None)
     @given(steps=st.lists(st.tuples(st.sampled_from(["add", "unlink", "edit", "foreign", "flip"]),
                                     st.integers(0, 10 ** 6)), max_size=8))
@@ -845,6 +955,44 @@ class TestSnapshot:
                     data[k % len(data)] ^= 1 << (k % 8)
                     (gal / SNAPSHOT_NAME).write_bytes(bytes(data))
                 assert load_outcome(gal) == load_outcome_from_text(gal)
+
+
+SPECIAL_AMPLITUDES = [-0.0, 1e-300, 360.0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(["empty", "full", "mixed"]), min_size=1,
+                      max_size=BLOCK_ROWS + 8))
+def test_snapshot_rows_are_the_texts_bits(seed, kinds):
+    """Rows mixing -0.0, 1e-300, 360.0, empty rows and rows with all 1080
+    slots occupied load through the snapshot with the bits the text loads
+    with."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i, kind in enumerate(kinds):
+        v = np.zeros(3 * 360)
+        if kind == "full":
+            v[:] = rng.uniform(1e-9, 360.0, v.size)
+        if kind != "empty":
+            k = int(rng.integers(1, 80))
+            v[rng.choice(v.size, k, replace=False)] = rng.choice(SPECIAL_AMPLITUDES, k)
+        records.append(GalleryRecord(f"r{i:02d}", FeatureTemplate(v.reshape(3, 360))))
+    with tempfile.TemporaryDirectory() as tmp:
+        gal = Path(tmp)
+        add_records(gal, records)
+        with open(gal / SNAPSHOT_NAME, "rb") as fh:
+            blocks, memo = store._parse_snapshot(fh)
+        through_snapshot = load_gallery(gal)
+        (gal / SNAPSHOT_NAME).unlink()
+        text = load_gallery(gal)
+    assert len(memo) == len(records)
+    rows = np.concatenate(blocks).view(np.uint64)
+    assert np.array_equal(rows, np.concatenate(text.blocks).view(np.uint64))
+    for i in range(len(records)):
+        assert np.array_equal(through_snapshot.amplitudes(i).view(np.uint64),
+                              text.amplitudes(i).view(np.uint64))
+    assert loaded(through_snapshot) == loaded(text)
 
 
 def ranking_bits(ranking):
