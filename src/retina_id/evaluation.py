@@ -305,7 +305,9 @@ def _build_image_gallery(source: ImageSource):
             source_image=f.name,
             od=od,
         ))
-        maps.append(m)
+        # The map holds the 8-bit samples, and rotate_about converts it back
+        # to float64 itself: a 565x584 capture keeps 0.33 MB, not 2.6 MB.
+        maps.append(m.astype(np.uint8))
     return records, maps
 
 

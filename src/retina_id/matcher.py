@@ -39,19 +39,18 @@ one of one row and identify --top-k 3 one of about 3 rows.
 
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
-planes (0 on empty slots) with the query's.  GalleryScreen reads a
-store.Gallery's amplitude blocks of at most store.BLOCK_ROWS records in
-place and keeps the conjugated rfft of every record's planes, built once
-per gallery block by block (about 17 KB per record, plus about 6 KB of
-work arrays); per query and class, one irfft gives every record's
-profile, and so every record's screened total.  identify's top_k screen
-(see Callers) builds the same spectra for the records it visits, their
-rows gathered BLOCK_ROWS at a time, and keeps none of them.  Both compute
-planes, spectra and totals through the same functions, so the bound below
-covers both.  A screened total is not bit-for-bit the exact one, so
-GalleryScreen.totals also returns a bound B on |screened - exact| for
-every record, and a caller decides exactly by re-scoring with the exact
-kernel every record whose screened total B cannot place.
+planes (0 on empty slots) with the query's.  Both screens gather rows
+through store.Gallery.amplitudes, BLOCK_ROWS records at a time, into one
+reused buffer and compute planes, spectra and totals through the same
+functions, so the bound below covers both.  GalleryScreen gathers every
+record once per gallery, in record order, and keeps the conjugated rfft of
+its planes (about 17 KB per record, plus about 6 KB of work arrays); per
+query and class, one irfft gives every record's profile, and so every
+record's screened total.  identify's top_k screen (see Callers) keeps none
+of the spectra of the records it visits.  A screened total is not
+bit-for-bit the exact one, so GalleryScreen.totals also returns a bound B
+on |screened - exact| for every record, and a caller decides exactly by
+re-scoring with the exact kernel every record whose total B cannot place.
 
 The bound.  Write u = 2**-53, gamma(k) = k u / (1 - k u), n = 360, and
 compare both totals with the real-arithmetic profile S(phi) of the stored
@@ -363,6 +362,15 @@ def _spectra(vectors: np.ndarray, name: str) -> np.ndarray:
     return np.conj(spectra, out=spectra)
 
 
+def _gathered_spectra(gallery: Gallery, positions, vectors: np.ndarray) -> np.ndarray:
+    """_spectra of the records at `positions`, at most BLOCK_ROWS, gathered
+    into `vectors`, one (BLOCK_ROWS, 3, SLOTS) buffer for every chunk: it
+    stays in cache, where a fresh array per chunk cost about 10% more."""
+    for j, i in enumerate(positions):
+        vectors[j] = gallery.amplitudes(i)
+    return _spectra(vectors[:len(positions)], "enrolled")
+
+
 def _query_spectra(query: FeatureTemplate) -> np.ndarray:
     """The rfft, not conjugated, of the query's planes: shape (2, 3, SLOTS //
     2 + 1), the cos planes first."""
@@ -387,32 +395,23 @@ def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndar
 def _top_candidates(query: FeatureTemplate, gallery: Gallery, weights: Weights, k: int) -> np.ndarray:
     """The positions, ascending, of the gallery's records that the screen
     cannot rule out of identify's first k.  Records are screened BLOCK_ROWS
-    at a time in descending order of their ceiling U (ties in record order),
-    their rows gathered from the gallery's blocks, until the next record's U
-    is below the cut S_k - 2B of the records screened so far; see the module
-    docstring.  Nothing gallery-sized is built besides the slot counts, the
-    ceilings and the screened totals."""
+    at a time in descending order of their ceiling U (ties in record order)
+    until the next record's U is below the cut S_k - 2B of the records
+    screened so far; see the module docstring.  Nothing gallery-sized is
+    built besides the slot counts, the ceilings and the screened totals."""
     bound = _bound(weights)
-    counts = np.zeros((len(gallery.blocks) * BLOCK_ROWS, 3), dtype=np.intp)
-    for lo, block in zip(range(0, counts.shape[0], BLOCK_ROWS), gallery.blocks):
-        # A uint16 sum holds 360 and takes about 60% of count_nonzero's time.
-        counts[lo:lo + len(block)] = (block != 0).sum(axis=2, dtype=np.uint16)
-    m = np.minimum(counts[gallery.rows], np.count_nonzero(query.vectors, axis=1)).T
+    m = np.minimum(gallery.nonzero_counts(), np.count_nonzero(query.vectors, axis=1)).T
     ceiling = weights.w1 * m[0] + weights.w2 * m[1] + weights.w3 * m[2] + bound
     order = np.argsort(-ceiling, kind="stable")
     query_spectra = _query_spectra(query)
     work = np.empty((2, BLOCK_ROWS, SLOTS // 2 + 1), dtype=np.complex128)
-    # One gather buffer for every chunk: it stays in cache, where a fresh
-    # array per chunk cost about 10% more in _spectra.
     vectors = np.empty((BLOCK_ROWS, 3, SLOTS))
     screened = np.empty(len(order))
     cut, end = -np.inf, 0
     # A NaN cut keeps every record, and so screens every one.
     while end < len(order) and not ceiling[order[end]] < cut:
         chunk = order[end:end + BLOCK_ROWS]
-        for j, row in enumerate(gallery.rows[chunk].tolist()):
-            vectors[j] = gallery.blocks[row // BLOCK_ROWS][row % BLOCK_ROWS]
-        cos, sin = _spectra(vectors[:len(chunk)], "enrolled")
+        cos, sin = _gathered_spectra(gallery, chunk.tolist(), vectors)
         screened[end:end + len(chunk)] = _screened_totals(cos, sin, query_spectra, weights,
                                                           work[:, :len(chunk)])
         end += len(chunk)
@@ -433,12 +432,13 @@ class GalleryScreen:
     """
 
     def __init__(self, gallery: Gallery):
-        cos = np.empty((3, len(gallery.blocks) * BLOCK_ROWS, SLOTS // 2 + 1), dtype=np.complex128)
-        sin = np.empty_like(cos)
-        for lo, block in zip(range(0, cos.shape[1], BLOCK_ROWS), gallery.blocks):
-            cos[:, lo:lo + len(block)], sin[:, lo:lo + len(block)] = _spectra(block, "enrolled")
         # One C-contiguous row per record: a strided or padded layout slows totals().
-        self._cos, self._sin = cos.take(gallery.rows, axis=1), sin.take(gallery.rows, axis=1)
+        self._cos = np.empty((3, len(gallery), SLOTS // 2 + 1), dtype=np.complex128)
+        self._sin = np.empty_like(self._cos)
+        records, vectors = range(len(gallery)), np.empty((BLOCK_ROWS, 3, SLOTS))
+        for lo in records[::BLOCK_ROWS]:
+            chunk = slice(lo, lo + BLOCK_ROWS)
+            self._cos[:, chunk], self._sin[:, chunk] = _gathered_spectra(gallery, records[chunk], vectors)
         # One class's products at a time, in arrays kept for every query:
         # products allocated per query were, in some heap layouts, returned
         # to the OS and faulted back in on every query.

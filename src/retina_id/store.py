@@ -40,21 +40,24 @@ the batch with the gallery unchanged.  Like `.rtpl` writes the new one is
 written atomically and not fsync'd.
 
 A Gallery holds its amplitudes as read-only float64 blocks of BLOCK_ROWS
-rows, each one FFT screen block (see retina_id.matcher): Gallery(records) a
-copy of its records' in order, a directory's the snapshot's rows in its
-order, each block's slots read with two readinto calls, digested, checked
-and scattered into zeros, then, from the next block on, the rows of the
-files the snapshot misses.  Rows of files unlinked since the snapshot was
-written stay in the blocks unread.  Each row's id, od centre and provenance
-are checked at load as GalleryRecord and OdCenter check them, but records,
-each template a read-only view of its row, are built only when asked for;
-the matcher reads rows.  Blocks of about 270 KB rather than one
+rows: Gallery(records) a copy of its records' in order, a directory's the
+snapshot's rows in its order, each block's slots read with two readinto
+calls, digested, checked and scattered into zeros, then, from the next
+block on, the rows of the files the snapshot misses.  Rows of files
+unlinked since the snapshot was written stay in the blocks unread, and the
+snapshot's last block may be short.  Each row's id, od centre and
+provenance are checked at load as GalleryRecord and OdCenter check them,
+but records, each template a read-only view of its row, are built only
+when asked for.  The layout is this module's alone: the matcher reads a
+record's row through Gallery.amplitudes and every record's occupied slots
+through Gallery.nonzero_counts.  Blocks of about 270 KB rather than one
 gallery-sized array: freed heap memory can take a block, where a
 gallery-sized array needs fresh pages on every load.  The directory is
 listed with os.scandir (every name ending in `.rtpl`, hidden ones included,
 case-sensitive) and each file read through the directory's descriptor in
-64 KiB reads; an OSError names the file's path.  add_records writes the
-snapshot in block row order.
+64 KiB reads; an entry that is not a regular file (a directory, a FIFO, a
+device, a dangling symlink) is refused unopened, and an OSError names the
+entry's path.  add_records writes the snapshot in block row order.
 
 Snapshot layout: the 24-byte head below; the body; the index as ASCII
 JSON, `[[digest hex, byte length, [[subject, od x, od y, od source,
@@ -75,11 +78,13 @@ read, hashed and checked 8640 bytes per record that were mostly zeros.
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import itertools
 import math
 import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,9 +109,9 @@ _TRAILER_BYTES = 8 + 32  # index length, sha256 digest
 _READ_BYTES = 1 << 16  # per read of a `.rtpl` file
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _LINES_PER_RECORD = 7
-# Rows per amplitude block of a Gallery and per block of the FFT
-# screen (see retina_id.matcher): a block holds about 270 KB of amplitudes,
-# and the screen's planes and spectra of one about 0.6 MB each.
+# Rows per amplitude block of a Gallery, and records per chunk of the FFT
+# screens (see retina_id.matcher): a block holds about 270 KB of
+# amplitudes, and a chunk's planes and spectra about 0.6 MB each.
 BLOCK_ROWS = 32
 
 
@@ -151,7 +156,8 @@ class Gallery:
 
     The amplitudes are in `blocks`, read-only float64 arrays of up to
     BLOCK_ROWS (3, SLOTS) rows (see the module docstring): record i's are
-    row rows[i] % BLOCK_ROWS of block rows[i] // BLOCK_ROWS.  Records are
+    row rows[i] % BLOCK_ROWS of block rows[i] // BLOCK_ROWS.  Other modules
+    read them through `amplitudes` and `nonzero_counts` alone.  Records are
     built on first use and kept, each template a read-only view of its row.
     `subset` gives the Gallery of some of the records over the same blocks.
 
@@ -188,6 +194,15 @@ class Gallery:
         """Record i's (3, SLOTS) amplitudes, a read-only view of its row."""
         block, row = divmod(int(self.rows[i]), BLOCK_ROWS)
         return self.blocks[block][row]
+
+    def nonzero_counts(self) -> np.ndarray:
+        """Each record's occupied slots per class, as a (len(self), 3) array:
+        row i is record i's FeatureTemplate.nonzero_counts."""
+        counts = np.zeros((len(self.blocks) * BLOCK_ROWS, 3), dtype=np.intp)
+        for lo, block in zip(range(0, counts.shape[0], BLOCK_ROWS), self.blocks):
+            # A uint16 sum holds 360 and takes about 60% of count_nonzero's time.
+            counts[lo:lo + len(block)] = (block != 0).sum(axis=2, dtype=np.uint16)
+        return counts[self.rows]
 
     @property
     def records(self) -> tuple:
@@ -452,10 +467,18 @@ def _read_snapshot(dir_fd: int) -> tuple[list, dict]:
         return [], {}
 
 
-def _read_file(directory: Path, dir_fd: int, name: str) -> bytes:
+def _read_file(directory: Path, dir_fd: int, name: str, regular: bool = True) -> bytes:
     """The bytes of the entry `name` of `directory`, open as dir_fd; an
-    OSError names the entry's path."""
+    OSError names the entry's path.  An entry that is not `regular` (as its
+    os.scandir DirEntry.is_file() found it) is refused before it is opened:
+    a FIFO would block the open, and a device such as /dev/zero never gives
+    the short read that ends a file."""
     try:
+        if not regular:
+            # os.stat raises ENOENT for a dangling symlink.
+            if stat.S_ISDIR(os.stat(name, dir_fd=dir_fd).st_mode):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+            raise OSError(errno.EINVAL, "Not a regular file")
         fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
         try:
             # A read short of what it asks for has reached the end.
@@ -479,11 +502,11 @@ def _load_directory(p: Path) -> Gallery:
     try:
         blocks, memo = _read_snapshot(dir_fd)
         with os.scandir(dir_fd) as entries:
-            names = sorted(e.name for e in entries if e.name.endswith(".rtpl"))
+            names = sorted((e.name, e.is_file()) for e in entries if e.name.endswith(".rtpl"))
         end = len(blocks) * BLOCK_ROWS  # the first parsed row's
         meta, rows, files = [], [], []
-        for name in names:
-            data = _read_file(p, dir_fd, name)
+        for name, regular in names:
+            data = _read_file(p, dir_fd, name, regular)
             key = (hashlib.sha256(data).digest(), len(data))
             hit = memo.get(key)
             if hit is None:

@@ -316,6 +316,15 @@ class TestImagePath:
         assert report.entries[0].trials == 6
         assert report.entries[0].accuracy == 100.0
 
+    def test_kept_maps_are_the_8_bit_samples(self, tmp_path):
+        from retina_id.imaging import load_image, to_intensity
+        paths = [self.make_image(tmp_path, "subj_a.pgm", [(40, 0), (55, 95), (62, 200)]),
+                 self.make_image(tmp_path, "subj_b.pgm", [(45, 48), (58, 140), (66, 275)])]
+        _, maps = evaluation._build_image_gallery(ImageSource(tmp_path))
+        for path, m in zip(paths, maps):
+            assert m.dtype == np.uint8
+            assert np.array_equal(m.astype(np.float64), to_intensity(load_image(path)))
+
     @pytest.mark.parametrize("stem", ["café", "x²", "٣d"])
     def test_non_ascii_name_becomes_valid_id(self, tmp_path, stem):
         # Letters and digits outside ASCII fail the store's id rule, so each

@@ -120,6 +120,19 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
+def test_only_store_reads_the_gallery_layout():
+    """A Gallery's blocks and row map are store's alone: other modules read
+    amplitudes and slot counts through Gallery.amplitudes and
+    Gallery.nonzero_counts."""
+    offenders = [
+        (path.name, node.lineno, node.attr)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "store.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("blocks", "rows")
+    ]
+    assert offenders == []
+
+
 def test_store_writes_reach_the_tracer(tmp_path):
     tracer = new_tracer()
     records, _ = evaluation.build_synthetic_gallery(2, 8, seed=3)

@@ -569,6 +569,14 @@ def test_screen_spectra_are_contiguous_one_row_per_record(tmp_path):
             screened, bound = screen.totals(q, WEIGHTS)
             exact = [total_si(rec.template, q, WEIGHTS).total for rec in gallery]
             assert np.abs(screened - exact).max() <= bound
+    # The loaded rows are the text's rounding of the records', so the loaded
+    # screen's totals are compared, bit for bit, with those of a Gallery of
+    # the loaded records, whose rows are in record order.
+    loaded = load_gallery(tmp_path)
+    screens = [GalleryScreen(loaded), GalleryScreen(Gallery(list(loaded)))]
+    for q in (records[0].template, records[-1].template):
+        got, want = (screen.totals(q, WEIGHTS)[0] for screen in screens)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -19,7 +20,7 @@ from retina_id import cli
 from retina_id.encoder import FeatureTemplate, encode, polarize
 from retina_id.evaluation import build_synthetic_gallery
 from retina_id.harris import Corner
-from retina_id.matcher import Weights, identify, verify
+from retina_id.matcher import GalleryScreen, Weights, identify, verify
 from retina_id.optic_disc import OdCenter
 from retina_id.store import (
     BLOCK_ROWS,
@@ -360,6 +361,36 @@ class TestGalleryListing:
         assert cli.main(["verify", str(tmp_path / "probe.pgm"), "a", "--gallery", str(gal),
                          "--threshold", "1"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.endswith(message + "\n")
+
+    @pytest.mark.parametrize("kind", ["fifo", "/dev/zero symlink"])
+    def test_special_file_is_refused_unopened(self, tmp_path, kind):
+        """A FIFO would block the open and /dev/zero never end a read, so
+        each load runs in a child with a time limit and an address-space
+        limit: a regression fails in seconds instead of hanging or taking
+        the host's memory."""
+        gal = tmp_path / "gal"
+        add_records(gal, [record(np.random.default_rng(75), sid="a")])
+        bad = gal / "z.rtpl"
+        if kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no os.mkfifo")
+            os.mkfifo(bad)
+        else:
+            if not Path("/dev/zero").exists():
+                pytest.skip("no /dev/zero")
+            bad.symlink_to("/dev/zero")
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+                 "from retina_id import cli\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(store.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", child, "verify", str(tmp_path / "probe.pgm"), "a",
+                               "--gallery", str(gal), "--threshold", "1"],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert done.returncode == cli.EXIT_INPUT, done.stderr
+        assert done.stderr == f"error: [Errno 22] Not a regular file: '{bad}'\n"
 
 
 class TestReadFile:
@@ -1084,6 +1115,21 @@ class TestBlockEquivalence:
         assert sorted(g.rows) == list(range(len(g)))
         assert loaded(g) == load_outcome_from_text(gal)
         assert [r for r in loaded(g) if r[0] != "after"] == before
+
+
+def test_nonzero_counts_are_the_templates(tmp_path):
+    """Gallery.nonzero_counts is every record's FeatureTemplate.nonzero_counts,
+    in record order: of a Gallery of records, of a loaded gallery with rows
+    out of order, a stale row, a short middle block and a parsed row, and of
+    a subset of it."""
+    records, _ = build_synthetic_gallery(5, 20, seed=11)
+    loaded_gallery = load_gallery(TestBlockEquivalence().gallery(tmp_path))
+    for g in (Gallery(records), loaded_gallery, loaded_gallery.subset([len(loaded_gallery) - 1, 3, 0, 17])):
+        counts = g.nonzero_counts()
+        assert counts.shape == (len(g), 3)
+        assert np.array_equal(counts, [r.template.nonzero_counts() for r in g])
+    screen = GalleryScreen(Gallery())
+    assert screen._cos.shape == screen._sin.shape == (3, 0, 181)
 
 
 def test_subset_reads_the_gallerys_blocks(tmp_path):
