@@ -231,10 +231,10 @@ def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
     A lone candidate is first in both rankings, as an identify call on it
     alone would rank it whatever its score, so it is taken from the screen.
     Two or more are re-scored in one exact identify call on the subset of
-    the gallery holding them, which reads its blocks, and both winners
-    are taken from its exact totals: the raw one by descending total, ties
-    by subject id, and the normalised one by descending total / self total
-    (0 when the self total is not positive), ties by subject id.
+    the gallery holding them, which reads its slots in place, and both
+    winners are taken from its exact totals: the raw one by descending
+    total, ties by subject id, and the normalised one by descending total /
+    self total (0 when the self total is not positive), ties by subject id.
     """
     screened, bound = gallery.screen.totals(probe, gallery.weights)
     self_totals = gallery.self_totals

@@ -39,10 +39,10 @@ one of one row and identify --top-k 3 one of about 3 rows.
 
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
-planes (0 on empty slots) with the query's.  Both screens gather rows
-through store.Gallery.amplitudes, BLOCK_ROWS records at a time, into one
-reused buffer and compute planes, spectra and totals through the same
-functions, so the bound below covers both.  GalleryScreen gathers every
+planes (0 on empty slots) with the query's.  Both screens gather rows,
+scattered from the stored slots by store.Gallery.amplitudes, BLOCK_ROWS
+at a time, into one reused buffer and compute planes, spectra and totals
+through the same functions, so the bound below covers both.  GalleryScreen gathers every
 record once per gallery, in record order, and keeps the conjugated rfft of
 its planes (about 17 KB per record, plus about 6 KB of work arrays); per
 query and class, one irfft gives every record's profile, and so every

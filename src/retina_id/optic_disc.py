@@ -359,11 +359,14 @@ def manual_od(x: float, y: float, intensity: np.ndarray) -> OdCenter:
 def od_from_sidecar(image_path, intensity: np.ndarray) -> OdCenter | None:
     """Honour an operator-placed `<image>.od` sidecar holding exactly the two
     tokens `x y`; returns None when the sidecar is absent.  Every ValueError
-    it raises names the sidecar."""
+    it raises names the sidecar; one that is not a regular file (a FIFO, a
+    device) is refused unopened, as its read might never end."""
     sidecar = Path(str(image_path) + ".od")
     if not sidecar.exists():
         return None
     try:
+        if not sidecar.is_file():
+            raise ValueError("not a regular file")
         tokens = sidecar.read_text(encoding="utf-8").split()
         if len(tokens) != 2:
             raise ValueError("expected 'x y'")

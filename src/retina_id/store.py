@@ -39,25 +39,22 @@ it writes any `.rtpl` file: a snapshot path it cannot replace then fails
 the batch with the gallery unchanged.  Like `.rtpl` writes the new one is
 written atomically and not fsync'd.
 
-A Gallery holds its amplitudes as read-only float64 blocks of BLOCK_ROWS
-rows: Gallery(records) a copy of its records' in order, a directory's the
-snapshot's rows in its order, each block's slots read with two readinto
-calls, digested, checked and scattered into zeros, then, from the next
-block on, the rows of the files the snapshot misses.  Rows of files
-unlinked since the snapshot was written stay in the blocks unread, and the
-snapshot's last block may be short.  Each row's id, od centre and
-provenance are checked at load as GalleryRecord and OdCenter check them,
-but records, each template a read-only view of its row, are built only
-when asked for.  The layout is this module's alone: the matcher reads a
-record's row through Gallery.amplitudes and every record's occupied slots
-through Gallery.nonzero_counts.  Blocks of about 270 KB rather than one
-gallery-sized array: freed heap memory can take a block, where a
-gallery-sized array needs fresh pages on every load.  The directory is
-listed with os.scandir (every name ending in `.rtpl`, hidden ones included,
-case-sensitive) and each file read through the directory's descriptor in
-64 KiB reads; an entry that is not a regular file (a directory, a FIFO, a
-device, a dangling symlink) is refused unopened, and an OSError names the
-entry's path.  add_records writes the snapshot in block row order.
+A Gallery holds its amplitudes as the snapshot body does, occupied slots
+alone: read-only `<f8` values, their `<u2` positions within a row's 1080
+slots, and each record's range of both.  A directory's gallery reads the
+snapshot's sections straight into those arrays, then appends the slots of
+the files the snapshot misses; an unlinked file's slots are in no
+record's range.  Records, each template a read-only row scattered from its
+slots, are built only when asked for, but each one's id, od centre and
+provenance are checked at load as GalleryRecord and OdCenter check them.
+The layout is this module's alone: the matcher reads rows through
+Gallery.amplitudes and slot counts through Gallery.nonzero_counts.  The
+directory is listed with os.scandir (every name ending in `.rtpl`, hidden
+ones included, case-sensitive) and each file read through the directory's
+descriptor in 64 KiB reads; an entry that is not a regular file (a
+directory, a FIFO, a device, a dangling symlink) is refused unopened, and
+an OSError names the entry's path.  add_records writes the snapshot in
+the order of the one it loaded, the files that one missed last.
 
 Snapshot layout: the 24-byte head below; the body; the index as ASCII
 JSON, `[[digest hex, byte length, [[subject, od x, od y, od source,
@@ -109,9 +106,9 @@ _TRAILER_BYTES = 8 + 32  # index length, sha256 digest
 _READ_BYTES = 1 << 16  # per read of a `.rtpl` file
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _LINES_PER_RECORD = 7
-# Rows per amplitude block of a Gallery, and records per chunk of the FFT
-# screens (see retina_id.matcher): a block holds about 270 KB of
-# amplitudes, and a chunk's planes and spectra about 0.6 MB each.
+# Records per section of the snapshot body, and per chunk of the FFT
+# screens (see retina_id.matcher), whose planes and spectra take about
+# 0.6 MB each.
 BLOCK_ROWS = 32
 
 
@@ -154,25 +151,25 @@ class GalleryRecord:
 class Gallery:
     """Records in load order; a repeated subject id raises DuplicateSubjectError.
 
-    The amplitudes are in `blocks`, read-only float64 arrays of up to
-    BLOCK_ROWS (3, SLOTS) rows (see the module docstring): record i's are
-    row rows[i] % BLOCK_ROWS of block rows[i] // BLOCK_ROWS.  Other modules
-    read them through `amplitudes` and `nonzero_counts` alone.  Records are
-    built on first use and kept, each template a read-only view of its row.
-    `subset` gives the Gallery of some of the records over the same blocks.
+    The amplitudes are stored as occupied slots (see the module docstring):
+    read-only values and positions, record i's being [lo, hi) of both, row
+    i of a (len(self), 2) array.  Other modules read them through
+    `amplitudes` and `nonzero_counts` alone.  Records are built on first use
+    and kept.  `subset` gives the Gallery of some of the records over the
+    same slots.
 
     `files` holds, for a directory that `load_gallery` read, each `.rtpl`
     file's (sha256 digest, byte length, range of its records' positions):
     what `add_records` writes to the snapshot; otherwise it is empty."""
 
     def __init__(self, records=(), *, _loaded=None):
-        # _loaded: (_fill's meta, sealed blocks, rows, files), from
-        # _load_directory or subset
+        # _loaded: (meta, values, positions, ranges, files, the files' snapshot order)
         if _loaded is None:
-            blocks = []
-            meta = _fill(blocks, 0, records)
-            _loaded = meta, _sealed(blocks, len(meta)), np.arange(len(meta)), ()
-        self._meta, self.blocks, self.rows, files = _loaded
+            records = list(records)
+            _loaded = ([(r.subject_id, r.source_image, r.od) for r in records],
+                       *_pack([r.template.vectors for r in records]), (), ())
+        self._meta, self._values, self._positions, self._ranges, files, self._file_order = _loaded
+        self._values.flags.writeable = self._positions.flags.writeable = False
         self.files = tuple(files)
         self._records = [None] * len(self._meta)
         self._by_id = _positions(subject_id for subject_id, _, _ in self._meta)
@@ -191,18 +188,22 @@ class Gallery:
         return len(self._meta)
 
     def amplitudes(self, i: int) -> np.ndarray:
-        """Record i's (3, SLOTS) amplitudes, a read-only view of its row."""
-        block, row = divmod(int(self.rows[i]), BLOCK_ROWS)
-        return self.blocks[block][row]
+        """Record i's (3, SLOTS) amplitudes, a fresh read-only row."""
+        lo, hi = self._ranges[i].tolist()
+        row = np.zeros(_ROW_SLOTS)
+        row[self._positions[lo:hi]] = self._values[lo:hi]
+        row.flags.writeable = False
+        return row.reshape(3, SLOTS)
 
     def nonzero_counts(self) -> np.ndarray:
         """Each record's occupied slots per class, as a (len(self), 3) array:
-        row i is record i's FeatureTemplate.nonzero_counts."""
-        counts = np.zeros((len(self.blocks) * BLOCK_ROWS, 3), dtype=np.intp)
-        for lo, block in zip(range(0, counts.shape[0], BLOCK_ROWS), self.blocks):
-            # A uint16 sum holds 360 and takes about 60% of count_nonzero's time.
-            counts[lo:lo + len(block)] = (block != 0).sum(axis=2, dtype=np.uint16)
-        return counts[self.rows]
+        row i is record i's FeatureTemplate.nonzero_counts.  A stored -0.0
+        keeps its position but occupies no slot."""
+        occupied, classes = self._values != 0, self._positions // SLOTS
+        before = np.zeros((3, len(occupied) + 1), dtype=np.intp)  # [c, j]: class c's among slots :j
+        for c in range(3):  # a cumsum per class takes about a quarter of one over (slots, 3)
+            np.cumsum(occupied & (classes == c), out=before[c, 1:])
+        return (before[:, self._ranges[:, 1]] - before[:, self._ranges[:, 0]]).T
 
     @property
     def records(self) -> tuple:
@@ -218,10 +219,10 @@ class Gallery:
 
     def subset(self, positions) -> Gallery:
         """The Gallery of the records at `positions`, in that order, reading
-        this gallery's blocks in place; its `files` is empty."""
+        this gallery's slots in place; its `files` is empty."""
         positions = np.asarray(positions, dtype=np.intp)
         meta = [self._meta[i] for i in positions.tolist()]
-        return Gallery(_loaded=(meta, self.blocks, self.rows[positions], ()))
+        return Gallery(_loaded=(meta, self._values, self._positions, self._ranges[positions], (), ()))
 
 
 def _positions(subject_ids) -> dict:
@@ -233,26 +234,14 @@ def _positions(subject_ids) -> dict:
     return by_id
 
 
-def _fill(blocks: list, end: int, records) -> list:
-    """Copy the records' amplitudes to block rows end, end + 1, ..., adding
-    BLOCK_ROWS blocks as needed; return their (subject_id, source_image, od)."""
-    meta = []
-    for row, r in enumerate(records, end):
-        block, i = divmod(row, BLOCK_ROWS)
-        if block == len(blocks):
-            blocks.append(np.empty((BLOCK_ROWS, 3, SLOTS), _AMPLITUDES))
-        blocks[block][i] = r.template.vectors
-        meta.append((r.subject_id, r.source_image, r.od))
-    return meta
-
-
-def _sealed(blocks: list, end: int) -> list:
-    """The blocks read-only, the last trimmed to block row `end` if _fill left it part-filled."""
-    if end % BLOCK_ROWS:
-        blocks[-1] = blocks[-1][:end % BLOCK_ROWS]
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
+def _pack(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied slots of a list of (3, SLOTS) rows, those nonzero or with
+    the sign bit set (so -0.0 keeps its bits): their `<f8` values, their
+    `<u2` positions within a row's 1080 slots, and each row's [lo, hi)."""
+    flat = np.array(rows, _AMPLITUDES).reshape(-1)
+    slots = np.flatnonzero((flat != 0) | np.signbit(flat))
+    bounds = np.searchsorted(slots, np.arange(len(rows) + 1) * _ROW_SLOTS)
+    return flat[slots], (slots % _ROW_SLOTS).astype(_POSITIONS), np.column_stack([bounds[:-1], bounds[1:]])
 
 
 def format_amplitude(value: float) -> str:
@@ -269,14 +258,13 @@ def render_record(record: GalleryRecord) -> str:
         f"image {record.source_image}" if record.source_image else "image",
     ]
     # An empty slot (+0.0) prints as "0", so only the others, usually a few
-    # dozen of 360, are formatted; Python floats format like numpy's, in
+    # dozen of 1080, are formatted; Python floats format like numpy's, in
     # about half the time.
-    for row in record.template.vectors:
-        tokens = ["0"] * len(row)
-        values = row.tolist()
-        for i in np.flatnonzero((row != 0) | np.signbit(row)).tolist():
-            tokens[i] = format_amplitude(values[i])
-        lines.append(" ".join(tokens))
+    values, positions, _ = _pack([record.template.vectors])
+    tokens = ["0"] * _ROW_SLOTS
+    for i, value in zip(positions.tolist(), values.tolist()):
+        tokens[i] = format_amplitude(value)
+    lines += (" ".join(tokens[lo:lo + SLOTS]) for lo in range(0, _ROW_SLOTS, SLOTS))
     return "\n".join(lines) + "\n"
 
 
@@ -390,13 +378,13 @@ def _decode(data: bytes, source: str) -> str:
             source, data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
 
 
-def _parse_snapshot(fh) -> tuple[list, dict]:
-    """(amplitude blocks, {(digest, byte length): (first row, [(subject_id,
-    source_image, od), ...])}) of an open snapshot, the blocks as Gallery
-    holds them; raises ValueError or TypeError on anything but a well-formed
-    snapshot of valid, uniquely named records.  The index is read first, for
-    the slot counts; then each block's values and positions are read with
-    one readinto each and checked with one valid_amplitudes call."""
+def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict]:
+    """(slot values, slot positions, bounds, {(digest, byte length): (first
+    record, [(subject_id, source_image, od), ...])}) of an open snapshot,
+    record r's slots being bounds[r]:bounds[r + 1]; raises ValueError or
+    TypeError on anything but a well-formed snapshot of valid, uniquely
+    named records.  Each section's values and positions are read straight
+    into the flat arrays, one readinto each, and checked together."""
     import hashlib
     import json
 
@@ -425,46 +413,43 @@ def _parse_snapshot(fh) -> tuple[list, dict]:
             ids.add(subject_id)
             counts.append(count)
         memo[bytes.fromhex(digest), nbytes] = (len(counts) - len(meta), meta)
-    if _SLOT_BYTES * sum(counts) != end - len(head):
+    bounds = list(itertools.accumulate(counts, initial=0))
+    if _SLOT_BYTES * bounds[-1] != end - len(head):
         raise ValueError("snapshot slot counts do not match its body")
     fh.seek(len(head))
     body = hashlib.sha256(head)
-    blocks = []
+    values = np.empty(bounds[-1], _AMPLITUDES)
+    positions = np.empty(bounds[-1], _POSITIONS)
     for lo in range(0, len(counts), BLOCK_ROWS):
         row_counts = counts[lo:lo + BLOCK_ROWS]
-        values = np.empty(sum(row_counts), _AMPLITUDES)
-        positions = np.empty(len(values), _POSITIONS)
-        for section in (values, positions):
-            if fh.readinto(section) != section.nbytes:
+        section = slice(bounds[lo], bounds[lo + len(row_counts)])
+        for part in (values[section], positions[section]):
+            if fh.readinto(part) != part.nbytes:
                 raise ValueError("truncated snapshot")
-            body.update(section)
-        if not valid_amplitudes(values):
+            body.update(part)
+        if not valid_amplitudes(values[section]):
             raise ValueError("snapshot amplitudes must be 0 or in (0, 360]")
-        # Below 1080, a position's slot in the block increases exactly when
-        # the positions increase within each row.
-        slots = np.repeat(np.arange(0, len(row_counts) * _ROW_SLOTS, _ROW_SLOTS), row_counts)
-        slots += positions
-        if not ((positions < _ROW_SLOTS).all() and (slots[1:] > slots[:-1]).all()):
+        # Below 1080, a position's slot in the section increases exactly
+        # when the positions increase within each row.
+        slots = np.repeat(np.arange(0, len(row_counts) * _ROW_SLOTS, _ROW_SLOTS, np.int32), row_counts)
+        slots += positions[section]
+        if not ((positions[section] < _ROW_SLOTS).all() and (slots[1:] > slots[:-1]).all()):
             raise ValueError("snapshot positions must increase within a row, below 1080")
-        block = np.zeros((len(row_counts), 3, SLOTS), _AMPLITUDES)
-        block.reshape(-1)[slots] = values
-        block.flags.writeable = False
-        blocks.append(block)
     body.update(index + trailer[:8])
     if body.digest() != trailer[8:]:
         raise ValueError("snapshot digest mismatch")
-    return blocks, memo
+    return values, positions, bounds, memo
 
 
-def _read_snapshot(dir_fd: int) -> tuple[list, dict]:
-    """_parse_snapshot of the directory's snapshot; no blocks and an empty
+def _read_snapshot(dir_fd: int) -> tuple[np.ndarray, np.ndarray, list, dict]:
+    """_parse_snapshot of the directory's snapshot; no slots and an empty
     memo for a snapshot that is missing or fails any check."""
     try:
         with open(SNAPSHOT_NAME, "rb",
                   opener=lambda name, flags: os.open(name, flags, dir_fd=dir_fd)) as fh:
             return _parse_snapshot(fh)
     except (OSError, ValueError, TypeError, RecursionError):
-        return [], {}
+        return np.empty(0, _AMPLITUDES), np.empty(0, _POSITIONS), [0], {}
 
 
 def _read_file(directory: Path, dir_fd: int, name: str, regular: bool = True) -> bytes:
@@ -494,34 +479,41 @@ def _read_file(directory: Path, dir_fd: int, name: str, regular: bool = True) ->
 
 def _load_directory(p: Path) -> Gallery:
     """The gallery of a directory's `*.rtpl` files, in filename order: the
-    snapshot's rows for the files whose digest it holds, the parsed records
-    of the others."""
+    snapshot's slots for the files whose digest it holds, the parsed
+    records' slots, appended, for the others."""
     import hashlib
 
     dir_fd = os.open(p, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        blocks, memo = _read_snapshot(dir_fd)
+        values, positions, bounds, memo = _read_snapshot(dir_fd)
         with os.scandir(dir_fd) as entries:
             names = sorted((e.name, e.is_file()) for e in entries if e.name.endswith(".rtpl"))
-        end = len(blocks) * BLOCK_ROWS  # the first parsed row's
-        meta, rows, files = [], [], []
+        meta, ranges, files, firsts, parsed = [], [], [], [], []
         for name, regular in names:
             data = _read_file(p, dir_fd, name, regular)
             key = (hashlib.sha256(data).digest(), len(data))
-            hit = memo.get(key)
-            if hit is None:
+            if key not in memo:
                 source = str(p / name)
-                hit = (end, _fill(blocks, end, parse_records(_decode(data, source), source)))
-                end += len(hit[1])
-            first, entry = hit
+                records = parse_records(_decode(data, source), source)
+                # The parsed records follow the snapshot's, and so do their slots.
+                memo[key] = (len(bounds) - 1, [(r.subject_id, r.source_image, r.od) for r in records])
+                parsed.append(_pack([r.template.vectors for r in records]))
+                bounds += (bounds[-1] + parsed[-1][2][:, 1]).tolist()
+            first, entry = memo[key]
             files.append((*key, range(len(meta), len(meta) + len(entry))))
-            rows += range(first, first + len(entry))
+            firsts.append(first if entry else 0)  # a file with no records is written first
+            ranges += itertools.pairwise(bounds[first:first + len(entry) + 1])
             meta += entry
     finally:
         os.close(dir_fd)
     if not meta:
         raise EmptyGalleryError(f"no records under {p}")
-    return Gallery(_loaded=(meta, _sealed(blocks, end), np.array(rows, dtype=np.intp), files))
+    # Joined only with parsed slots: a copy of the snapshot's doubles the peak.
+    if parsed:
+        values = np.concatenate([values, *(v for v, _, _ in parsed)])
+        positions = np.concatenate([positions, *(pos for _, pos, _ in parsed)])
+    return Gallery(_loaded=(meta, values, positions, np.array(ranges, dtype=np.intp), files,
+                            sorted(range(len(files)), key=firsts.__getitem__)))
 
 
 def load_gallery(path) -> Gallery:
@@ -529,14 +521,16 @@ def load_gallery(path) -> Gallery:
 
     A directory's files are parsed unless its snapshot holds their bytes'
     digest.  Raises EmptyGalleryError when no records are found (including a
-    missing or empty directory), TemplateFormatError on malformed content and
-    DuplicateSubjectError on repeated ids.
+    missing or empty directory), TemplateFormatError on malformed content,
+    DuplicateSubjectError on repeated ids and OSError on a FIFO or a device.
     """
     p = Path(path)
     if p.is_file():
         records = parse_records(_decode(p.read_bytes(), str(p)), str(p))
     elif p.is_dir():
         return _load_directory(p)
+    elif p.exists():
+        raise OSError(errno.EINVAL, "Not a regular file", str(p))
     else:
         raise EmptyGalleryError(f"gallery {p} does not exist")
     if not records:
@@ -566,25 +560,25 @@ def _snapshot_entry(digest: bytes, size: int, meta) -> list:
 
 
 def _loaded(gallery: Gallery) -> tuple[list, object]:
-    """The index entries of the files that load_gallery read, in block row
-    order, and an iterator over their rows' amplitudes in the same order."""
-    files = sorted(gallery.files, key=lambda f: gallery.rows[f[2].start] if f[2] else 0)
+    """The index entries of the files that load_gallery read, in its
+    snapshot's order (the files it missed last), and their records' slots."""
+    files = [gallery.files[j] for j in gallery._file_order]
     index = [_snapshot_entry(digest, size, gallery._meta[positions.start:positions.stop])
              for digest, size, positions in files]
-    return index, (gallery.amplitudes(i) for _, _, positions in files for i in positions)
+    ranges = gallery._ranges[[i for _, _, positions in files for i in positions]].tolist()
+    return index, ((gallery._values[lo:hi], gallery._positions[lo:hi]) for lo, hi in ranges)
 
 
-def _write_body(write, rows) -> list:
-    """Write the (3, SLOTS) amplitude `rows` as the snapshot body, BLOCK_ROWS
-    rows per section; return each row's slot count."""
+def _write_body(write, slots) -> list:
+    """Write records' (values, positions) `slots` as the snapshot body,
+    BLOCK_ROWS records per section; return each record's slot count."""
     counts = []
-    rows = iter(rows)
-    while batch := list(itertools.islice(rows, BLOCK_ROWS)):
-        flat = np.array(batch, _AMPLITUDES).reshape(-1)
-        slots = np.flatnonzero((flat != 0) | np.signbit(flat))
-        write(flat[slots])
-        write((slots % _ROW_SLOTS).astype(_POSITIONS))
-        counts += np.bincount(slots // _ROW_SLOTS, minlength=len(batch)).tolist()
+    slots = iter(slots)
+    while batch := list(itertools.islice(slots, BLOCK_ROWS)):
+        values, positions = zip(*batch)
+        write(np.concatenate(values))
+        write(np.concatenate(positions))
+        counts += map(len, values)
     return counts
 
 
@@ -620,9 +614,9 @@ def add_records(directory, records) -> None:
                 fh.write(chunk)
                 body.update(chunk)
 
-            index, loaded_rows = _loaded(enrolled)
+            index, loaded_slots = _loaded(enrolled)
 
-            def written_rows():
+            def written_slots():
                 for target, r in targets.items():
                     data = save_template(r, target)
                     # Rendering rounds amplitudes: the entry is what the bytes parse to.
@@ -631,10 +625,10 @@ def add_records(directory, records) -> None:
                                                  [(rec.subject_id, rec.source_image, rec.od)
                                                   for rec in written]))
                     for rec in written:
-                        yield rec.template.vectors
+                        yield _pack([rec.template.vectors])[:2]
 
             write(_SNAPSHOT_HEAD)
-            counts = iter(_write_body(write, itertools.chain(loaded_rows, written_rows())))
+            counts = iter(_write_body(write, itertools.chain(loaded_slots, written_slots())))
             for _, _, entry_rows in index:
                 for row in entry_rows:
                     row.append(next(counts))

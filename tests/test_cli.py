@@ -4,6 +4,7 @@ codes and stream handling; the few that watch the CLI's internal calls run
 
 import argparse
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -49,6 +50,30 @@ def run_cli(*argv, cwd=None):
         [sys.executable, "-m", "retina_id", *map(str, argv)],
         capture_output=True, text=True, cwd=cwd,
     )
+
+
+def run_cli_limited(*argv):
+    """run_cli in a child with a time limit and an address-space limit, for
+    an input that would block a read or never end one: a regression fails
+    in seconds instead of hanging or taking the host's memory."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from retina_id import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", child, *map(str, argv)], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=20)
+
+
+def special_file(path: Path, kind: str) -> None:
+    """Make `path` a FIFO or a symlink to /dev/zero."""
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        os.mkfifo(path)
+    else:
+        if not Path("/dev/zero").exists():
+            pytest.skip("no /dev/zero")
+        path.symlink_to("/dev/zero")
 
 
 @pytest.fixture
@@ -374,6 +399,16 @@ class TestEnroll:
             assert "eye.pgm.od: expected 'x y'" in r.stderr
         assert not (gal / "carol.rtpl").exists()
 
+    @pytest.mark.parametrize("kind", ["fifo", "/dev/zero symlink"])
+    def test_special_sidecar_is_refused_unopened(self, eye_image, tmp_path, kind):
+        sidecar = tmp_path / "eye.pgm.od"
+        special_file(sidecar, kind)
+        gal = tmp_path / "gal"
+        r = run_cli_limited("enroll", eye_image, "carol", "--gallery", gal)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == f"error: {sidecar}: not a regular file\n"
+        assert not (gal / "carol.rtpl").exists()
+
     def test_auto_detected_od_recorded(self, eye_image, tmp_path):
         gal = tmp_path / "gal"
         r = run_cli("enroll", eye_image, "dave", "--gallery", gal,
@@ -478,6 +513,15 @@ class TestIdentifyVerify:
         r = run_cli("identify", eye_image, "--gallery", tmp_path / "nowhere", "--od", "80,80")
         assert r.returncode == 3
         assert "error:" in r.stderr
+
+    @pytest.mark.parametrize("kind", ["fifo", "/dev/zero symlink"])
+    def test_identify_special_one_file_gallery_exit_2(self, eye_image, tmp_path, kind):
+        # Neither missing nor empty: refused unopened, with the path named.
+        gallery = tmp_path / "one.rtpl"
+        special_file(gallery, kind)
+        r = run_cli_limited("identify", eye_image, "--gallery", gallery, "--od", "80,80")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == f"error: [Errno 22] Not a regular file: '{gallery}'\n"
 
     def test_verify_accept_and_reject(self, tmp_path):
         gal, images = self.enroll_two(tmp_path)

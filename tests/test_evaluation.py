@@ -162,7 +162,7 @@ class TestRotationProtocol:
     def test_near_ties_rescore_a_view_of_the_gallerys_blocks(self, monkeypatch):
         # The twin probes of the tracer test in test_module_surface.py: s003
         # is s001's twin, so every probe of either leaves two candidates,
-        # which identify re-scores from the EvalGallery's own blocks.
+        # which identify re-scores from the EvalGallery's own slots.
         spec = ExperimentSpec(rng_seed=3)
         records, constellations = build_synthetic_gallery(2, 8, seed=3)
         records.append(GalleryRecord("s003", records[0].template))
@@ -189,7 +189,8 @@ class TestRotationProtocol:
         assert built == []
         assert len(views) == 2 * (1 + 2)
         for view in views:
-            assert view.blocks is twins.records.blocks
+            assert view._values is twins.records._values
+            assert view._positions is twins.records._positions
             assert view.subject_ids == ["s001", "s003"]
 
     def test_csv_layout(self):

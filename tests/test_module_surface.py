@@ -121,14 +121,16 @@ def test_no_private_imports_across_modules():
 
 
 def test_only_store_reads_the_gallery_layout():
-    """A Gallery's blocks and row map are store's alone: other modules read
-    amplitudes and slot counts through Gallery.amplitudes and
-    Gallery.nonzero_counts."""
+    """A Gallery's slot values, positions and ranges are store's alone:
+    other modules read amplitudes and slot counts through Gallery.amplitudes
+    and Gallery.nonzero_counts."""
+    layout = ("_values", "_positions", "_ranges")
+    assert all(hasattr(store.Gallery(), name) for name in layout)
     offenders = [
         (path.name, node.lineno, node.attr)
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "store.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in ("blocks", "rows")
+        if isinstance(node, ast.Attribute) and node.attr in layout
     ]
     assert offenders == []
 

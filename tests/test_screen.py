@@ -509,10 +509,9 @@ class TestOrderedScreen:
 
 
 def loaded_out_of_order(records, directory: Path) -> Gallery:
-    """The records as a loaded directory: snapshot rows in reverse record
-    order, the snapshot's last, short block before the last block, an
-    unlinked file's row in it, and the last records parsed into the last
-    block."""
+    """The records as a loaded directory: snapshot records in reverse record
+    order, the snapshot's last section short, an unlinked file's slots in
+    it, and the last records parsed, their slots appended."""
     parsed = 2 if (len(records) - 1) % BLOCK_ROWS else 3
     add_records(directory, list(reversed(records[:-parsed])))
     add_records(directory, [GalleryRecord("stale", records[0].template)])
@@ -521,7 +520,12 @@ def loaded_out_of_order(records, directory: Path) -> Gallery:
         save_template(rec, directory / f"{rec.subject_id}.rtpl")
     gallery = load_gallery(directory)
     assert gallery.subject_ids == [rec.subject_id for rec in records]
-    assert 0 < len(gallery.blocks[-2]) < BLOCK_ROWS
+    # The parsed records' slots follow the snapshot's, and the unlinked
+    # file's slots are in no record's range.
+    ranges = gallery._ranges
+    assert ranges[:-parsed, 1].max() <= ranges[-parsed:, 0].min()
+    stale = records[0].template.vectors
+    assert np.diff(ranges).sum() + np.count_nonzero((stale != 0) | np.signbit(stale)) == len(gallery._values)
     return gallery
 
 

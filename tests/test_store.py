@@ -806,6 +806,18 @@ class TestSnapshot:
         assert [r[0] for f in split_snapshot((gal / SNAPSHOT_NAME).read_bytes())[2]
                 for r in f[2]] == ["p0", "p1", "p2", "p3", "other"]
 
+    def test_enrol_keeps_the_snapshots_order(self, tmp_path):
+        """add_records rewrites the snapshot's entries in the order of the
+        snapshot it loaded, the files that one missed last, whatever the
+        filenames: records with no slot included."""
+        rng = np.random.default_rng(94)
+        empty = FeatureTemplate(np.zeros((3, 360)))
+        add_records(tmp_path, [record(rng, sid="c"), GalleryRecord("b", empty), GalleryRecord("a", empty)])
+        save_template(record(rng, sid="behind"), tmp_path / "behind.rtpl")
+        add_records(tmp_path, [record(rng, sid="d")])
+        index = split_snapshot((tmp_path / SNAPSHOT_NAME).read_bytes())[2]
+        assert [row[0] for _, _, rows in index for row in rows] == ["c", "b", "a", "behind", "d"]
+
     @pytest.mark.parametrize("damage", ["empty", "head only", "truncated", "half", "no trailer",
                                         "bit flipped", "last bit flipped", "appended", "text"])
     def test_damaged_snapshot_is_ignored(self, tmp_path, parses, damage):
@@ -1013,17 +1025,27 @@ def test_snapshot_rows_are_the_texts_bits(seed, kinds):
         gal = Path(tmp)
         add_records(gal, records)
         with open(gal / SNAPSHOT_NAME, "rb") as fh:
-            blocks, memo = store._parse_snapshot(fh)
+            values, positions, bounds, memo = store._parse_snapshot(fh)
         through_snapshot = load_gallery(gal)
         (gal / SNAPSHOT_NAME).unlink()
         text = load_gallery(gal)
     assert len(memo) == len(records)
-    rows = np.concatenate(blocks).view(np.uint64)
-    assert np.array_equal(rows, np.concatenate(text.blocks).view(np.uint64))
+    # The snapshot's slots, values bit for bit and in the same ranges, are
+    # the ones the text's records pack to.
+    assert np.array_equal(values.view(np.uint64), text._values.view(np.uint64))
+    assert np.array_equal(positions, text._positions)
+    assert np.array_equal(text._ranges, np.column_stack([bounds[:-1], bounds[1:]]))
     for i in range(len(records)):
         assert np.array_equal(through_snapshot.amplitudes(i).view(np.uint64),
                               text.amplitudes(i).view(np.uint64))
     assert loaded(through_snapshot) == loaded(text)
+
+
+def tiles(ranges, size: int) -> bool:
+    """True when the [lo, hi) slot ranges, sorted, cover [0, size) with no
+    gap and no overlap."""
+    lo, hi = np.array(sorted(ranges.tolist()), dtype=np.intp).reshape(-1, 2).T
+    return np.array_equal(lo, [0, *hi[:-1]]) and hi[-1] == size
 
 
 def ranking_bits(ranking):
@@ -1032,7 +1054,7 @@ def ranking_bits(ranking):
 
 
 class TestBlockEquivalence:
-    """A gallery loaded through the snapshot, as amplitude blocks with
+    """A gallery loaded through the snapshot, as flat occupied slots with
     records built on demand, ranks, verifies and lists its files bit for bit
     as the same directory loaded from the text alone."""
 
@@ -1055,14 +1077,24 @@ class TestBlockEquivalence:
         return through_snapshot, load_gallery(gal)
 
     def test_the_case_is_out_of_order_with_a_stale_and_a_parsed_row(self, tmp_path):
-        block, text = self.loads(self.gallery(tmp_path))
-        # 42 snapshot rows in blocks 0 and 1, the last one stale (bench_new),
-        # and the parsed file's row opening block 2
-        assert [len(b) for b in block.blocks] == [BLOCK_ROWS, 42 - BLOCK_ROWS, 1]
-        assert list(block.rows) != sorted(block.rows)
-        assert sorted(block.rows) == [*range(41), 2 * BLOCK_ROWS]
-        assert [len(b) for b in text.blocks] == [BLOCK_ROWS, 42 - BLOCK_ROWS]
-        assert list(text.rows) == list(range(42))
+        gal = self.gallery(tmp_path)
+        _, slots, index = split_snapshot((gal / SNAPSHOT_NAME).read_bytes())
+        block, text = self.loads(gal)
+        # 42 snapshot records, the last one stale (bench_new), and one parsed
+        # file (late) whose slots are appended after the snapshot's
+        assert [row[0] for _, _, rows in index for row in rows][-1] == "bench_new"
+        assert len(slots) == 42
+        starts = block._ranges[:, 0].tolist()
+        assert starts != sorted(starts)
+        # The stale record's slots are in no record's range: the only gap
+        # in the ranges, just before the parsed file's.
+        lo, hi = np.array(sorted(block._ranges.tolist())).T
+        assert lo[0] == 0 and hi[-1] == len(block._values)
+        assert hi[-2] == block._ranges[block.subject_ids.index("late"), 0] - len(slots[-1][0])
+        assert np.array_equal(lo[1:-1], hi[:-2])
+        assert len(text) == 42
+        assert np.array_equal(text._ranges[:, 0], [0, *text._ranges[:-1, 1]])
+        assert text._ranges[-1, 1] == len(text._values)
 
     def test_identify_verify_get_and_files_agree(self, tmp_path):
         block, text = self.loads(self.gallery(tmp_path))
@@ -1091,19 +1123,24 @@ class TestBlockEquivalence:
 
     def test_records_are_read_only_views_of_the_block(self, tmp_path):
         block, _ = self.loads(self.gallery(tmp_path))
-        assert not any(b.flags.writeable for b in block.blocks)
+        assert not block._values.flags.writeable and not block._positions.flags.writeable
         for i, rec in enumerate(block):
             assert not rec.template.vectors.flags.writeable
-            b, r = divmod(int(block.rows[i]), BLOCK_ROWS)
-            assert np.shares_memory(rec.template.vectors, block.blocks[b][r])
+            # Built once, from the row amplitudes scatters.
+            assert block[i] is rec
+            assert np.array_equal(rec.template.vectors.view(np.uint64),
+                                  block.amplitudes(i).view(np.uint64))
         assert block.get("s002") is block.get("s002")
-        # Gallery(records) copies the records' amplitudes into read-only blocks.
+        # Gallery(records) packs the records' slots into read-only arrays of
+        # its own, in record order.
         copy = Gallery(list(block))
-        assert not any(b.flags.writeable for b in copy.blocks)
-        assert [len(b) for b in copy.blocks] == [BLOCK_ROWS, len(block) - BLOCK_ROWS]
+        assert not copy._values.flags.writeable and not copy._positions.flags.writeable
+        assert np.array_equal(copy._ranges[:, 0], [0, *copy._ranges[:-1, 1]])
+        assert copy._ranges[-1, 1] == len(copy._values)
         for i, rec in enumerate(block):
             assert np.array_equal(copy.amplitudes(i), rec.template.vectors)
-            assert not any(np.shares_memory(b, rec.template.vectors) for b in copy.blocks)
+            assert not any(np.shares_memory(a, rec.template.vectors)
+                           for a in (copy._values, copy._positions))
 
     def test_enrol_rewrites_the_snapshot_from_the_block(self, tmp_path):
         gal = self.gallery(tmp_path)
@@ -1112,19 +1149,29 @@ class TestBlockEquivalence:
         head, amplitudes, index = split_snapshot((gal / SNAPSHOT_NAME).read_bytes())
         assert sum(len(rows) for _, _, rows in index) == len(before) + 1
         g = load_gallery(gal)
-        assert sorted(g.rows) == list(range(len(g)))
+        # The rewritten snapshot holds no stale record: the ranges cover
+        # every slot.
+        assert tiles(g._ranges, len(g._values))
         assert loaded(g) == load_outcome_from_text(gal)
         assert [r for r in loaded(g) if r[0] != "after"] == before
 
 
 def test_nonzero_counts_are_the_templates(tmp_path):
     """Gallery.nonzero_counts is every record's FeatureTemplate.nonzero_counts,
-    in record order: of a Gallery of records, of a loaded gallery with rows
-    out of order, a stale row, a short middle block and a parsed row, and of
-    a subset of it."""
+    in record order: of a Gallery of records, of a loaded gallery with
+    records out of order, a stale record and a parsed one, of a subset of
+    it, and of a gallery loaded through the snapshot whose stored slots
+    include -0.0, which occupies no slot."""
     records, _ = build_synthetic_gallery(5, 20, seed=11)
     loaded_gallery = load_gallery(TestBlockEquivalence().gallery(tmp_path))
-    for g in (Gallery(records), loaded_gallery, loaded_gallery.subset([len(loaded_gallery) - 1, 3, 0, 17])):
+    signed = records[0].template.vectors.copy()
+    signed[[0, 2], [7, 300]] = -0.0
+    add_records(tmp_path / "signed", [GalleryRecord("signed", FeatureTemplate(signed)), records[1]])
+    signed_zeros = load_gallery(tmp_path / "signed")
+    assert (tmp_path / "signed" / SNAPSHOT_NAME).exists()
+    assert np.count_nonzero(np.signbit(signed_zeros._values)) == 2
+    for g in (Gallery(records), loaded_gallery, loaded_gallery.subset([len(loaded_gallery) - 1, 3, 0, 17]),
+              signed_zeros):
         counts = g.nonzero_counts()
         assert counts.shape == (len(g), 3)
         assert np.array_equal(counts, [r.template.nonzero_counts() for r in g])
@@ -1134,18 +1181,19 @@ def test_nonzero_counts_are_the_templates(tmp_path):
 
 def test_subset_reads_the_gallerys_blocks(tmp_path):
     """Gallery.subset lists the records at the given positions, in that
-    order, over the same blocks: rows out of order, a stale row and a
-    parsed row included."""
+    order, over the same slot arrays: records out of order, a stale record
+    and a parsed one included."""
     gal = TestBlockEquivalence().gallery(tmp_path)
     gallery = load_gallery(gal)
     positions = [len(gallery) - 1, 3, 0, 17]
     view = gallery.subset(positions)
-    assert view.blocks is gallery.blocks
+    assert view._values is gallery._values and view._positions is gallery._positions
+    assert np.array_equal(view._ranges, gallery._ranges[positions])
     assert view.subject_ids == [gallery.subject_ids[i] for i in positions]
     assert view.files == ()
     assert loaded(view) == [loaded(gallery)[i] for i in positions]
     for j, i in enumerate(positions):
-        assert np.shares_memory(view.amplitudes(j), gallery.amplitudes(i))
+        assert np.array_equal(view.amplitudes(j).view(np.uint64), gallery.amplitudes(i).view(np.uint64))
     assert view.get(gallery.subject_ids[5]) is None
     with pytest.raises(store.DuplicateSubjectError):
         gallery.subset([2, 2])
