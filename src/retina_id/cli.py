@@ -51,7 +51,7 @@ from .evaluation import (
     rotation_protocol,
 )
 from .harris import HarrisParams, detect_corners
-from .imaging import load_image, to_intensity
+from .imaging import load_image, read_input, to_intensity
 from .matcher import Weights, identify, verify
 from .optic_disc import OdParams, resolve_od
 from .store import EmptyGalleryError, GalleryRecord, add_records, load_gallery, valid_subject_id
@@ -96,7 +96,7 @@ def _parse_config(path: str) -> tuple[dict[str, tuple[str, int]], list[_LineErro
     the first line that is not valid UTF-8 or not `key = value` with a known
     key; that line's error, if any, in a list."""
     cfg: dict[str, tuple[str, int]] = {}
-    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    text = read_input(path).decode("utf-8", "surrogateescape")
     for lineno, raw in enumerate(text.splitlines(), 1):
         try:
             raw.encode("utf-8")  # a byte that is not UTF-8 became a lone surrogate

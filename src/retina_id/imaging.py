@@ -1,4 +1,4 @@
-"""Image loading, channel extraction and rotation.
+"""Input files, image loading, channel extraction and rotation.
 
 Only the 8-bit portable graymap/pixmap formats are supported: ASCII P2/P3
 and binary P5/P6, with a required maximum sample value of 255.  Decode
@@ -24,8 +24,11 @@ Intensity maps are plain 2-D float64 arrays indexed [y, x].
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +37,32 @@ import numpy as np
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _DIGITS = b"0123456789"
 _TOKEN_OR_COMMENT = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
+_READ_BYTES = 1 << 16  # per read of an input file
+
+
+def open_input(path, dir_fd: int | None = None) -> int:
+    """The one opener of files read from outside: a read-only, non-blocking
+    descriptor of `path` (under `dir_fd`), refused unless a regular file."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY, dir_fd=dir_fd)
+    mode = os.fstat(fd).st_mode
+    if stat.S_ISREG(mode):
+        return fd
+    os.close(fd)
+    if stat.S_ISDIR(mode):
+        raise OSError(errno.EISDIR, "Is a directory", os.fspath(path))
+    raise OSError(errno.EINVAL, "Not a regular file", os.fspath(path))
+
+
+def read_input(path, dir_fd: int | None = None) -> bytes:
+    """open_input's file, read until a read comes back short."""
+    fd = open_input(path, dir_fd)
+    try:
+        chunks = [os.read(fd, _READ_BYTES)]
+        while len(chunks[-1]) == _READ_BYTES:
+            chunks.append(os.read(fd, _READ_BYTES))
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 class ImageFormatError(ValueError):
@@ -122,9 +151,9 @@ def load_image(path) -> RasterImage:
     """Decode a P2/P3/P5/P6 file.
 
     Raises ImageFormatError (with byte offset) for malformed or unsupported
-    content, OSError for unreadable files.
+    content, OSError for a file read_input cannot read.
     """
-    data = Path(path).read_bytes()
+    data = read_input(path)
     if len(data) < 2:
         raise ImageFormatError("not a portable graymap/pixmap", 0)
     magic = data[:2]

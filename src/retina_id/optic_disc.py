@@ -81,11 +81,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .harris import gaussian_pass, gaussian_window, is_finite
+from .imaging import read_input
 
 # Patch variance below this is treated as flat and excluded from matching.
 VARIANCE_FLOOR = 1e-6
@@ -357,20 +357,16 @@ def manual_od(x: float, y: float, intensity: np.ndarray) -> OdCenter:
 
 
 def od_from_sidecar(image_path, intensity: np.ndarray) -> OdCenter | None:
-    """Honour an operator-placed `<image>.od` sidecar holding exactly the two
-    tokens `x y`; returns None when the sidecar is absent.  Every ValueError
-    it raises names the sidecar; one that is not a regular file (a FIFO, a
-    device) is refused unopened, as its read might never end."""
-    sidecar = Path(str(image_path) + ".od")
-    if not sidecar.exists():
-        return None
+    """Honour an `<image>.od` sidecar of exactly the two tokens `x y`, read by
+    imaging.read_input; None when absent.  Every ValueError names it."""
+    sidecar = f"{image_path}.od"
     try:
-        if not sidecar.is_file():
-            raise ValueError("not a regular file")
-        tokens = sidecar.read_text(encoding="utf-8").split()
+        tokens = read_input(sidecar).decode("utf-8").split()
         if len(tokens) != 2:
             raise ValueError("expected 'x y'")
         return manual_od(float(tokens[0]), float(tokens[1]), intensity)
+    except FileNotFoundError:
+        return None
     except ValueError as exc:
         raise ValueError(f"{sidecar}: {exc}") from exc
 

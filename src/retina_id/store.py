@@ -31,13 +31,13 @@ reads every `.rtpl` file and takes a file's records from the snapshot only
 when its digest and length are there; any other file is parsed.  The
 `.rtpl` text is the truth and the snapshot never is: only `add_records`
 writes it, for the files it loaded and the files it wrote, and a snapshot
-that is missing, truncated, of another version (a v1 snapshot included),
-not in canonical form or fails any check a parsed record gets is ignored as
-a whole, and replaced by the next `add_records`.  Deleting it is always
-safe; it costs one re-parse.  So the writer removes the old snapshot before
-it writes any `.rtpl` file: a snapshot path it cannot replace then fails
-the batch with the gallery unchanged.  Like `.rtpl` writes the new one is
-written atomically and not fsync'd.
+that is missing, not a regular file, truncated, of another version (a v1
+snapshot included), not in canonical form or fails any check a parsed
+record gets is ignored as a whole, and replaced by the next `add_records`.
+Deleting it is always safe; it costs one re-parse.  So the writer removes
+the old snapshot before it writes any `.rtpl` file: a snapshot path it
+cannot replace then fails the batch with the gallery unchanged.  Like
+`.rtpl` writes the new one is written atomically and not fsync'd.
 
 A Gallery holds its amplitudes as the snapshot body does, occupied slots
 alone: read-only `<f8` values, their `<u2` positions within a row's 1080
@@ -49,12 +49,11 @@ slots, are built only when asked for, but each one's id, od centre and
 provenance are checked at load as GalleryRecord and OdCenter check them.
 The layout is this module's alone: the matcher reads rows through
 Gallery.amplitudes and slot counts through Gallery.nonzero_counts.  The
-directory is listed with os.scandir (every name ending in `.rtpl`, hidden
-ones included, case-sensitive) and each file read through the directory's
-descriptor in 64 KiB reads; an entry that is not a regular file (a
-directory, a FIFO, a device, a dangling symlink) is refused unopened, and
-an OSError names the entry's path.  add_records writes the snapshot in
-the order of the one it loaded, the files that one missed last.
+directory is listed with os.listdir (every name ending in `.rtpl`, hidden
+ones included, case-sensitive); each file, the snapshot too, is opened by
+imaging.open_input through the directory's descriptor, and an OSError
+names the entry's path.  add_records writes the snapshot in the order of
+the one it loaded, the files that one missed last.
 
 Snapshot layout: the 24-byte head below; the body; the index as ASCII
 JSON, `[[digest hex, byte length, [[subject, od x, od y, od source,
@@ -75,13 +74,11 @@ read, hashed and checked 8640 bytes per record that were mostly zeros.
 
 from __future__ import annotations
 
-import errno
 import fcntl
 import itertools
 import math
 import os
 import re
-import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,6 +86,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
+from .imaging import open_input, read_input
 from .optic_disc import OdCenter
 
 # hashlib (which loads OpenSSL) and json are imported inside the functions
@@ -103,7 +101,6 @@ _POSITIONS = np.dtype("<u2")
 _ROW_SLOTS = 3 * SLOTS
 _SLOT_BYTES = _AMPLITUDES.itemsize + _POSITIONS.itemsize
 _TRAILER_BYTES = 8 + 32  # index length, sha256 digest
-_READ_BYTES = 1 << 16  # per read of a `.rtpl` file
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _LINES_PER_RECORD = 7
 # Records per section of the snapshot body, and per chunk of the FFT
@@ -443,38 +440,20 @@ def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict]:
 
 def _read_snapshot(dir_fd: int) -> tuple[np.ndarray, np.ndarray, list, dict]:
     """_parse_snapshot of the directory's snapshot; no slots and an empty
-    memo for a snapshot that is missing or fails any check."""
+    memo for a snapshot that is missing, not a regular file or fails any check."""
     try:
-        with open(SNAPSHOT_NAME, "rb",
-                  opener=lambda name, flags: os.open(name, flags, dir_fd=dir_fd)) as fh:
+        with open(open_input(SNAPSHOT_NAME, dir_fd), "rb") as fh:
             return _parse_snapshot(fh)
     except (OSError, ValueError, TypeError, RecursionError):
         return np.empty(0, _AMPLITUDES), np.empty(0, _POSITIONS), [0], {}
 
 
-def _read_file(directory: Path, dir_fd: int, name: str, regular: bool = True) -> bytes:
-    """The bytes of the entry `name` of `directory`, open as dir_fd; an
-    OSError names the entry's path.  An entry that is not `regular` (as its
-    os.scandir DirEntry.is_file() found it) is refused before it is opened:
-    a FIFO would block the open, and a device such as /dev/zero never gives
-    the short read that ends a file."""
+def _read_file(directory: Path, dir_fd: int, name: str) -> bytes:
+    """read_input of `name` in `directory`, open as dir_fd, naming that path."""
     try:
-        if not regular:
-            # os.stat raises ENOENT for a dangling symlink.
-            if stat.S_ISDIR(os.stat(name, dir_fd=dir_fd).st_mode):
-                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
-            raise OSError(errno.EINVAL, "Not a regular file")
-        fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
-        try:
-            # A read short of what it asks for has reached the end.
-            chunks = [os.read(fd, _READ_BYTES)]
-            while len(chunks[-1]) == _READ_BYTES:
-                chunks.append(os.read(fd, _READ_BYTES))
-        finally:
-            os.close(fd)
+        return read_input(name, dir_fd)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(directory / name)) from None
-    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 def _load_directory(p: Path) -> Gallery:
@@ -486,11 +465,9 @@ def _load_directory(p: Path) -> Gallery:
     dir_fd = os.open(p, os.O_RDONLY | os.O_DIRECTORY)
     try:
         values, positions, bounds, memo = _read_snapshot(dir_fd)
-        with os.scandir(dir_fd) as entries:
-            names = sorted((e.name, e.is_file()) for e in entries if e.name.endswith(".rtpl"))
         meta, ranges, files, firsts, parsed = [], [], [], [], []
-        for name, regular in names:
-            data = _read_file(p, dir_fd, name, regular)
+        for name in sorted(n for n in os.listdir(dir_fd) if n.endswith(".rtpl")):
+            data = _read_file(p, dir_fd, name)
             key = (hashlib.sha256(data).digest(), len(data))
             if key not in memo:
                 source = str(p / name)
@@ -525,14 +502,12 @@ def load_gallery(path) -> Gallery:
     DuplicateSubjectError on repeated ids and OSError on a FIFO or a device.
     """
     p = Path(path)
-    if p.is_file():
-        records = parse_records(_decode(p.read_bytes(), str(p)), str(p))
-    elif p.is_dir():
+    try:
+        records = parse_records(_decode(read_input(p), str(p)), str(p))
+    except IsADirectoryError:
         return _load_directory(p)
-    elif p.exists():
-        raise OSError(errno.EINVAL, "Not a regular file", str(p))
-    else:
-        raise EmptyGalleryError(f"gallery {p} does not exist")
+    except (FileNotFoundError, NotADirectoryError):
+        raise EmptyGalleryError(f"gallery {p} does not exist") from None
     if not records:
         raise EmptyGalleryError(f"no records under {p}")
     return Gallery(records)

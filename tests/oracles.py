@@ -5,22 +5,29 @@ formulas) and independent of the production code paths it checks.  The
 evaluation oracles score every probe against every record with the exact
 kernel (`identify`, itself checked against the double loop), as the rotation
 protocol and the FAR/FRR sweep did before they screened by FFT.  load_fundus
-gives tests the benchmark's seeded DRIVE-size image generator.
+gives tests the benchmark's seeded DRIVE-size image generator, and
+special_file and run_cli_limited the untrusted files that are not regular
+(a FIFO, a device) and a CLI run that survives one.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import retina_id
 from retina_id.evaluation import sample_angle
 from retina_id.matcher import identify, total_si
 
 FUNDUS = Path(__file__).resolve().parent.parent / "perfbench" / "fundus.py"
+SPECIAL_FILES = ["fifo", "/dev/zero symlink"]
 
 
 def load_fundus():
@@ -31,6 +38,34 @@ def load_fundus():
         sys.modules[spec.name] = module  # its dataclasses look their module up
         spec.loader.exec_module(module)
     return sys.modules["perfbench_fundus"]
+
+
+def special_file(path: Path, kind: str) -> None:
+    """Make `path` one of SPECIAL_FILES: a FIFO or a symlink to /dev/zero."""
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        os.mkfifo(path)
+    else:
+        if not Path("/dev/zero").exists():
+            pytest.skip("no /dev/zero")
+        path.symlink_to("/dev/zero")
+
+
+def run_cli_limited(*argv):
+    """`retina-id *argv` in a child with a time limit and an address-space
+    limit, for an input that would block a read or never end one: a
+    regression fails in seconds instead of hanging or taking the host's
+    memory."""
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from retina_id import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = str(Path(retina_id.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", child, *map(str, argv)], capture_output=True,
+                          text=True, env=env, timeout=20)
 
 
 def rotate_nearest(m: np.ndarray, center: tuple[float, float], angle_deg: float) -> np.ndarray:

@@ -4,7 +4,6 @@ codes and stream handling; the few that watch the CLI's internal calls run
 
 import argparse
 import hashlib
-import os
 import re
 import subprocess
 import sys
@@ -40,7 +39,7 @@ from retina_id.store import (
     render_record,
 )
 
-from oracles import load_fundus
+from oracles import SPECIAL_FILES, load_fundus, run_cli_limited, special_file
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,30 +49,6 @@ def run_cli(*argv, cwd=None):
         [sys.executable, "-m", "retina_id", *map(str, argv)],
         capture_output=True, text=True, cwd=cwd,
     )
-
-
-def run_cli_limited(*argv):
-    """run_cli in a child with a time limit and an address-space limit, for
-    an input that would block a read or never end one: a regression fails
-    in seconds instead of hanging or taking the host's memory."""
-    child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-             "from retina_id import cli\n"
-             "sys.exit(cli.main(sys.argv[1:]))\n")
-    return subprocess.run([sys.executable, "-c", child, *map(str, argv)], capture_output=True,
-                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=20)
-
-
-def special_file(path: Path, kind: str) -> None:
-    """Make `path` a FIFO or a symlink to /dev/zero."""
-    if kind == "fifo":
-        if not hasattr(os, "mkfifo"):
-            pytest.skip("no os.mkfifo")
-        os.mkfifo(path)
-    else:
-        if not Path("/dev/zero").exists():
-            pytest.skip("no /dev/zero")
-        path.symlink_to("/dev/zero")
 
 
 @pytest.fixture
@@ -96,6 +71,24 @@ def square_image(tmp_path):
     path = tmp_path / "square.pgm"
     save_image(RasterImage(m.astype(np.uint8)), path)
     return path
+
+
+@pytest.mark.parametrize("kind", SPECIAL_FILES)
+@pytest.mark.parametrize("name, argv", [
+    ("x.pgm", ["detect", "{path}"]),
+    ("c.conf", ["detect", "--config", "{path}", "{image}"]),
+    ("images/x.pgm", ["eval", "--images", "{dir}"]),
+], ids=["image", "config", "eval-images"])
+def test_special_input_file_exits_2_naming_it(eye_image, tmp_path, name, argv, kind):
+    """An image, a config file or an `eval --images` entry that is a FIFO
+    or a device is refused unread; the sidecar, gallery and snapshot cases
+    are in TestEnroll, TestIdentifyVerify and tests/test_store.py."""
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    special_file(path, kind)
+    r = run_cli_limited(*(arg.format(path=path, dir=path.parent, image=eye_image) for arg in argv))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == f"error: [Errno 22] Not a regular file: '{path}'\n"
 
 
 class TestDetect:
@@ -399,14 +392,14 @@ class TestEnroll:
             assert "eye.pgm.od: expected 'x y'" in r.stderr
         assert not (gal / "carol.rtpl").exists()
 
-    @pytest.mark.parametrize("kind", ["fifo", "/dev/zero symlink"])
+    @pytest.mark.parametrize("kind", SPECIAL_FILES)
     def test_special_sidecar_is_refused_unopened(self, eye_image, tmp_path, kind):
         sidecar = tmp_path / "eye.pgm.od"
         special_file(sidecar, kind)
         gal = tmp_path / "gal"
         r = run_cli_limited("enroll", eye_image, "carol", "--gallery", gal)
         assert r.returncode == 2, r.stderr
-        assert r.stderr == f"error: {sidecar}: not a regular file\n"
+        assert r.stderr == f"error: [Errno 22] Not a regular file: '{sidecar}'\n"
         assert not (gal / "carol.rtpl").exists()
 
     def test_auto_detected_od_recorded(self, eye_image, tmp_path):
@@ -514,7 +507,7 @@ class TestIdentifyVerify:
         assert r.returncode == 3
         assert "error:" in r.stderr
 
-    @pytest.mark.parametrize("kind", ["fifo", "/dev/zero symlink"])
+    @pytest.mark.parametrize("kind", SPECIAL_FILES)
     def test_identify_special_one_file_gallery_exit_2(self, eye_image, tmp_path, kind):
         # Neither missing nor empty: refused unopened, with the path named.
         gallery = tmp_path / "one.rtpl"

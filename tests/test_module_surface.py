@@ -167,6 +167,33 @@ def test_only_store_writes_galleries():
     assert offenders == []
 
 
+def reads_a_path(node) -> bool:
+    """A builtin open() call in a read mode, unless it wraps the descriptor
+    imaging.open_input returned."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    if node.args and called_names(node.args[0]) == ["open_input"]:
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not {"r", "+"} & set(mode.value))
+
+
+def test_only_imaging_opens_input_files():
+    """Every file the package reads from outside goes through
+    imaging.open_input, which refuses a FIFO, a device or a directory on
+    the open descriptor: no other module reads a path, checks it before
+    an open, or opens it for reading."""
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "imaging.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if {"read_bytes", "read_text", "is_file"} & set(called_names(node)) or reads_a_path(node)
+    ]
+    assert offenders == []
+
+
 def test_cli_image_chain_reaches_the_tracer(tmp_path, monkeypatch):
     ys, xs = np.mgrid[0:160, 0:170]
     m = 20.0 + 120.0 * np.exp(-((xs - 85.0) ** 2 + (ys - 80.0) ** 2) / (2.0 * 8.0 ** 2))

@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import re
-import subprocess
 import sys
 import tempfile
 import threading
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retina_id.encoder as encoder
+import retina_id.imaging as imaging
 import retina_id.store as store
 from retina_id import cli
 from retina_id.encoder import FeatureTemplate, encode, polarize
@@ -39,6 +39,8 @@ from retina_id.store import (
     save_template,
     valid_subject_id,
 )
+
+from oracles import SPECIAL_FILES, run_cli_limited, special_file
 
 
 def quantized_template(rng):
@@ -362,7 +364,7 @@ class TestGalleryListing:
                          "--threshold", "1"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.endswith(message + "\n")
 
-    @pytest.mark.parametrize("kind", ["fifo", "/dev/zero symlink"])
+    @pytest.mark.parametrize("kind", SPECIAL_FILES)
     def test_special_file_is_refused_unopened(self, tmp_path, kind):
         """A FIFO would block the open and /dev/zero never end a read, so
         each load runs in a child with a time limit and an address-space
@@ -371,24 +373,9 @@ class TestGalleryListing:
         gal = tmp_path / "gal"
         add_records(gal, [record(np.random.default_rng(75), sid="a")])
         bad = gal / "z.rtpl"
-        if kind == "fifo":
-            if not hasattr(os, "mkfifo"):
-                pytest.skip("no os.mkfifo")
-            os.mkfifo(bad)
-        else:
-            if not Path("/dev/zero").exists():
-                pytest.skip("no /dev/zero")
-            bad.symlink_to("/dev/zero")
-        child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-                 "from retina_id import cli\n"
-                 "sys.exit(cli.main(sys.argv[1:]))\n")
-        src = str(Path(store.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", child, "verify", str(tmp_path / "probe.pgm"), "a",
-                               "--gallery", str(gal), "--threshold", "1"],
-                              capture_output=True, text=True, env=env, timeout=20)
+        special_file(bad, kind)
+        done = run_cli_limited("verify", tmp_path / "probe.pgm", "a", "--gallery", gal,
+                               "--threshold", "1")
         assert done.returncode == cli.EXIT_INPUT, done.stderr
         assert done.stderr == f"error: [Errno 22] Not a regular file: '{bad}'\n"
 
@@ -402,7 +389,7 @@ class TestReadFile:
         save_template(record(np.random.default_rng(74), sid="a"), tmp_path / "a.rtpl")
         data = (tmp_path / "a.rtpl").read_bytes()
         size = len(data) if reads == 1 else len(data) // 2 - 1
-        monkeypatch.setattr(store, "_READ_BYTES", size)
+        monkeypatch.setattr(imaging, "_READ_BYTES", size)
         assert load_gallery(tmp_path).subject_ids == ["a"]
         asked = []
         real_read = os.read
@@ -890,6 +877,27 @@ class TestSnapshot:
         parses.clear()
         assert load_outcome(gal) == expected
         assert len(parses) == 4
+
+    @pytest.mark.parametrize("kind", SPECIAL_FILES)
+    def test_special_snapshot_is_ignored_and_replaced(self, tmp_path, parses, kind):
+        """A snapshot that is a FIFO or a device is ignored unread, like a
+        damaged one: the load, in a child as in TestGalleryListing, takes the
+        records from their text, and the next add_records writes a v2
+        snapshot in its place."""
+        gal = self.gallery(tmp_path)
+        expected = load_outcome_from_text(gal)
+        snapshot = gal / SNAPSHOT_NAME
+        snapshot.unlink()
+        special_file(snapshot, kind)
+        done = run_cli_limited("synth", "--subjects", "1", "--out", gal)
+        assert done.returncode == 0, done.stderr
+        assert snapshot.is_file() and not snapshot.is_symlink()
+        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v2\n")
+        parses.clear()
+        got = load_outcome(gal)
+        assert parses == []
+        assert got == load_outcome_from_text(gal)
+        assert got[:4] == expected and [sid for sid, *_ in got[4:]] == ["s001"]
 
     def test_single_file_gallery_has_no_snapshot(self, tmp_path):
         path = tmp_path / "one.rtpl"
