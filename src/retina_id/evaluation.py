@@ -293,8 +293,8 @@ def _build_image_gallery(source: ImageSource):
     records = []
     maps = []
     for f in files:
+        m = to_intensity(load_image(f))  # a decode error names the image itself
         try:
-            m = to_intensity(load_image(f))
             od = resolve_od(m, f, source.od)
             template = gated_template(m, od, source.harris)
         except ValueError as exc:

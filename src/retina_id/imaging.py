@@ -2,15 +2,15 @@
 
 Only the 8-bit portable graymap/pixmap formats are supported: ASCII P2/P3
 and binary P5/P6, with a required maximum sample value of 255.  Decode
-errors carry the byte offset of the offending input.  A header whose
-sample count the file is too short to hold is rejected before any pixel
-buffer is allocated.  The header and the token walker read tokens through
-one compiled pattern: a token is a run of bytes that are neither whitespace
-nor `#`, and a `#` starts a comment that runs to the next CR or LF.  An
-ASCII body of plain decimal digits and whitespace is decoded in one numpy
-parse; any other body (comments, signs, too few samples, a sample above
-255) goes through the token walker, which decodes it or reports the
-offending token's offset.
+errors name the file and carry the byte offset of the offending input.  A
+header whose sample count the file is too short to hold is rejected before
+any pixel buffer is allocated.  The header and the token walker read
+tokens through one compiled pattern: a token is a run of bytes that are
+neither whitespace nor `#`, and a `#` starts a comment that runs to the
+next CR or LF.  An ASCII body of plain decimal digits and whitespace is
+decoded in one numpy parse; any other body (comments, signs, too few
+samples, a sample above 255) goes through the token walker, which decodes
+it or reports the offending token's offset.
 
 Coordinate convention, used everywhere in this package: x grows to the
 right, y grows downward, and the origin sits at the centre of the top-left
@@ -40,17 +40,31 @@ _TOKEN_OR_COMMENT = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
 _READ_BYTES = 1 << 16  # per read of an input file
 
 
+def _regular(st: os.stat_result, path) -> os.stat_result:
+    """`st` if it is a regular file's; otherwise the refusal of `path`."""
+    if stat.S_ISREG(st.st_mode):
+        return st
+    if stat.S_ISDIR(st.st_mode):
+        raise OSError(errno.EISDIR, "Is a directory", os.fspath(path))
+    raise OSError(errno.EINVAL, "Not a regular file", os.fspath(path))
+
+
+def stat_input(path, dir_fd: int | None = None) -> os.stat_result:
+    """os.stat of `path` (under `dir_fd`, following symlinks), refused as
+    open_input refuses it but without opening it."""
+    return _regular(os.stat(path, dir_fd=dir_fd), path)
+
+
 def open_input(path, dir_fd: int | None = None) -> int:
     """The one opener of files read from outside: a read-only, non-blocking
     descriptor of `path` (under `dir_fd`), refused unless a regular file."""
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY, dir_fd=dir_fd)
-    mode = os.fstat(fd).st_mode
-    if stat.S_ISREG(mode):
-        return fd
-    os.close(fd)
-    if stat.S_ISDIR(mode):
-        raise OSError(errno.EISDIR, "Is a directory", os.fspath(path))
-    raise OSError(errno.EINVAL, "Not a regular file", os.fspath(path))
+    try:
+        _regular(os.fstat(fd), path)
+    except OSError:
+        os.close(fd)
+        raise
+    return fd
 
 
 def read_input(path, dir_fd: int | None = None) -> bytes:
@@ -70,6 +84,7 @@ class ImageFormatError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -150,10 +165,18 @@ def _walk_samples(tok, count: int, data_len: int) -> np.ndarray:
 def load_image(path) -> RasterImage:
     """Decode a P2/P3/P5/P6 file.
 
-    Raises ImageFormatError (with byte offset) for malformed or unsupported
-    content, OSError for a file read_input cannot read.
+    Raises ImageFormatError (its message led by the path, with byte offset)
+    for malformed or unsupported content, OSError for a file read_input
+    cannot read.
     """
     data = read_input(path)
+    try:
+        return _decode(data)
+    except ImageFormatError as exc:
+        raise ImageFormatError(f"{os.fspath(path)}: {exc.message}", exc.offset) from None
+
+
+def _decode(data: bytes) -> RasterImage:
     if len(data) < 2:
         raise ImageFormatError("not a portable graymap/pixmap", 0)
     magic = data[:2]

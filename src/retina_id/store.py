@@ -25,15 +25,23 @@ filename order.  `Gallery` keeps subject ids, [A-Za-z0-9_-]{1,64}, unique;
 
 A gallery directory may also hold `.snapshot`, a memo of `parse_records`
 keyed by each file's content: per file, the sha256 digest and byte length
-of its bytes and the records parsed from exactly those bytes, with every
-occupied amplitude as raw little-endian float64.  `load_gallery` still
-reads every `.rtpl` file and takes a file's records from the snapshot only
-when its digest and length are there; any other file is parsed.  The
-`.rtpl` text is the truth and the snapshot never is: only `add_records`
-writes it, for the files it loaded and the files it wrote, and a snapshot
-that is missing, not a regular file, truncated, of another version (a v1
-snapshot included), not in canonical form or fails any check a parsed
-record gets is ignored as a whole, and replaced by the next `add_records`.
+of its bytes, the records parsed from exactly those bytes, with every
+occupied amplitude as raw little-endian float64, and the file's stat key,
+(inode, byte length, mtime_ns, ctime_ns).  `load_gallery` stats every
+`.rtpl` file and takes its records from the snapshot unopened when its
+stat key is there and both its mtime and ctime are older than the
+snapshot's own mtime: git's rule for racily clean entries, since a file
+changed in the clock tick of the snapshot's write may keep its stat.  Any
+other file is read and hashed, and its records come from the snapshot when
+its digest and length are there; otherwise it is parsed.  `os.utime` can
+set an mtime back but moves the ctime, which only root or a clock change
+can set.  The `.rtpl` text is the truth and the snapshot never is: only
+`add_records` writes it, for the files it loaded (with the stat their load
+took, before any read) and the files it wrote (with their stat after the
+rename), and a snapshot that is missing, not a regular file, truncated, of
+another version (v1 and v2 included), not in canonical form or fails any
+check a parsed record gets is ignored as a whole, and replaced by the next
+`add_records`.
 Deleting it is always safe; it costs one re-parse.  So the writer removes
 the old snapshot before it writes any `.rtpl` file: a snapshot path it
 cannot replace then fails the batch with the gallery unchanged.  Like
@@ -50,14 +58,16 @@ provenance are checked at load as GalleryRecord and OdCenter check them.
 The layout is this module's alone: the matcher reads rows through
 Gallery.amplitudes and slot counts through Gallery.nonzero_counts.  The
 directory is listed with os.listdir (every name ending in `.rtpl`, hidden
-ones included, case-sensitive); each file, the snapshot too, is opened by
-imaging.open_input through the directory's descriptor, and an OSError
-names the entry's path.  add_records writes the snapshot in the order of
-the one it loaded, the files that one missed last.
+ones included, case-sensitive); each file is stat'ed by imaging.stat_input
+and read by imaging.read_input, the snapshot opened by imaging.open_input,
+all through the directory's descriptor, and an OSError names the entry's
+path.  add_records writes the snapshot in the order of the one it loaded,
+the files that one missed last.
 
 Snapshot layout: the 24-byte head below; the body; the index as ASCII
 JSON, `[[digest hex, byte length, [[subject, od x, od y, od source,
-provenance, slot count], ...]], ...]`; the index's byte length as 8 bytes,
+provenance, slot count], ...], [inode, mtime_ns, ctime_ns]], ...]`, three
+ints, the inode not negative; the index's byte length as 8 bytes,
 little-endian; and last the sha256 digest of everything before it, so a
 flipped bit anywhere discards the snapshot.  The body stores a record's
 (3, 360) amplitudes as its occupied slots alone: every slot that is nonzero
@@ -86,7 +96,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
-from .imaging import open_input, read_input
+from .imaging import open_input, read_input, stat_input
 from .optic_disc import OdCenter
 
 # hashlib (which loads OpenSSL) and json are imported inside the functions
@@ -95,7 +105,7 @@ from .optic_disc import OdCenter
 
 MAGIC = "RETINA-TEMPLATE v1"
 SNAPSHOT_NAME = ".snapshot"
-_SNAPSHOT_HEAD = b"RETINA-SNAPSHOT v2\n".ljust(24, b"\0")
+_SNAPSHOT_HEAD = b"RETINA-SNAPSHOT v3\n".ljust(24, b"\0")
 _AMPLITUDES = np.dtype("<f8")
 _POSITIONS = np.dtype("<u2")
 _ROW_SLOTS = 3 * SLOTS
@@ -156,8 +166,9 @@ class Gallery:
     same slots.
 
     `files` holds, for a directory that `load_gallery` read, each `.rtpl`
-    file's (sha256 digest, byte length, range of its records' positions):
-    what `add_records` writes to the snapshot; otherwise it is empty."""
+    file's (sha256 digest, byte length, (inode, mtime_ns, ctime_ns) of the
+    stat its load took, range of its records' positions): what
+    `add_records` writes to the snapshot; otherwise it is empty."""
 
     def __init__(self, records=(), *, _loaded=None):
         # _loaded: (meta, values, positions, ranges, files, the files' snapshot order)
@@ -375,16 +386,27 @@ def _decode(data: bytes, source: str) -> str:
             source, data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
 
 
-def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict]:
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    """(inode, mtime_ns, ctime_ns): with the byte length, a file's stat key."""
+    return st.st_ino, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict, dict]:
     """(slot values, slot positions, bounds, {(digest, byte length): (first
-    record, [(subject_id, source_image, od), ...])}) of an open snapshot,
-    record r's slots being bounds[r]:bounds[r + 1]; raises ValueError or
-    TypeError on anything but a well-formed snapshot of valid, uniquely
-    named records.  Each section's values and positions are read straight
-    into the flat arrays, one readinto each, and checked together."""
+    record, [(subject_id, source_image, od), ...])}, {stat key: (digest,
+    byte length)}) of an open snapshot, record r's slots being
+    bounds[r]:bounds[r + 1]; the stat keys are those of the entries whose
+    mtime and ctime are both older than the snapshot's mtime.  Raises
+    ValueError or TypeError on anything but a well-formed snapshot of valid,
+    uniquely named records.  Each section's values and positions are read
+    straight into the flat arrays, one readinto each, and checked together."""
     import hashlib
     import json
 
+    # Git's rule for racily clean entries: a file changed in the same clock
+    # tick as the snapshot's write may keep the stat it had, so only a stat
+    # older than the write vouches for the file's bytes.
+    written = os.fstat(fh.fileno()).st_mtime_ns
     size = fh.seek(0, os.SEEK_END)
     fh.seek(max(size - _TRAILER_BYTES, 0))
     trailer = fh.read()
@@ -395,10 +417,10 @@ def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict]:
         raise ValueError("not a snapshot")
     fh.seek(end)
     index = fh.read(size - _TRAILER_BYTES - end)
-    memo = {}
+    memo, clean = {}, {}
     ids = set()
     counts = []
-    for digest, nbytes, rows in json.loads(index):
+    for digest, nbytes, rows, stamp in json.loads(index):
         meta = []
         for subject_id, od_x, od_y, od_source, source_image, count in rows:
             # The checks GalleryRecord and OdCenter make, and the count's.
@@ -409,7 +431,14 @@ def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict]:
             meta.append((subject_id, source_image, _stored_od(od_x, od_y, od_source)))
             ids.add(subject_id)
             counts.append(count)
-        memo[bytes.fromhex(digest), nbytes] = (len(counts) - len(meta), meta)
+        key = bytes.fromhex(digest), nbytes
+        memo[key] = (len(counts) - len(meta), meta)
+        # A file's [inode, mtime_ns, ctime_ns]; times before 1970 are negative.
+        ino, mtime, ctime = stamp
+        if not (type(stamp) is list and type(ino) is type(mtime) is type(ctime) is int and ino >= 0):
+            raise ValueError("invalid snapshot stat key")
+        if max(mtime, ctime) < written:
+            clean[nbytes, ino, mtime, ctime] = key
     bounds = list(itertools.accumulate(counts, initial=0))
     if _SLOT_BYTES * bounds[-1] != end - len(head):
         raise ValueError("snapshot slot counts do not match its body")
@@ -435,49 +464,57 @@ def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict]:
     body.update(index + trailer[:8])
     if body.digest() != trailer[8:]:
         raise ValueError("snapshot digest mismatch")
-    return values, positions, bounds, memo
+    return values, positions, bounds, memo, clean
 
 
-def _read_snapshot(dir_fd: int) -> tuple[np.ndarray, np.ndarray, list, dict]:
-    """_parse_snapshot of the directory's snapshot; no slots and an empty
-    memo for a snapshot that is missing, not a regular file or fails any check."""
+def _read_snapshot(dir_fd: int) -> tuple[np.ndarray, np.ndarray, list, dict, dict]:
+    """_parse_snapshot of the directory's snapshot; no slots and empty
+    maps for a snapshot that is missing, not a regular file or fails any check."""
     try:
         with open(open_input(SNAPSHOT_NAME, dir_fd), "rb") as fh:
             return _parse_snapshot(fh)
     except (OSError, ValueError, TypeError, RecursionError):
-        return np.empty(0, _AMPLITUDES), np.empty(0, _POSITIONS), [0], {}
+        return np.empty(0, _AMPLITUDES), np.empty(0, _POSITIONS), [0], {}, {}
 
 
-def _read_file(directory: Path, dir_fd: int, name: str) -> bytes:
-    """read_input of `name` in `directory`, open as dir_fd, naming that path."""
+def _in_directory(call, directory: Path, dir_fd: int, name: str):
+    """call(name, dir_fd), read_input or stat_input of `name` in
+    `directory`, open as dir_fd; an OSError names that path."""
     try:
-        return read_input(name, dir_fd)
+        return call(name, dir_fd)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(directory / name)) from None
 
 
 def _load_directory(p: Path) -> Gallery:
     """The gallery of a directory's `*.rtpl` files, in filename order: the
-    snapshot's slots for the files whose digest it holds, the parsed
-    records' slots, appended, for the others."""
+    snapshot's slots for the files whose stat key or digest it holds, the
+    parsed records' slots, appended, for the others."""
     import hashlib
 
     dir_fd = os.open(p, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        values, positions, bounds, memo = _read_snapshot(dir_fd)
+        values, positions, bounds, memo, clean = _read_snapshot(dir_fd)
         meta, ranges, files, firsts, parsed = [], [], [], [], []
         for name in sorted(n for n in os.listdir(dir_fd) if n.endswith(".rtpl")):
-            data = _read_file(p, dir_fd, name)
-            key = (hashlib.sha256(data).digest(), len(data))
-            if key not in memo:
-                source = str(p / name)
-                records = parse_records(_decode(data, source), source)
-                # The parsed records follow the snapshot's, and so do their slots.
-                memo[key] = (len(bounds) - 1, [(r.subject_id, r.source_image, r.od) for r in records])
-                parsed.append(_pack([r.template.vectors for r in records]))
-                bounds += (bounds[-1] + parsed[-1][2][:, 1]).tolist()
+            # The stat is taken before the read, so a file that changes
+            # during the read misses its key on the next load.
+            st = _in_directory(stat_input, p, dir_fd, name)
+            stamp = _stamp(st)
+            key = clean.get((st.st_size, *stamp))
+            if key is None:
+                data = _in_directory(read_input, p, dir_fd, name)
+                key = (hashlib.sha256(data).digest(), len(data))
+                if key not in memo:
+                    source = str(p / name)
+                    records = parse_records(_decode(data, source), source)
+                    # The parsed records follow the snapshot's, and so do their slots.
+                    memo[key] = (len(bounds) - 1,
+                                 [(r.subject_id, r.source_image, r.od) for r in records])
+                    parsed.append(_pack([r.template.vectors for r in records]))
+                    bounds += (bounds[-1] + parsed[-1][2][:, 1]).tolist()
             first, entry = memo[key]
-            files.append((*key, range(len(meta), len(meta) + len(entry))))
+            files.append((*key, stamp, range(len(meta), len(meta) + len(entry))))
             firsts.append(first if entry else 0)  # a file with no records is written first
             ranges += itertools.pairwise(bounds[first:first + len(entry) + 1])
             meta += entry
@@ -496,9 +533,10 @@ def _load_directory(p: Path) -> Gallery:
 def load_gallery(path) -> Gallery:
     """Load one `.rtpl` file or a directory of them.
 
-    A directory's files are parsed unless its snapshot holds their bytes'
-    digest.  Raises EmptyGalleryError when no records are found (including a
-    missing or empty directory), TemplateFormatError on malformed content,
+    A directory's files are read unless its snapshot holds their stat key,
+    and parsed unless it holds their bytes' digest.  Raises
+    EmptyGalleryError when no records are found (including a missing or
+    empty directory), TemplateFormatError on malformed content,
     DuplicateSubjectError on repeated ids and OSError on a FIFO or a device.
     """
     p = Path(path)
@@ -527,20 +565,20 @@ def gallery_lock(directory):
         os.close(fd)
 
 
-def _snapshot_entry(digest: bytes, size: int, meta) -> list:
+def _snapshot_entry(digest: bytes, size: int, stamp, meta) -> list:
     """A file's index entry, for its records' (subject_id, source_image, od),
     each row's slot count still to be appended."""
     return [digest.hex(), size, [[subject_id, od.x, od.y, od.source, source_image]
-                                 for subject_id, source_image, od in meta]]
+                                 for subject_id, source_image, od in meta], list(stamp)]
 
 
 def _loaded(gallery: Gallery) -> tuple[list, object]:
     """The index entries of the files that load_gallery read, in its
     snapshot's order (the files it missed last), and their records' slots."""
     files = [gallery.files[j] for j in gallery._file_order]
-    index = [_snapshot_entry(digest, size, gallery._meta[positions.start:positions.stop])
-             for digest, size, positions in files]
-    ranges = gallery._ranges[[i for _, _, positions in files for i in positions]].tolist()
+    index = [_snapshot_entry(digest, size, stamp, gallery._meta[positions.start:positions.stop])
+             for digest, size, stamp, positions in files]
+    ranges = gallery._ranges[[i for *_, positions in files for i in positions]].tolist()
     return index, ((gallery._values[lo:hi], gallery._positions[lo:hi]) for lo, hi in ranges)
 
 
@@ -596,7 +634,9 @@ def add_records(directory, records) -> None:
                     data = save_template(r, target)
                     # Rendering rounds amplitudes: the entry is what the bytes parse to.
                     written = parse_records(data.decode("utf-8"), str(target))
+                    # Stat after the rename, which moves the file's ctime.
                     index.append(_snapshot_entry(hashlib.sha256(data).digest(), len(data),
+                                                 _stamp(stat_input(target)),
                                                  [(rec.subject_id, rec.source_image, rec.od)
                                                   for rec in written]))
                     for rec in written:
@@ -604,7 +644,7 @@ def add_records(directory, records) -> None:
 
             write(_SNAPSHOT_HEAD)
             counts = iter(_write_body(write, itertools.chain(loaded_slots, written_slots())))
-            for _, _, entry_rows in index:
+            for _, _, entry_rows, _ in index:
                 for row in entry_rows:
                     row.append(next(counts))
             tail = json.dumps(index).encode("ascii")

@@ -122,6 +122,17 @@ class TestDetect:
         r = run_cli("detect", bad)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("command", ["detect", "enroll", "identify", "verify"])
+    def test_malformed_image_error_names_the_image_once(self, tmp_path, capsys, command):
+        gal = tmp_path / "gal"
+        add_records(gal, build_synthetic_gallery(1, 10, seed=3)[0])
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5 4 4 255\n" + bytes(3))
+        extra = {"detect": [], "enroll": ["new", "--gallery", str(gal)], "identify": ["--gallery", str(gal)],
+                 "verify": ["s001", "--threshold", "1", "--gallery", str(gal)]}[command]
+        assert cli.main([command, str(bad), *extra]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {bad}: truncated pixel data (byte offset 14)\n"
+
     def test_threshold_flag_overrides_config(self, square_image, tmp_path):
         cfg = tmp_path / "detector.conf"
         cfg.write_text("threshold = 1e18\n")

@@ -183,13 +183,15 @@ def reads_a_path(node) -> bool:
 def test_only_imaging_opens_input_files():
     """Every file the package reads from outside goes through
     imaging.open_input, which refuses a FIFO, a device or a directory on
-    the open descriptor: no other module reads a path, checks it before
-    an open, or opens it for reading."""
+    the open descriptor, or imaging.stat_input, which refuses them by the
+    same test unopened: no other module reads a path, stats it, checks it
+    before an open, or opens it for reading."""
     offenders = [
         (path.name, node.lineno)
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "imaging.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if {"read_bytes", "read_text", "is_file"} & set(called_names(node)) or reads_a_path(node)
+        if {"read_bytes", "read_text", "is_file", "stat", "lstat", "S_ISREG"} & set(called_names(node))
+        or reads_a_path(node)
     ]
     assert offenders == []
 

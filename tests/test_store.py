@@ -5,6 +5,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -401,7 +402,7 @@ class TestReadFile:
         monkeypatch.setattr(os, "read", read)
         dir_fd = os.open(tmp_path, os.O_RDONLY | os.O_DIRECTORY)
         try:
-            got = store._read_file(tmp_path, dir_fd, "a.rtpl")
+            got = store._in_directory(store.read_input, tmp_path, dir_fd, "a.rtpl")
         finally:
             os.close(dir_fd)
         assert got == data
@@ -565,15 +566,17 @@ def load_outcome(directory):
 
 
 def load_outcome_from_text(directory):
-    """load_outcome with the snapshot deleted; the snapshot is put back."""
+    """load_outcome with the snapshot deleted; the snapshot is put back,
+    with its mtime, which dates the stat keys it holds."""
     snapshot = directory / SNAPSHOT_NAME
-    saved = snapshot.read_bytes() if snapshot.exists() else None
+    saved = (snapshot.read_bytes(), snapshot.stat()) if snapshot.exists() else None
     snapshot.unlink(missing_ok=True)
     try:
         return load_outcome(directory)
     finally:
         if saved is not None:
-            snapshot.write_bytes(saved)
+            snapshot.write_bytes(saved[0])
+            os.utime(snapshot, ns=(saved[1].st_atime_ns, saved[1].st_mtime_ns))
 
 
 @pytest.fixture
@@ -589,6 +592,42 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Names of the `.rtpl` files imaging.read_input reads, wherever it is
+    bound (load_gallery's first call is on the gallery's own path)."""
+    calls = []
+    real = imaging.read_input
+
+    def counting(path, dir_fd=None):
+        if os.fspath(path).endswith(".rtpl"):
+            calls.append(os.path.basename(path))
+        return real(path, dir_fd)
+
+    monkeypatch.setattr(imaging, "read_input", counting)
+    monkeypatch.setattr(store, "read_input", counting)
+    return calls
+
+
+def settle(gallery: Path) -> int:
+    """Wait until a file written in the gallery gets a ctime after every
+    `.rtpl` file's mtime and ctime, then date the snapshot's mtime to that
+    ctime, as if it had been written then; return it.  Every file is then
+    older than the snapshot, and any later change moves a file's ctime."""
+    newest = max(max(st.st_mtime_ns, st.st_ctime_ns)
+                 for st in (path.stat() for path in gallery.glob("*.rtpl")))
+    clock = gallery / "clock"
+    while True:
+        clock.write_bytes(b"")
+        now = clock.stat().st_ctime_ns
+        if now > newest:
+            break
+        time.sleep(0.001)
+    clock.unlink()
+    os.utime(gallery / SNAPSHOT_NAME, ns=(now, now))
+    return now
+
+
 def split_snapshot(data: bytes):
     """(head, slots, index) of a snapshot's bytes: slots holds each record's
     (positions, values) in index order, and each record's index row ends in
@@ -596,7 +635,7 @@ def split_snapshot(data: bytes):
     body = data[:-32]
     n = int.from_bytes(body[-8:], "little")
     index = json.loads(body[-8 - n:-8])
-    counts = [row[-1] for _, _, rows in index for row in rows]
+    counts = [row[-1] for _, _, rows, _ in index for row in rows]
     slots, at = [], 24
     for lo in range(0, len(counts), BLOCK_ROWS):
         section = counts[lo:lo + BLOCK_ROWS]
@@ -671,6 +710,18 @@ def forge(head, slots, index, case):
         row[-1] -= 1
     elif case == "count as text":
         row[-1] = str(row[-1])
+    elif case == "stat key missing":
+        del index[0][3]
+    elif case == "stat key of two ints":
+        del index[0][3][2]
+    elif case == "stat key as text":
+        index[0][3] = " ".join(map(str, index[0][3]))
+    elif case == "mtime as float":
+        index[0][3][1] = float(index[0][3][1])
+    elif case == "negative inode":
+        index[0][3][0] = -1
+    elif case == "inode as bool":
+        index[0][3][0] = True
     return join_snapshot(head, slots, index)
 
 
@@ -679,7 +730,15 @@ FORGED = ["foreign version", "nan amplitude", "amplitude over 360", "nan od", "o
           "id not text", "duplicate ids", "record missing amplitudes",
           "amplitudes missing a record", "short row", "digest not hex", "index not a list",
           "position 1080", "repeated position", "decreasing positions", "count one slot more",
-          "count one slot less", "count as text"]
+          "count one slot less", "count as text", "stat key missing", "stat key of two ints",
+          "stat key as text", "mtime as float", "negative inode", "inode as bool"]
+
+
+def v2_snapshot(directory) -> bytes:
+    """The version 2 snapshot of a directory's v3 one: index entries
+    without their stat key."""
+    _, slots, index = split_snapshot((directory / SNAPSHOT_NAME).read_bytes())
+    return join_snapshot(b"RETINA-SNAPSHOT v2\n".ljust(24, b"\0"), slots, [entry[:3] for entry in index])
 
 
 def v1_snapshot(gallery) -> bytes:
@@ -687,7 +746,7 @@ def v1_snapshot(gallery) -> bytes:
     filename order: dense amplitudes and five-field index rows."""
     index = [[digest.hex(), size, [[r.subject_id, r.od.x, r.od.y, r.od.source, r.source_image]
                                    for r in gallery.records[positions.start:positions.stop]]]
-             for digest, size, positions in gallery.files]
+             for digest, size, _, positions in gallery.files]
     tail = json.dumps(index).encode("ascii")
     body = (b"RETINA-SNAPSHOT v1\n".ljust(24, b"\0")
             + b"".join(np.ascontiguousarray(r.template.vectors, "<f8").tobytes() for r in gallery)
@@ -803,7 +862,7 @@ class TestSnapshot:
         save_template(record(rng, sid="behind"), tmp_path / "behind.rtpl")
         add_records(tmp_path, [record(rng, sid="d")])
         index = split_snapshot((tmp_path / SNAPSHOT_NAME).read_bytes())[2]
-        assert [row[0] for _, _, rows in index for row in rows] == ["c", "b", "a", "behind", "d"]
+        assert [row[0] for _, _, rows, _ in index for row in rows] == ["c", "b", "a", "behind", "d"]
 
     @pytest.mark.parametrize("damage", ["empty", "head only", "truncated", "half", "no trailer",
                                         "bit flipped", "last bit flipped", "appended", "text"])
@@ -843,16 +902,17 @@ class TestSnapshot:
         assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
         assert got == load_outcome_from_text(gal)
 
-    def test_v1_snapshot_is_ignored_and_rewritten_as_v2(self, tmp_path, parses):
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_older_snapshot_is_ignored_and_rewritten_as_v3(self, tmp_path, parses, version):
         gal = self.gallery(tmp_path)
         snapshot = gal / SNAPSHOT_NAME
-        snapshot.write_bytes(v1_snapshot(load_gallery(gal)))
+        snapshot.write_bytes(v1_snapshot(load_gallery(gal)) if version == "v1" else v2_snapshot(gal))
         parses.clear()
         got = load_outcome(gal)
         assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
         assert got == load_outcome_from_text(gal)
         add_records(gal, [record(np.random.default_rng(89), sid="v2")])
-        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v2\n")
+        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v3\n")
         parses.clear()
         got = load_outcome(gal)
         assert parses == []
@@ -892,7 +952,7 @@ class TestSnapshot:
         done = run_cli_limited("synth", "--subjects", "1", "--out", gal)
         assert done.returncode == 0, done.stderr
         assert snapshot.is_file() and not snapshot.is_symlink()
-        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v2\n")
+        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v3\n")
         parses.clear()
         got = load_outcome(gal)
         assert parses == []
@@ -1008,6 +1068,158 @@ class TestSnapshot:
                 assert load_outcome(gal) == load_outcome_from_text(gal)
 
 
+class TestStatKey:
+    """A file whose (inode, byte length, mtime_ns, ctime_ns) the snapshot
+    holds, and whose mtime and ctime are older than the snapshot's, loads
+    from the snapshot unopened; any other file is read, whatever kept its
+    size or its mtime."""
+
+    def gallery(self, tmp_path):
+        return TestSnapshot().gallery(tmp_path / "gal")
+
+    def test_after_synth_no_file_older_than_the_snapshot_is_opened(self, tmp_path, monkeypatch,
+                                                                 capsys, reads):
+        gal = tmp_path / "gal"
+        assert cli.main(["synth", "--subjects", "5", "--out", str(gal)]) == 0
+        capsys.readouterr()
+        settle(gal)
+        opened = []
+        real_open = os.open
+
+        def spy_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        got = load_outcome(gal)
+        monkeypatch.setattr(os, "open", real_open)
+        assert reads == []
+        assert SNAPSHOT_NAME in opened and not any(name.endswith(".rtpl") for name in opened)
+        assert [sid for sid, *_ in got] == [f"s{i:03d}" for i in range(1, 6)]
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_rewritten_in_place_with_its_mtime_restored_is_read(self, tmp_path, reads):
+        gal = self.gallery(tmp_path)
+        settle(gal)
+        path = gal / "p2.rtpl"
+        before = path.stat()
+        path.write_bytes(path.read_bytes().replace(b"image eye 2.pgm ", b"image eye 9.pgm "))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns)
+        reads.clear()
+        got = load_outcome(gal)
+        assert reads == ["p2.rtpl"]
+        assert got[2][1] == "eye 9.pgm "
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_replaced_by_rename_with_its_size_and_mtime_is_read(self, tmp_path, reads):
+        gal = self.gallery(tmp_path)
+        settle(gal)
+        path = gal / "p2.rtpl"
+        before = path.stat()
+        new = gal / "p2.new"
+        new.write_bytes(path.read_bytes().replace(b"image eye 2.pgm ", b"image eye 9.pgm "))
+        os.utime(new, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(new, path)
+        after = path.stat()
+        assert after.st_ino != before.st_ino
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        reads.clear()
+        got = load_outcome(gal)
+        assert reads == ["p2.rtpl"]
+        assert got[2][1] == "eye 9.pgm "
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_not_older_than_the_snapshot_is_read(self, tmp_path, reads):
+        """Git's racy rule: with the snapshot dated back to p2's mtime, p2 and
+        p3, written after it by the second batch, are read; p0 and p1,
+        written before the clock passed, are not."""
+        gal = tmp_path / "gal"
+        rng = np.random.default_rng(95)
+        add_records(gal, [record(rng, sid="p0"), record(rng, sid="p1")])
+        settle(gal)
+        add_records(gal, [record(rng, sid="p2"), record(rng, sid="p3")])
+        settle(gal)
+        assert load_outcome(gal) and reads == []
+        mtime = (gal / "p2.rtpl").stat().st_mtime_ns
+        os.utime(gal / SNAPSHOT_NAME, ns=(mtime, mtime))
+        got = load_outcome(gal)
+        assert reads == ["p2.rtpl", "p3.rtpl"]
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_whose_ctime_is_not_older_than_the_snapshot_is_read(self, tmp_path, reads):
+        """An mtime set back by os.utime does not make a file clean: its
+        ctime, which only root or a clock change can set, must be older
+        than the snapshot too."""
+        gal = self.gallery(tmp_path)
+        settle(gal)
+        path = gal / "p1.rtpl"
+        before = path.stat()
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns - 10 ** 9))
+        # The benchmark's enrol-and-unlink takes p1's new stat into the snapshot.
+        add_records(gal, [record(np.random.default_rng(96), sid="bench_new")])
+        (gal / "bench_new.rtpl").unlink()
+        settle(gal)
+        reads.clear()
+        assert load_outcome(gal) and reads == []
+        st = path.stat()
+        assert st.st_mtime_ns < st.st_ctime_ns
+        os.utime(gal / SNAPSHOT_NAME, ns=(st.st_ctime_ns, st.st_ctime_ns))
+        got = load_outcome(gal)
+        assert reads == ["p1.rtpl"]
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_changed_during_the_writers_read_is_read_again(self, tmp_path, monkeypatch, reads):
+        """add_records writes the stat its load took before the read: a
+        change after that read misses the key on the next load."""
+        gal = self.gallery(tmp_path)
+        settle(gal)
+        path = gal / "p2.rtpl"
+        mtime = path.stat().st_mtime_ns
+        os.utime(gal / SNAPSHOT_NAME, ns=(mtime, mtime))  # p2 is read by the next load
+        real = store.read_input
+
+        def changing(name, dir_fd=None):
+            data = real(name, dir_fd)
+            if name == "p2.rtpl":
+                before = path.stat()
+                path.write_bytes(data.replace(b"image eye 2.pgm ", b"image eye 9.pgm "))
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            return data
+
+        monkeypatch.setattr(store, "read_input", changing)
+        add_records(gal, [record(np.random.default_rng(97), sid="q")])
+        monkeypatch.setattr(store, "read_input", real)
+        settle(gal)
+        reads.clear()
+        got = load_outcome(gal)
+        assert reads == ["p2.rtpl"]
+        assert got[2][1] == "eye 9.pgm "
+        assert got == load_outcome_from_text(gal)
+
+    def test_file_dated_before_1970_keeps_its_key(self, tmp_path, reads):
+        gal = self.gallery(tmp_path)
+        path = gal / "p0.rtpl"
+        os.utime(path, ns=(-10 ** 9, -10 ** 9))
+        add_records(gal, [record(np.random.default_rng(98), sid="q")])
+        settle(gal)
+        assert split_snapshot((gal / SNAPSHOT_NAME).read_bytes())[2][0][3][1] == -10 ** 9
+        reads.clear()
+        got = load_outcome(gal)
+        assert reads == []
+        assert got == load_outcome_from_text(gal)
+
+    def test_files_lists_each_files_stat_key(self, tmp_path):
+        gal = self.gallery(tmp_path)
+        for digest, size, stamp, positions in load_gallery(gal).files:
+            name = f"p{positions.start}.rtpl"
+            st = (gal / name).stat()
+            assert (hashlib.sha256((gal / name).read_bytes()).digest(), size) == (digest, st.st_size)
+            assert stamp == (st.st_ino, st.st_mtime_ns, st.st_ctime_ns)
+
+
 SPECIAL_AMPLITUDES = [-0.0, 1e-300, 360.0]
 
 
@@ -1033,7 +1245,7 @@ def test_snapshot_rows_are_the_texts_bits(seed, kinds):
         gal = Path(tmp)
         add_records(gal, records)
         with open(gal / SNAPSHOT_NAME, "rb") as fh:
-            values, positions, bounds, memo = store._parse_snapshot(fh)
+            values, positions, bounds, memo, _ = store._parse_snapshot(fh)
         through_snapshot = load_gallery(gal)
         (gal / SNAPSHOT_NAME).unlink()
         text = load_gallery(gal)
@@ -1090,7 +1302,7 @@ class TestBlockEquivalence:
         block, text = self.loads(gal)
         # 42 snapshot records, the last one stale (bench_new), and one parsed
         # file (late) whose slots are appended after the snapshot's
-        assert [row[0] for _, _, rows in index for row in rows][-1] == "bench_new"
+        assert [row[0] for _, _, rows, _ in index for row in rows][-1] == "bench_new"
         assert len(slots) == 42
         starts = block._ranges[:, 0].tolist()
         assert starts != sorted(starts)
@@ -1155,7 +1367,7 @@ class TestBlockEquivalence:
         before = loaded(load_gallery(gal))
         add_records(gal, [record(np.random.default_rng(93), sid="after")])
         head, amplitudes, index = split_snapshot((gal / SNAPSHOT_NAME).read_bytes())
-        assert sum(len(rows) for _, _, rows in index) == len(before) + 1
+        assert sum(len(rows) for _, _, rows, _ in index) == len(before) + 1
         g = load_gallery(gal)
         # The rewritten snapshot holds no stale record: the ranges cover
         # every slot.
