@@ -39,9 +39,9 @@ can set.  The `.rtpl` text is the truth and the snapshot never is: only
 `add_records` writes it, for the files it loaded (with the stat their load
 took, before any read) and the files it wrote (with their stat after the
 rename), and a snapshot that is missing, not a regular file, truncated, of
-another version (v1 and v2 included), not in canonical form or fails any
-check a parsed record gets is ignored as a whole, and replaced by the next
-`add_records`.
+another version (v1, v2 and v3 included), not in canonical form or fails
+any check a parsed record gets is ignored as a whole, and replaced by the
+next `add_records`.
 Deleting it is always safe; it costs one re-parse.  So the writer removes
 the old snapshot before it writes any `.rtpl` file: a snapshot path it
 cannot replace then fails the batch with the gallery unchanged.  Like
@@ -53,31 +53,36 @@ slots, and each record's range of both.  A directory's gallery reads the
 snapshot's sections straight into those arrays, then appends the slots of
 the files the snapshot misses; an unlinked file's slots are in no
 record's range.  Records, each template a read-only row scattered from its
-slots, are built only when asked for, but each one's id, od centre and
-provenance are checked at load as GalleryRecord and OdCenter check them.
-The layout is this module's alone: the matcher reads rows through
-Gallery.amplitudes and slot counts through Gallery.nonzero_counts.  The
-directory is listed with os.listdir (every name ending in `.rtpl`, hidden
-ones included, case-sensitive); each file is stat'ed by imaging.stat_input
-and read by imaging.read_input, the snapshot opened by imaging.open_input,
-all through the directory's descriptor, and an OSError names the entry's
-path.  add_records writes the snapshot in the order of the one it loaded,
-the files that one missed last.
+slots and each od centre, are built only when asked for, but every row of
+the snapshot's index is checked at load as GalleryRecord and OdCenter
+check a parsed record, a column at a time: the sha256 is no MAC, so a
+row no caller reads may still be forged.  The layout is this module's
+alone: the matcher reads rows through Gallery.amplitudes and slot counts
+through Gallery.nonzero_counts.  The directory is listed with os.listdir
+(every name ending in `.rtpl`, hidden ones included, case-sensitive); each
+file is stat'ed by imaging.stat_input and read by imaging.read_input, the
+snapshot opened by imaging.open_input, all through the directory's
+descriptor, and an OSError names the entry's path.  add_records writes the
+snapshot in the order of the one it loaded, the files that one missed last.
 
 Snapshot layout: the 24-byte head below; the body; the index as ASCII
-JSON, `[[digest hex, byte length, [[subject, od x, od y, od source,
-provenance, slot count], ...], [inode, mtime_ns, ctime_ns]], ...]`, three
-ints, the inode not negative; the index's byte length as 8 bytes,
+JSON, an object of equal-length lists, one row per file: `digest` (64
+lowercase hex), `bytes`, `inode` (not negative), `mtime_ns`, `ctime_ns`
+and `records`, its number of records; then one row per record, the files'
+records in file order: `subject`, `od_x`, `od_y`, `od_source`, `image` (the
+provenance) and `slots`, its slot count.  Each list holds one JSON type
+alone (a bool is no int, an int no float), and the files' record counts add
+up to the record rows.  Then the index's byte length as 8 bytes,
 little-endian; and last the sha256 digest of everything before it, so a
 flipped bit anywhere discards the snapshot.  The body stores a record's
 (3, 360) amplitudes as its occupied slots alone: every slot that is nonzero
 or has its sign bit set, so a stored -0.0 keeps its bits.  Records are in
 index order, in sections of BLOCK_ROWS records (the last may be shorter),
 each the section's occupied values in row order as `<f8` then their
-positions within each row's 1080 slots as `<u2`.  A record's slot count is
-its last index field.  The form is canonical: every position is below
-1080, positions strictly increase within a row, and the counts add up to
-the body's size exactly; anything else is ignored.  The slots are about
+positions within each row's 1080 slots as `<u2`.  The form is canonical:
+every position is below 1080, positions strictly increase within a row,
+and the slot counts add up to the body's size exactly; anything else is
+ignored.  The slots are about
 6% of a synthetic gallery's and 17% of a real capture's, so the dense body
 read, hashed and checked 8640 bytes per record that were mostly zeros.
 """
@@ -91,6 +96,7 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +111,23 @@ from .optic_disc import OdCenter
 
 MAGIC = "RETINA-TEMPLATE v1"
 SNAPSHOT_NAME = ".snapshot"
-_SNAPSHOT_HEAD = b"RETINA-SNAPSHOT v3\n".ljust(24, b"\0")
+_SNAPSHOT_HEAD = b"RETINA-SNAPSHOT v4\n".ljust(24, b"\0")
 _AMPLITUDES = np.dtype("<f8")
 _POSITIONS = np.dtype("<u2")
 _ROW_SLOTS = 3 * SLOTS
 _SLOT_BYTES = _AMPLITUDES.itemsize + _POSITIONS.itemsize
 _TRAILER_BYTES = 8 + 32  # index length, sha256 digest
-_SUBJECT_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
+_SUBJECT = r"[A-Za-z0-9_-]{1,64}"
+_SUBJECT_RE = re.compile(_SUBJECT + r"\Z")
+# The snapshot index's columns and the type of their elements: one row per
+# file, then one per record.
+_FILE_COLUMNS = {"digest": str, "bytes": int, "inode": int, "mtime_ns": int, "ctime_ns": int,
+                 "records": int}
+_RECORD_COLUMNS = {"subject": str, "od_x": float, "od_y": float, "od_source": str, "image": str,
+                   "slots": int}
+_COLUMNS = {**_FILE_COLUMNS, **_RECORD_COLUMNS}
+_IDS_RE = re.compile(f"{_SUBJECT}(?:\n{_SUBJECT})*")  # ids joined by newlines
+_HEX_RE = re.compile(r"[0-9a-f]*")
 _LINES_PER_RECORD = 7
 # Records per section of the snapshot body, and per chunk of the FFT
 # screens (see retina_id.matcher), whose planes and spectra take about
@@ -162,38 +178,43 @@ class Gallery:
     read-only values and positions, record i's being [lo, hi) of both, row
     i of a (len(self), 2) array.  Other modules read them through
     `amplitudes` and `nonzero_counts` alone.  Records are built on first use
-    and kept.  `subset` gives the Gallery of some of the records over the
-    same slots.
+    and kept, each from its subject id and its row of the provenance and od
+    columns.  `subset` gives the Gallery of some of the records over the
+    same slots and columns.
 
     `files` holds, for a directory that `load_gallery` read, each `.rtpl`
     file's (sha256 digest, byte length, (inode, mtime_ns, ctime_ns) of the
-    stat its load took, range of its records' positions): what
-    `add_records` writes to the snapshot; otherwise it is empty."""
+    stat its load took, range of its records' positions), built on first
+    use from the columns `add_records` writes to the snapshot; otherwise it
+    is empty."""
 
     def __init__(self, records=(), *, _loaded=None):
-        # _loaded: (meta, values, positions, ranges, files, the files' snapshot order)
+        # _loaded: (subject ids, each record's row in the columns, the
+        # provenance column, the od column, values, positions, ranges, the
+        # files' columns or None)
         if _loaded is None:
             records = list(records)
-            _loaded = ([(r.subject_id, r.source_image, r.od) for r in records],
-                       *_pack([r.template.vectors for r in records]), (), ())
-        self._meta, self._values, self._positions, self._ranges, files, self._file_order = _loaded
+            _loaded = ([r.subject_id for r in records], range(len(records)),
+                       [r.source_image for r in records], [r.od for r in records],
+                       *_pack([r.template.vectors for r in records]), None)
+        (self._ids, self._rows, self._images, self._ods, self._values, self._positions,
+         self._ranges, self._file_columns) = _loaded
         self._values.flags.writeable = self._positions.flags.writeable = False
-        self.files = tuple(files)
-        self._records = [None] * len(self._meta)
-        self._by_id = _positions(subject_id for subject_id, _, _ in self._meta)
+        self._records = [None] * len(self._ids)
+        self._by_id = _positions(self._ids)
 
     def __getitem__(self, i: int) -> GalleryRecord:
         if self._records[i] is None:
-            subject_id, source_image, od = self._meta[i]
-            self._records[i] = GalleryRecord(subject_id, FeatureTemplate(self.amplitudes(i)),
-                                             source_image, od)
+            row = self._rows[i]
+            self._records[i] = GalleryRecord(self._ids[i], FeatureTemplate(self.amplitudes(i)),
+                                             self._images[row], self._ods[row])
         return self._records[i]
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     def __len__(self):
-        return len(self._meta)
+        return len(self._ids)
 
     def amplitudes(self, i: int) -> np.ndarray:
         """Record i's (3, SLOTS) amplitudes, a fresh read-only row."""
@@ -219,7 +240,16 @@ class Gallery:
 
     @property
     def subject_ids(self) -> list[str]:
-        return [subject_id for subject_id, _, _ in self._meta]
+        return list(self._ids)
+
+    @cached_property
+    def files(self) -> tuple:
+        if self._file_columns is None:
+            return ()
+        digests, sizes, keys, counts, _ = self._file_columns
+        starts = itertools.accumulate(counts, initial=0)
+        return tuple((bytes.fromhex(digest), size, key[1:], range(lo, lo + n))
+                     for digest, size, key, lo, n in zip(digests, sizes, keys, starts, counts))
 
     def get(self, subject_id: str):
         i = self._by_id.get(subject_id)
@@ -227,18 +257,34 @@ class Gallery:
 
     def subset(self, positions) -> Gallery:
         """The Gallery of the records at `positions`, in that order, reading
-        this gallery's slots in place; its `files` is empty."""
+        this gallery's slots and columns in place; its `files` is empty."""
         positions = np.asarray(positions, dtype=np.intp)
-        meta = [self._meta[i] for i in positions.tolist()]
-        return Gallery(_loaded=(meta, self._values, self._positions, self._ranges[positions], (), ()))
+        at = positions.tolist()
+        return Gallery(_loaded=(list(map(self._ids.__getitem__, at)),
+                                list(map(self._rows.__getitem__, at)), self._images, self._ods,
+                                self._values, self._positions, self._ranges[positions], None))
+
+
+@dataclass(frozen=True)
+class _StoredOds:
+    """A loaded gallery's od column: row r's centre is built, as the text
+    parse builds it, when it is read."""
+    x: list
+    y: list
+    source: list
+
+    def __getitem__(self, row: int) -> OdCenter:
+        return _stored_od(self.x[row], self.y[row], self.source[row])
 
 
 def _positions(subject_ids) -> dict:
-    """{subject_id: position}; a repeated id raises DuplicateSubjectError."""
-    by_id = {}
-    for i, subject_id in enumerate(subject_ids):
-        if by_id.setdefault(subject_id, i) != i:
-            raise DuplicateSubjectError(f"duplicate subject_id {subject_id!r}")
+    """{subject_id: position} of a list of ids; the first repeated id raises
+    DuplicateSubjectError."""
+    by_id = dict(zip(subject_ids, range(len(subject_ids))))
+    if len(by_id) < len(subject_ids):
+        seen = set()
+        repeated = next(s for s in subject_ids if s in seen or seen.add(s))
+        raise DuplicateSubjectError(f"duplicate subject_id {repeated!r}")
     return by_id
 
 
@@ -391,21 +437,51 @@ def _stamp(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_ino, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict, dict]:
-    """(slot values, slot positions, bounds, {(digest, byte length): (first
-    record, [(subject_id, source_image, od), ...])}, {stat key: (digest,
-    byte length)}) of an open snapshot, record r's slots being
-    bounds[r]:bounds[r + 1]; the stat keys are those of the entries whose
-    mtime and ctime are both older than the snapshot's mtime.  Raises
-    ValueError or TypeError on anything but a well-formed snapshot of valid,
-    uniquely named records.  Each section's values and positions are read
-    straight into the flat arrays, one readinto each, and checked together."""
+def _columns() -> dict:
+    """An index of no file: every column empty, in the index's order."""
+    return {name: [] for name in _COLUMNS}
+
+
+def _check_columns(index) -> dict:
+    """`index` if it is a snapshot index whose records would all pass the
+    checks a parsed record gets (see the module docstring); ValueError
+    otherwise.  Each check runs once over a whole column."""
+    if type(index) is not dict or index.keys() != _COLUMNS.keys():
+        raise ValueError("not a snapshot index")
+    for name, kind in _COLUMNS.items():
+        if type(index[name]) is not list or not set(map(type, index[name])) <= {kind}:
+            raise ValueError(f"snapshot column {name} is not a list of {kind.__name__}")
+    digests, ids, records = index["digest"], index["subject"], index["records"]
+    if (len({len(index[name]) for name in _FILE_COLUMNS}) > 1 or min(records, default=0) < 0
+            or {len(index[name]) for name in _RECORD_COLUMNS} != {sum(records)}):
+        raise ValueError("snapshot columns do not have one row per file and per record")
+    if (not set(map(len, digests)) <= {64} or not _HEX_RE.fullmatch("".join(digests))
+            or min(index["inode"], default=0) < 0):
+        raise ValueError("invalid snapshot file entry")
+    # An id holding a newline would add a line to the join.
+    joined = "\n".join(ids)
+    if ids and (joined.count("\n") != len(ids) - 1 or not _IDS_RE.fullmatch(joined)
+                or len(set(ids)) != len(ids)):
+        raise ValueError("invalid snapshot subject ids")
+    images = "".join(index["image"])
+    if ("\n" in images or "\r" in images
+            or not all(map(math.isfinite, itertools.chain(index["od_x"], index["od_y"])))
+            or not set(index["od_source"]) <= {"detected", "manual"}
+            or not 0 <= min(index["slots"], default=0) <= max(index["slots"], default=0) <= _ROW_SLOTS):
+        raise ValueError("invalid snapshot record")
+    return index
+
+
+def _parse_snapshot(fh) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, int]:
+    """(index columns, slot values, slot positions, bounds, mtime_ns) of an
+    open snapshot, record r's slots being bounds[r]:bounds[r + 1] and
+    mtime_ns the snapshot's own.  Raises ValueError or TypeError on
+    anything but a well-formed snapshot of valid, uniquely named records.
+    Each section's values and positions are read straight into the flat
+    arrays, one readinto each, and checked together."""
     import hashlib
     import json
 
-    # Git's rule for racily clean entries: a file changed in the same clock
-    # tick as the snapshot's write may keep the stat it had, so only a stat
-    # older than the write vouches for the file's bytes.
     written = os.fstat(fh.fileno()).st_mtime_ns
     size = fh.seek(0, os.SEEK_END)
     fh.seek(max(size - _TRAILER_BYTES, 0))
@@ -417,29 +493,9 @@ def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict, dict]:
         raise ValueError("not a snapshot")
     fh.seek(end)
     index = fh.read(size - _TRAILER_BYTES - end)
-    memo, clean = {}, {}
-    ids = set()
-    counts = []
-    for digest, nbytes, rows, stamp in json.loads(index):
-        meta = []
-        for subject_id, od_x, od_y, od_source, source_image, count in rows:
-            # The checks GalleryRecord and OdCenter make, and the count's.
-            if (type(source_image) is not str or subject_id in ids
-                    or type(count) is not int or not 0 <= count <= _ROW_SLOTS):
-                raise ValueError("invalid snapshot record")
-            _check_names(subject_id, source_image)
-            meta.append((subject_id, source_image, _stored_od(od_x, od_y, od_source)))
-            ids.add(subject_id)
-            counts.append(count)
-        key = bytes.fromhex(digest), nbytes
-        memo[key] = (len(counts) - len(meta), meta)
-        # A file's [inode, mtime_ns, ctime_ns]; times before 1970 are negative.
-        ino, mtime, ctime = stamp
-        if not (type(stamp) is list and type(ino) is type(mtime) is type(ctime) is int and ino >= 0):
-            raise ValueError("invalid snapshot stat key")
-        if max(mtime, ctime) < written:
-            clean[nbytes, ino, mtime, ctime] = key
-    bounds = list(itertools.accumulate(counts, initial=0))
+    columns = _check_columns(json.loads(index))
+    counts = columns["slots"]
+    bounds = np.fromiter(itertools.accumulate(counts, initial=0), np.intp, len(counts) + 1)
     if _SLOT_BYTES * bounds[-1] != end - len(head):
         raise ValueError("snapshot slot counts do not match its body")
     fh.seek(len(head))
@@ -464,17 +520,17 @@ def _parse_snapshot(fh) -> tuple[np.ndarray, np.ndarray, list, dict, dict]:
     body.update(index + trailer[:8])
     if body.digest() != trailer[8:]:
         raise ValueError("snapshot digest mismatch")
-    return values, positions, bounds, memo, clean
+    return columns, values, positions, bounds, written
 
 
-def _read_snapshot(dir_fd: int) -> tuple[np.ndarray, np.ndarray, list, dict, dict]:
-    """_parse_snapshot of the directory's snapshot; no slots and empty
-    maps for a snapshot that is missing, not a regular file or fails any check."""
+def _read_snapshot(dir_fd: int) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, int]:
+    """_parse_snapshot of the directory's snapshot; empty columns and no
+    slots for a snapshot that is missing, not a regular file or fails any check."""
     try:
         with open(open_input(SNAPSHOT_NAME, dir_fd), "rb") as fh:
             return _parse_snapshot(fh)
     except (OSError, ValueError, TypeError, RecursionError):
-        return np.empty(0, _AMPLITUDES), np.empty(0, _POSITIONS), [0], {}, {}
+        return _columns(), np.empty(0, _AMPLITUDES), np.empty(0, _POSITIONS), np.zeros(1, np.intp), 0
 
 
 def _in_directory(call, directory: Path, dir_fd: int, name: str):
@@ -488,46 +544,90 @@ def _in_directory(call, directory: Path, dir_fd: int, name: str):
 
 def _load_directory(p: Path) -> Gallery:
     """The gallery of a directory's `*.rtpl` files, in filename order: the
-    snapshot's slots for the files whose stat key or digest it holds, the
-    parsed records' slots, appended, for the others."""
+    snapshot's slots and columns for the files whose stat key or digest it
+    holds, the parsed records', appended, for the others."""
     import hashlib
 
     dir_fd = os.open(p, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        values, positions, bounds, memo, clean = _read_snapshot(dir_fd)
-        meta, ranges, files, firsts, parsed = [], [], [], [], []
-        for name in sorted(n for n in os.listdir(dir_fd) if n.endswith(".rtpl")):
-            # The stat is taken before the read, so a file that changes
-            # during the read misses its key on the next load.
-            st = _in_directory(stat_input, p, dir_fd, name)
-            stamp = _stamp(st)
-            key = clean.get((st.st_size, *stamp))
-            if key is None:
-                data = _in_directory(read_input, p, dir_fd, name)
-                key = (hashlib.sha256(data).digest(), len(data))
-                if key not in memo:
-                    source = str(p / name)
-                    records = parse_records(_decode(data, source), source)
-                    # The parsed records follow the snapshot's, and so do their slots.
-                    memo[key] = (len(bounds) - 1,
-                                 [(r.subject_id, r.source_image, r.od) for r in records])
-                    parsed.append(_pack([r.template.vectors for r in records]))
-                    bounds += (bounds[-1] + parsed[-1][2][:, 1]).tolist()
-            first, entry = memo[key]
-            files.append((*key, stamp, range(len(meta), len(meta) + len(entry))))
-            firsts.append(first if entry else 0)  # a file with no records is written first
-            ranges += itertools.pairwise(bounds[first:first + len(entry) + 1])
-            meta += entry
+        columns, values, positions, bounds, written = _read_snapshot(dir_fd)
+        names = sorted(n for n in os.listdir(dir_fd) if n.endswith(".rtpl"))
+        # Every file is stat'ed before any is read, and a stat's error is
+        # raised after the files listed before it load, so errors keep
+        # filename order.  The stat is taken before the read, so a file
+        # that changes during the read misses its key on the next load.
+        keys, failure = [], None
+        try:
+            for name in names:
+                st = _in_directory(stat_input, p, dir_fd, name)
+                keys.append((st.st_size, *_stamp(st)))
+        except OSError as exc:
+            failure = exc
+        # Git's rule for racily clean entries: a file changed in the same
+        # clock tick as the snapshot's write may keep the stat it had, so
+        # only a stat older than the write vouches for the file's bytes.
+        mtimes, ctimes = columns["mtime_ns"], columns["ctime_ns"]
+        clean = dict(itertools.compress(
+            zip(zip(columns["bytes"], columns["inode"], mtimes, ctimes), itertools.count()),
+            map(written.__gt__, map(max, mtimes, ctimes))))
+        entries = list(map(clean.get, keys))  # each file's entry in the columns
+        memo, parsed = None, []
+        for k in [k for k, entry in enumerate(entries) if entry is None]:
+            data = _in_directory(read_input, p, dir_fd, names[k])
+            key = hashlib.sha256(data).hexdigest(), len(data)
+            if memo is None:
+                memo = dict(zip(zip(columns["digest"], columns["bytes"]), itertools.count()))
+            if key not in memo:
+                source = str(p / names[k])
+                records = parse_records(_decode(data, source), source)
+                # The parsed records follow the snapshot's, and so do their slots.
+                memo[key] = len(columns["digest"])
+                _append_entry(columns, key, keys[k][1:], records)
+                parsed.append(_pack([r.template.vectors for r in records]))
+            entries[k] = memo[key]
     finally:
         os.close(dir_fd)
-    if not meta:
-        raise EmptyGalleryError(f"no records under {p}")
+    if failure is not None:
+        raise failure
     # Joined only with parsed slots: a copy of the snapshot's doubles the peak.
     if parsed:
+        slot_counts = np.concatenate([ranges[:, 1] - ranges[:, 0] for _, _, ranges in parsed])
+        bounds = np.concatenate([bounds, bounds[-1] + np.cumsum(slot_counts)])
         values = np.concatenate([values, *(v for v, _, _ in parsed)])
         positions = np.concatenate([positions, *(pos for _, pos, _ in parsed)])
-    return Gallery(_loaded=(meta, values, positions, np.array(ranges, dtype=np.intp), files,
-                            sorted(range(len(files)), key=firsts.__getitem__)))
+    per_entry = np.array(columns["records"], dtype=np.intp)
+    entries = np.array(entries, dtype=np.intp)
+    counts = per_entry[entries]
+    firsts = (np.cumsum(per_entry) - per_entry)[entries]  # each file's first row in the columns
+    total = int(counts.sum())
+    if not total:
+        raise EmptyGalleryError(f"no records under {p}")
+    # Record i of the gallery, of file k, is column row firsts[k] plus i
+    # less the gallery position of k's first record.
+    rows = np.repeat(firsts + counts - np.cumsum(counts), counts) + np.arange(total)
+    ranges = np.column_stack([bounds[rows], bounds[rows + 1]])
+    entries, rows = entries.tolist(), rows.tolist()
+    # add_records writes the files in the snapshot's order, the missed ones
+    # last; a file with no records is written first.
+    order = np.argsort(np.where(counts > 0, firsts, 0), kind="stable").tolist()
+    files = (list(map(columns["digest"].__getitem__, entries)),
+             list(map(columns["bytes"].__getitem__, entries)), keys, counts.tolist(), order)
+    ods = _StoredOds(columns["od_x"], columns["od_y"], columns["od_source"])
+    return Gallery(_loaded=(list(map(columns["subject"].__getitem__, rows)), rows, columns["image"], ods,
+                            values, positions, ranges, files))
+
+
+def _append_entry(columns: dict, key: tuple, stamp: tuple, records) -> None:
+    """Append to the index columns a file's entry, of content key (digest
+    hex, byte length) and stat key `stamp`, and its records' rows, all but
+    their slot counts."""
+    for name, value in zip(_FILE_COLUMNS, (*key, *stamp, len(records))):
+        columns[name].append(value)
+    columns["subject"] += (r.subject_id for r in records)
+    columns["od_x"] += (r.od.x for r in records)
+    columns["od_y"] += (r.od.y for r in records)
+    columns["od_source"] += (r.od.source for r in records)
+    columns["image"] += (r.source_image for r in records)
 
 
 def load_gallery(path) -> Gallery:
@@ -565,21 +665,28 @@ def gallery_lock(directory):
         os.close(fd)
 
 
-def _snapshot_entry(digest: bytes, size: int, stamp, meta) -> list:
-    """A file's index entry, for its records' (subject_id, source_image, od),
-    each row's slot count still to be appended."""
-    return [digest.hex(), size, [[subject_id, od.x, od.y, od.source, source_image]
-                                 for subject_id, source_image, od in meta], list(stamp)]
-
-
-def _loaded(gallery: Gallery) -> tuple[list, object]:
-    """The index entries of the files that load_gallery read, in its
-    snapshot's order (the files it missed last), and their records' slots."""
-    files = [gallery.files[j] for j in gallery._file_order]
-    index = [_snapshot_entry(digest, size, stamp, gallery._meta[positions.start:positions.stop])
-             for digest, size, stamp, positions in files]
-    ranges = gallery._ranges[[i for *_, positions in files for i in positions]].tolist()
-    return index, ((gallery._values[lo:hi], gallery._positions[lo:hi]) for lo, hi in ranges)
+def _loaded(gallery: Gallery) -> tuple[dict, object]:
+    """The index columns, all but the slot counts, of the files that
+    load_gallery read, in its snapshot's order (the files it missed last),
+    and their records' slots."""
+    columns = _columns()
+    if gallery._file_columns is None:
+        return columns, iter(())
+    digests, sizes, keys, counts, order = gallery._file_columns
+    starts = list(itertools.accumulate(counts, initial=0))
+    positions = []
+    for k in order:
+        for name, value in zip(_FILE_COLUMNS, (digests[k], sizes[k], *keys[k][1:], counts[k])):
+            columns[name].append(value)
+        positions += range(starts[k], starts[k + 1])
+    rows = list(map(gallery._rows.__getitem__, positions))
+    ods = gallery._ods
+    columns["subject"] = list(map(gallery._ids.__getitem__, positions))
+    for name, column in (("od_x", ods.x), ("od_y", ods.y), ("od_source", ods.source),
+                         ("image", gallery._images)):
+        columns[name] = list(map(column.__getitem__, rows))
+    ranges = gallery._ranges[positions].tolist()
+    return columns, ((gallery._values[lo:hi], gallery._positions[lo:hi]) for lo, hi in ranges)
 
 
 def _write_body(write, slots) -> list:
@@ -604,7 +711,7 @@ def add_records(directory, records) -> None:
     cannot be replaced fails the batch with the gallery unchanged."""
     directory = Path(directory)
     records = list(records)
-    _positions(r.subject_id for r in records)
+    _positions([r.subject_id for r in records])
     targets = {directory / f"{r.subject_id}.rtpl": r for r in records}
     with gallery_lock(directory):
         try:
@@ -635,18 +742,13 @@ def add_records(directory, records) -> None:
                     # Rendering rounds amplitudes: the entry is what the bytes parse to.
                     written = parse_records(data.decode("utf-8"), str(target))
                     # Stat after the rename, which moves the file's ctime.
-                    index.append(_snapshot_entry(hashlib.sha256(data).digest(), len(data),
-                                                 _stamp(stat_input(target)),
-                                                 [(rec.subject_id, rec.source_image, rec.od)
-                                                  for rec in written]))
+                    _append_entry(index, (hashlib.sha256(data).hexdigest(), len(data)),
+                                  _stamp(stat_input(target)), written)
                     for rec in written:
                         yield _pack([rec.template.vectors])[:2]
 
             write(_SNAPSHOT_HEAD)
-            counts = iter(_write_body(write, itertools.chain(loaded_slots, written_slots())))
-            for _, _, entry_rows, _ in index:
-                for row in entry_rows:
-                    row.append(next(counts))
+            index["slots"] = _write_body(write, itertools.chain(loaded_slots, written_slots()))
             tail = json.dumps(index).encode("ascii")
             write(tail + len(tail).to_bytes(8, "little"))
             fh.write(body.digest())
