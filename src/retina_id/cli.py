@@ -6,11 +6,12 @@ Subcommands: detect, enroll, identify, verify, eval, synth.  Exit codes:
 
 Settings resolve flag > config file > built-in default.  The config file is
 plain `key = value` lines (# comments allowed).  The settings are the fields
-of HarrisParams, OdParams and Weights plus `gallery` and `seed`: a config key
-is the field name, with an `od_` prefix for OdParams fields, its flag is the
-key with dashes, and its type and default are the field's.  The one
-exception is the detector's `threshold` key, whose flag is `--det-threshold`
-because the bare `--threshold` flag is the verify decision threshold.
+of HarrisParams, OdParams and Weights, `seed` (ExperimentSpec's rng_seed) and
+`gallery`: a config key is the field name, with an `od_` prefix for OdParams
+fields, its flag is the key with dashes, and its type and default are the
+field's.  The one exception is the detector's `threshold` key, whose flag is
+`--det-threshold` because the bare `--threshold` flag is the verify decision
+threshold.
 Each command takes only the flags of the settings it reads, but checks a
 whole config file; a line not UTF-8 or malformed, an unknown key, a value of
 the wrong type and a value its settings group refuses (out of range, or at
@@ -61,15 +62,15 @@ EXIT_REJECT = 1
 EXIT_INPUT = 2
 EXIT_EMPTY_GALLERY = 3
 
-# config key -> (owner, field name, default); owner None marks the two
-# top-level settings.  Each key is also its flag's parser dest, so verify's
-# decision threshold has a dest of its own.
+# config key -> (owner, field name, default); owner None marks the
+# top-level gallery setting.  Each key is also its flag's parser dest, so
+# verify's decision threshold has a dest of its own.
 _SETTINGS = {
     **{prefix + f.name: (owner, f.name, f.default)
        for owner, prefix in ((HarrisParams, ""), (OdParams, "od_"), (Weights, ""))
        for f in fields(owner)},
     "gallery": (None, "gallery", "gallery"),
-    "seed": (None, "seed", ExperimentSpec.rng_seed),
+    "seed": (ExperimentSpec, "rng_seed", ExperimentSpec.rng_seed),
 }
 _SPEC_FIELDS = [f for f in fields(ExperimentSpec) if f.name != "rng_seed"]
 
@@ -159,7 +160,7 @@ def _resolve_settings(args) -> Settings:
                 from_config.setdefault(owner, []).append((lineno, key, name))
         values.setdefault(owner, {})[name] = default if value is None else value
     built = []
-    for owner in (HarrisParams, OdParams, Weights):
+    for owner in (HarrisParams, OdParams, Weights, ExperimentSpec):
         try:
             built.append(_build(owner, values[owner], sorted(from_config.get(owner, [])),
                                 args.config))
@@ -167,9 +168,9 @@ def _resolve_settings(args) -> Settings:
             errors.append(exc)
     if errors:
         raise min(errors, key=lambda exc: getattr(exc, "lineno", math.inf))
-    harris, od_params, weights = built
+    harris, od_params, weights, spec = built
     return Settings(harris=harris, od_params=od_params, weights=weights,
-                    gallery=Path(values[None]["gallery"]), seed=values[None]["seed"])
+                    gallery=Path(values[None]["gallery"]), seed=spec.rng_seed)
 
 
 def _parse_xy(text: str) -> tuple[float, float]:
@@ -269,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # One parent parser per settings group: the --config and --od flags, then
     # each _SETTINGS key under its owner (gallery and seed are groups of one).
     groups = {name: argparse.ArgumentParser(add_help=False)
-              for name in ("config", "od", HarrisParams, OdParams, Weights, "gallery", "seed")}
+              for name in ("config", "od", HarrisParams, OdParams, Weights, "gallery", ExperimentSpec)}
     groups["config"].add_argument("--config", help="key = value settings file")
     groups["od"].add_argument("--od", metavar="X,Y", help="manual optic-disc centre")
     for key, (owner, name, default) in _SETTINGS.items():

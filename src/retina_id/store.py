@@ -63,7 +63,8 @@ through Gallery.nonzero_counts.  The directory is listed with os.listdir
 file is stat'ed by imaging.stat_input and read by imaging.read_input, the
 snapshot opened by imaging.open_input, all through the directory's
 descriptor, and an OSError names the entry's path.  add_records writes the
-snapshot in the order of the one it loaded, the files that one missed last.
+snapshot's rows in the order of the gallery it loaded, filename order, then
+the rows of the files it wrote; a load matches rows by key, not by order.
 
 Snapshot layout: the 24-byte head below; the body; the index as ASCII
 JSON, an object of equal-length lists, one row per file: `digest` (64
@@ -96,7 +97,6 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -178,36 +178,29 @@ class Gallery:
     read-only values and positions, record i's being [lo, hi) of both, row
     i of a (len(self), 2) array.  Other modules read them through
     `amplitudes` and `nonzero_counts` alone.  Records are built on first use
-    and kept, each from its subject id and its row of the provenance and od
-    columns.  `subset` gives the Gallery of some of the records over the
-    same slots and columns.
-
-    `files` holds, for a directory that `load_gallery` read, each `.rtpl`
-    file's (sha256 digest, byte length, (inode, mtime_ns, ctime_ns) of the
-    stat its load took, range of its records' positions), built on first
-    use from the columns `add_records` writes to the snapshot; otherwise it
-    is empty."""
+    and kept, record i from item i of the id, provenance and od columns.
+    `subset` gives the Gallery of some of the records over the same slots."""
 
     def __init__(self, records=(), *, _loaded=None):
-        # _loaded: (subject ids, each record's row in the columns, the
-        # provenance column, the od column, values, positions, ranges, the
-        # files' columns or None)
+        # _loaded: (subject ids, provenances, od centres, values, positions,
+        # ranges, the files' columns or None).  The files' columns are, for
+        # a directory load_gallery read, each `.rtpl` file's sha256 hex
+        # digest, byte length, stat key (size, inode, mtime_ns, ctime_ns) of
+        # the stat its load took and record count, all in filename order.
         if _loaded is None:
             records = list(records)
-            _loaded = ([r.subject_id for r in records], range(len(records)),
-                       [r.source_image for r in records], [r.od for r in records],
-                       *_pack([r.template.vectors for r in records]), None)
-        (self._ids, self._rows, self._images, self._ods, self._values, self._positions,
-         self._ranges, self._file_columns) = _loaded
+            _loaded = ([r.subject_id for r in records], [r.source_image for r in records],
+                       [r.od for r in records], *_pack([r.template.vectors for r in records]), None)
+        (self._ids, self._images, self._ods, self._values, self._positions, self._ranges,
+         self._file_columns) = _loaded
         self._values.flags.writeable = self._positions.flags.writeable = False
         self._records = [None] * len(self._ids)
         self._by_id = _positions(self._ids)
 
     def __getitem__(self, i: int) -> GalleryRecord:
         if self._records[i] is None:
-            row = self._rows[i]
             self._records[i] = GalleryRecord(self._ids[i], FeatureTemplate(self.amplitudes(i)),
-                                             self._images[row], self._ods[row])
+                                             self._images[i], self._ods[i])
         return self._records[i]
 
     def __iter__(self):
@@ -242,39 +235,30 @@ class Gallery:
     def subject_ids(self) -> list[str]:
         return list(self._ids)
 
-    @cached_property
-    def files(self) -> tuple:
-        if self._file_columns is None:
-            return ()
-        digests, sizes, keys, counts, _ = self._file_columns
-        starts = itertools.accumulate(counts, initial=0)
-        return tuple((bytes.fromhex(digest), size, key[1:], range(lo, lo + n))
-                     for digest, size, key, lo, n in zip(digests, sizes, keys, starts, counts))
-
     def get(self, subject_id: str):
         i = self._by_id.get(subject_id)
         return None if i is None else self[i]
 
     def subset(self, positions) -> Gallery:
         """The Gallery of the records at `positions`, in that order, reading
-        this gallery's slots and columns in place; its `files` is empty."""
+        this gallery's slots in place; it has no files' columns."""
         positions = np.asarray(positions, dtype=np.intp)
         at = positions.tolist()
-        return Gallery(_loaded=(list(map(self._ids.__getitem__, at)),
-                                list(map(self._rows.__getitem__, at)), self._images, self._ods,
+        return Gallery(_loaded=(*(list(map(column.__getitem__, at))
+                                  for column in (self._ids, self._images, self._ods)),
                                 self._values, self._positions, self._ranges[positions], None))
 
 
 @dataclass(frozen=True)
 class _StoredOds:
-    """A loaded gallery's od column: row r's centre is built, as the text
-    parse builds it, when it is read."""
+    """A loaded gallery's od column: record i's centre is built, as the
+    text parse builds it, when it is read."""
     x: list
     y: list
     source: list
 
-    def __getitem__(self, row: int) -> OdCenter:
-        return _stored_od(self.x[row], self.y[row], self.source[row])
+    def __getitem__(self, i: int) -> OdCenter:
+        return _stored_od(self.x[i], self.y[i], self.source[i])
 
 
 def _positions(subject_ids) -> dict:
@@ -607,14 +591,11 @@ def _load_directory(p: Path) -> Gallery:
     rows = np.repeat(firsts + counts - np.cumsum(counts), counts) + np.arange(total)
     ranges = np.column_stack([bounds[rows], bounds[rows + 1]])
     entries, rows = entries.tolist(), rows.tolist()
-    # add_records writes the files in the snapshot's order, the missed ones
-    # last; a file with no records is written first.
-    order = np.argsort(np.where(counts > 0, firsts, 0), kind="stable").tolist()
     files = (list(map(columns["digest"].__getitem__, entries)),
-             list(map(columns["bytes"].__getitem__, entries)), keys, counts.tolist(), order)
-    ods = _StoredOds(columns["od_x"], columns["od_y"], columns["od_source"])
-    return Gallery(_loaded=(list(map(columns["subject"].__getitem__, rows)), rows, columns["image"], ods,
-                            values, positions, ranges, files))
+             list(map(columns["bytes"].__getitem__, entries)), keys, counts.tolist())
+    ids, images, x, y, source = (list(map(columns[name].__getitem__, rows))
+                                 for name in ("subject", "image", "od_x", "od_y", "od_source"))
+    return Gallery(_loaded=(ids, images, _StoredOds(x, y, source), values, positions, ranges, files))
 
 
 def _append_entry(columns: dict, key: tuple, stamp: tuple, records) -> None:
@@ -667,25 +648,18 @@ def gallery_lock(directory):
 
 def _loaded(gallery: Gallery) -> tuple[dict, object]:
     """The index columns, all but the slot counts, of the files that
-    load_gallery read, in its snapshot's order (the files it missed last),
-    and their records' slots."""
+    load_gallery read, in the gallery's order, and their records' slots."""
     columns = _columns()
     if gallery._file_columns is None:
         return columns, iter(())
-    digests, sizes, keys, counts, order = gallery._file_columns
-    starts = list(itertools.accumulate(counts, initial=0))
-    positions = []
-    for k in order:
-        for name, value in zip(_FILE_COLUMNS, (digests[k], sizes[k], *keys[k][1:], counts[k])):
-            columns[name].append(value)
-        positions += range(starts[k], starts[k + 1])
-    rows = list(map(gallery._rows.__getitem__, positions))
+    digests, sizes, keys, counts = gallery._file_columns
+    _, inodes, mtimes, ctimes = zip(*keys)
     ods = gallery._ods
-    columns["subject"] = list(map(gallery._ids.__getitem__, positions))
-    for name, column in (("od_x", ods.x), ("od_y", ods.y), ("od_source", ods.source),
-                         ("image", gallery._images)):
-        columns[name] = list(map(column.__getitem__, rows))
-    ranges = gallery._ranges[positions].tolist()
+    # Every column but the slot counts, the last, in the index's order.
+    for name, column in zip(_COLUMNS, (digests, sizes, inodes, mtimes, ctimes, counts, gallery._ids,
+                                       ods.x, ods.y, ods.source, gallery._images)):
+        columns[name] += column
+    ranges = gallery._ranges.tolist()
     return columns, ((gallery._values[lo:hi], gallery._positions[lo:hi]) for lo, hi in ranges)
 
 

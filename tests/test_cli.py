@@ -199,7 +199,10 @@ class TestDetect:
          "od_search_stride", "search_stride must be at least 1"),
         # Two bad lines: the first is named.
         (["sigma = inf", "k = nan"], 2, "sigma", "sigma must be positive and finite"),
-    ], ids=["margin", "sigma", "weight", "weight-overflow", "pair", "fixed-pair", "two-bad"])
+        # A setting detect does not read is still checked.
+        (["seed = -3"], 2, "seed", "rng_seed must be non-negative"),
+    ], ids=["margin", "sigma", "weight", "weight-overflow", "pair", "fixed-pair", "two-bad",
+            "seed"])
     def test_out_of_range_config_value_names_file_line_and_key(self, square_image, tmp_path,
                                                                 lines, line, key, reason):
         cfg = tmp_path / "range.cfg"
@@ -648,6 +651,25 @@ class TestSynthEval:
         assert r.returncode == 2
         assert "s002.rtpl already exists" in r.stderr
         assert {p.name: p.read_bytes() for p in gal.iterdir() if p.name != ".lock"} == before
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_is_refused_as_a_setting(self, tmp_path, capsys, command, how):
+        """A negative seed is refused while the settings are resolved, before
+        anything is drawn or written: from a config file at its line, from a
+        flag with the bare message."""
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -3\n")
+        out = tmp_path / "out"
+        argv = {"synth": ["synth", "--subjects", "2", "--out", str(out)],
+                "eval": ["eval", "--subjects", "2", "--rotations", "1", "--csv", str(out)]}[command]
+        argv += ["--config", str(cfg)] if how == "config" else ["--seed", "-1"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        where = f"{cfg}:1: bad value for 'seed': " if how == "config" else ""
+        assert captured.err == f"error: {where}rng_seed must be non-negative\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_synth_writes_to_gallery_setting(self, tmp_path, monkeypatch, how):

@@ -121,10 +121,10 @@ def test_no_private_imports_across_modules():
 
 
 def test_only_store_reads_the_gallery_layout():
-    """A Gallery's slot values, positions and ranges are store's alone:
-    other modules read amplitudes and slot counts through Gallery.amplitudes
-    and Gallery.nonzero_counts."""
-    layout = ("_values", "_positions", "_ranges")
+    """A Gallery's slot values, positions and ranges, and its files'
+    columns, are store's alone: other modules read amplitudes and slot
+    counts through Gallery.amplitudes and Gallery.nonzero_counts."""
+    layout = ("_values", "_positions", "_ranges", "_file_columns")
     assert all(hasattr(store.Gallery(), name) for name in layout)
     offenders = [
         (path.name, node.lineno, node.attr)

@@ -788,9 +788,11 @@ def v3_snapshot(directory, version="v3") -> bytes:
 def v1_snapshot(gallery) -> bytes:
     """The version 1 snapshot of a gallery that add_records wrote in
     filename order: dense amplitudes and five-field index rows."""
-    index = [[digest.hex(), size, [[r.subject_id, r.od.x, r.od.y, r.od.source, r.source_image]
-                                   for r in gallery.records[positions.start:positions.stop]]]
-             for digest, size, _, positions in gallery.files]
+    digests, sizes, _, counts = gallery._file_columns
+    starts = np.cumsum([0, *counts]).tolist()
+    index = [[digest, size, [[r.subject_id, r.od.x, r.od.y, r.od.source, r.source_image]
+                             for r in gallery.records[lo:hi]]]
+             for digest, size, lo, hi in zip(digests, sizes, starts, starts[1:])]
     tail = json.dumps(index).encode("ascii")
     body = (b"RETINA-SNAPSHOT v1\n".ljust(24, b"\0")
             + b"".join(np.ascontiguousarray(r.template.vectors, "<f8").tobytes() for r in gallery)
@@ -896,17 +898,46 @@ class TestSnapshot:
         assert split_snapshot((gal / SNAPSHOT_NAME).read_bytes())[2]["subject"] == [
             "p0", "p1", "p2", "p3", "other"]
 
-    def test_enrol_keeps_the_snapshots_order(self, tmp_path):
-        """add_records rewrites the snapshot's entries in the order of the
-        snapshot it loaded, the files that one missed last, whatever the
-        filenames: records with no slot included."""
+    def test_enrol_writes_the_snapshot_in_filename_order(self, tmp_path):
+        """add_records rewrites the snapshot's rows of the files it loaded in
+        filename order, the gallery's own, whatever order they were written
+        in, then the rows of the files it writes: records with no slot and a
+        file saved behind the writer included."""
         rng = np.random.default_rng(94)
         empty = FeatureTemplate(np.zeros((3, 360)))
         add_records(tmp_path, [record(rng, sid="c"), GalleryRecord("b", empty), GalleryRecord("a", empty)])
         save_template(record(rng, sid="behind"), tmp_path / "behind.rtpl")
         add_records(tmp_path, [record(rng, sid="d")])
         index = split_snapshot((tmp_path / SNAPSHOT_NAME).read_bytes())[2]
-        assert index["subject"] == ["c", "b", "a", "behind", "d"]
+        assert index["subject"] == ["a", "b", "behind", "c", "d"]
+
+    def test_snapshot_out_of_filename_order_loads_unopened(self, tmp_path, reads):
+        """A v4 snapshot whose rows are not in filename order, as add_records
+        once wrote it, serves every file unopened and loads as the text
+        does; the next add_records rewrites it in filename order."""
+        gal = self.gallery(tmp_path)
+        (gal / "empty.rtpl").write_bytes(b"")
+        add_records(gal, [record(np.random.default_rng(95), sid="late")])
+        snapshot = gal / SNAPSHOT_NAME
+        head, slots, index = split_snapshot(snapshot.read_bytes())
+        # Each file holds at most one record, so reversing every column
+        # keeps each file's records its own.
+        assert max(index["records"]) == 1
+        for column in index.values():
+            column.reverse()
+        snapshot.write_bytes(join_snapshot(head, slots[::-1], index))
+        settle(gal)
+        reads.clear()
+        got = load_outcome(gal)
+        assert reads == []
+        assert [sid for sid, *_ in got] == ["late", "p0", "p1", "p2", "p3"]
+        assert got == load_outcome_from_text(gal)
+        add_records(gal, [record(np.random.default_rng(96), sid="q")])
+        index = split_snapshot(snapshot.read_bytes())[2]
+        names = ["empty", "late", "p0", "p1", "p2", "p3", "q"]
+        assert index["digest"] == [hashlib.sha256((gal / f"{name}.rtpl").read_bytes()).hexdigest()
+                                   for name in names]
+        assert index["subject"] == names[1:]
 
     @pytest.mark.parametrize("damage", ["empty", "head only", "truncated", "half", "no trailer",
                                         "bit flipped", "last bit flipped", "appended", "text"])
@@ -1278,11 +1309,12 @@ class TestStatKey:
 
     def test_files_lists_each_files_stat_key(self, tmp_path):
         gal = self.gallery(tmp_path)
-        for digest, size, stamp, positions in load_gallery(gal).files:
-            name = f"p{positions.start}.rtpl"
+        digests, sizes, keys, counts = load_gallery(gal)._file_columns
+        for start, digest, size, key in zip(np.cumsum([0, *counts]).tolist(), digests, sizes, keys):
+            name = f"p{start}.rtpl"
             st = (gal / name).stat()
-            assert (hashlib.sha256((gal / name).read_bytes()).digest(), size) == (digest, st.st_size)
-            assert stamp == (st.st_ino, st.st_mtime_ns, st.st_ctime_ns)
+            assert (hashlib.sha256((gal / name).read_bytes()).hexdigest(), size) == (digest, st.st_size)
+            assert key[1:] == (st.st_ino, st.st_mtime_ns, st.st_ctime_ns)
 
 
 class TestLazyRecords:
@@ -1425,7 +1457,7 @@ class TestBlockEquivalence:
         block, text = self.loads(self.gallery(tmp_path))
         n = len(text)
         assert block.subject_ids == text.subject_ids
-        assert block.files == text.files
+        assert block._file_columns == text._file_columns
         assert loaded(block) == loaded(text)
         rng = np.random.default_rng(92)
         queries = [block.get("s004").template, block.get("late").template,
@@ -1515,7 +1547,7 @@ def test_subset_reads_the_gallerys_blocks(tmp_path):
     assert view._values is gallery._values and view._positions is gallery._positions
     assert np.array_equal(view._ranges, gallery._ranges[positions])
     assert view.subject_ids == [gallery.subject_ids[i] for i in positions]
-    assert view.files == ()
+    assert view._file_columns is None
     assert loaded(view) == [loaded(gallery)[i] for i in positions]
     for j, i in enumerate(positions):
         assert np.array_equal(view.amplitudes(j).view(np.uint64), gallery.amplitudes(i).view(np.uint64))
