@@ -104,6 +104,9 @@ The ceiling.  Let m_c be the smaller of the row's and the query's occupied
 slots in class c.  A term of S_c(phi) needs both of its slots occupied, and
 each row slot meets one query slot per shift, so S_c sums at most m_c
 terms and |S_c| <= m_c: the real total is at most w1 m1 + w2 m2 + w3 m3.
+A gallery's row counts come from store.Gallery.nonzero_counts, the class
+counts stored with its slots (a loaded snapshot's are checked against the
+positions) less any stored -0.0, so no pass over the slots finds them.
 The screened total lies within B / 2 of the real one (the bound above
 before its factor 2), so it is at most w1 m1 + w2 m2 + w3 m3 + B / 2.  The
 ceiling U = fl(w1 m1 + w2 m2 + w3 m3) + B, the products taken in the

@@ -39,20 +39,23 @@ can set.  The `.rtpl` text is the truth and the snapshot never is: only
 `add_records` writes it, for the files it loaded (with the stat their load
 took, before any read) and the files it wrote (with their stat after the
 rename), and a snapshot that is missing, not a regular file, truncated, of
-another version (v1, v2 and v3 included), not in canonical form or fails
+another version (v1 to v4 included), not in canonical form or fails
 any check a parsed record gets is ignored as a whole, and replaced by the
 next `add_records`.
 Deleting it is always safe; it costs one re-parse.  So the writer removes
 the old snapshot before it writes any `.rtpl` file: a snapshot path it
 cannot replace then fails the batch with the gallery unchanged.  Like
-`.rtpl` writes the new one is written atomically and not fsync'd.
+`.rtpl` writes the new one is written atomically and not fsync'd.  Before
+it writes, the writer also removes the temporary files of a writer killed
+before its rename, every name of the form `.<name>.<pid>.<8 hex>.tmp`.
 
 A Gallery holds its amplitudes as the snapshot body does, occupied slots
 alone: read-only `<f8` values, their `<u2` positions within a row's 1080
-slots, and each record's range of both.  A directory's gallery reads the
-snapshot's sections straight into those arrays, then appends the slots of
-the files the snapshot misses; an unlinked file's slots are in no
-record's range.  Records, each template a read-only row scattered from its
+slots, each record's range of both and its occupied slots per class.  A
+directory's gallery reads the snapshot's body straight into those arrays
+and its class counts from the index, then appends the slots of the files
+the snapshot misses; an unlinked file's slots are in no record's range.
+Records, each template a read-only row scattered from its
 slots and each od centre, are built only when asked for, but every row of
 the snapshot's index is checked at load as GalleryRecord and OdCenter
 check a parsed record, a column at a time: the sha256 is no MAC, so a
@@ -66,26 +69,31 @@ descriptor, and an OSError names the entry's path.  add_records writes the
 snapshot's rows in the order of the gallery it loaded, filename order, then
 the rows of the files it wrote; a load matches rows by key, not by order.
 
-Snapshot layout: the 24-byte head below; the body; the index as ASCII
-JSON, an object of equal-length lists, one row per file: `digest` (64
-lowercase hex), `bytes`, `inode` (not negative), `mtime_ns`, `ctime_ns`
-and `records`, its number of records; then one row per record, the files'
-records in file order: `subject`, `od_x`, `od_y`, `od_source`, `image` (the
-provenance) and `slots`, its slot count.  Each list holds one JSON type
-alone (a bool is no int, an int no float), and the files' record counts add
-up to the record rows.  Then the index's byte length as 8 bytes,
-little-endian; and last the sha256 digest of everything before it, so a
-flipped bit anywhere discards the snapshot.  The body stores a record's
-(3, 360) amplitudes as its occupied slots alone: every slot that is nonzero
-or has its sign bit set, so a stored -0.0 keeps its bits.  Records are in
-index order, in sections of BLOCK_ROWS records (the last may be shorter),
-each the section's occupied values in row order as `<f8` then their
-positions within each row's 1080 slots as `<u2`.  The form is canonical:
-every position is below 1080, positions strictly increase within a row,
-and the slot counts add up to the body's size exactly; anything else is
-ignored.  The slots are about
+Snapshot layout (v5): the 24-byte head below; the body; the index; the
+index's byte length as 8 bytes, little-endian; and last the sha256 digest
+of everything before it, so a flipped bit anywhere discards the snapshot.
+The body stores a record's (3, 360) amplitudes as its occupied slots
+alone: every slot that is nonzero or has its sign bit set, so a stored
+-0.0 keeps its bits.  It holds every record's occupied values, records in
+index order and each row's in slot order, as `<f8`, then their positions
+within each row's 1080 slots as `<u2`.  The index is fixed-width and
+little-endian, decoded rather than parsed: four `<u8`, the numbers of files
+and of records and the byte lengths of the two texts that end it; the file
+rows (_FILES), a column at a time, one row per file: `digest` (the raw
+32-byte sha256), `bytes`, `inode`, `mtime_ns`, `ctime_ns` and `records`,
+its number of records; the record rows (_RECORDS), a column at a time, the
+files' records in file order: `od`, the centre's x and y, `counts`, its
+occupied slots per class, and `source`, 0 for detected and 1 for manual;
+then the subject ids and the provenances, each joined by newlines, as
+ASCII and as UTF-8.  The form is canonical: the index is exactly as long
+as its counts imply, the files' record counts add up to the record rows,
+a class count is at most 360, positions strictly increase within a row and
+lie in their class's 360 slots, and the counts add up to the body's size
+exactly; anything else is ignored.  A stat time `<i8` cannot hold is
+stored as the largest `<i8`, which never passes the racy-clean test, so
+that file is read and hashed on every load.  The slots are about
 6% of a synthetic gallery's and 17% of a real capture's, so the dense body
-read, hashed and checked 8640 bytes per record that were mostly zeros.
+of v1 read, hashed and checked 8640 bytes per record that were mostly zeros.
 """
 
 from __future__ import annotations
@@ -105,33 +113,35 @@ from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
 from .imaging import open_input, read_input, stat_input
 from .optic_disc import OdCenter
 
-# hashlib (which loads OpenSSL) and json are imported inside the functions
-# that keep the snapshot: only gallery directories need them, and at module
-# level they would add about 8 ms to the start of every CLI command.
+# hashlib (which loads OpenSSL) is imported inside the functions that keep
+# the snapshot: only gallery directories need it, and at module level it
+# would add several ms to the start of every CLI command.
 
 MAGIC = "RETINA-TEMPLATE v1"
 SNAPSHOT_NAME = ".snapshot"
-_SNAPSHOT_HEAD = b"RETINA-SNAPSHOT v4\n".ljust(24, b"\0")
+_SNAPSHOT_HEAD = b"RETINA-SNAPSHOT v5\n".ljust(24, b"\0")
 _AMPLITUDES = np.dtype("<f8")
 _POSITIONS = np.dtype("<u2")
 _ROW_SLOTS = 3 * SLOTS
 _SLOT_BYTES = _AMPLITUDES.itemsize + _POSITIONS.itemsize
 _TRAILER_BYTES = 8 + 32  # index length, sha256 digest
+_COUNTS = np.dtype("<u8")  # the index's 4 counts: files, records, id and provenance bytes
+# The snapshot index's rows, one per file and one per record, each stored a
+# field at a time (see the module docstring).
+_FILES = np.dtype([("digest", "V32"), ("bytes", "<u8"), ("inode", "<u8"), ("mtime_ns", "<i8"),
+                   ("ctime_ns", "<i8"), ("records", "<u8")])
+_RECORDS = np.dtype([("od", "<f8", 2), ("counts", "<u2", 3), ("source", "u1")])
+_STAT_KEY = ("bytes", "inode", "mtime_ns", "ctime_ns")  # the _FILES fields a file's stat matches
+_SOURCES = ("detected", "manual")  # an od source's byte is its index here
+_STAMP_MIN, _STAMP_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_CHECK_SLOTS = 1 << 16  # slots the snapshot's checks take at a time
 _SUBJECT = r"[A-Za-z0-9_-]{1,64}"
 _SUBJECT_RE = re.compile(_SUBJECT + r"\Z")
-# The snapshot index's columns and the type of their elements: one row per
-# file, then one per record.
-_FILE_COLUMNS = {"digest": str, "bytes": int, "inode": int, "mtime_ns": int, "ctime_ns": int,
-                 "records": int}
-_RECORD_COLUMNS = {"subject": str, "od_x": float, "od_y": float, "od_source": str, "image": str,
-                   "slots": int}
-_COLUMNS = {**_FILE_COLUMNS, **_RECORD_COLUMNS}
 _IDS_RE = re.compile(f"{_SUBJECT}(?:\n{_SUBJECT})*")  # ids joined by newlines
-_HEX_RE = re.compile(r"[0-9a-f]*")
+_TEMPORARY_RE = re.compile(r"\..+\.[0-9]+\.[0-9a-f]{8}\.tmp")  # _replacing's names
 _LINES_PER_RECORD = 7
-# Records per section of the snapshot body, and per chunk of the FFT
-# screens (see retina_id.matcher), whose planes and spectra take about
-# 0.6 MB each.
+# Records per chunk of the FFT screens (see retina_id.matcher), whose planes
+# and spectra take about 0.6 MB each.
 BLOCK_ROWS = 32
 
 
@@ -176,23 +186,27 @@ class Gallery:
 
     The amplitudes are stored as occupied slots (see the module docstring):
     read-only values and positions, record i's being [lo, hi) of both, row
-    i of a (len(self), 2) array.  Other modules read them through
+    i of a (len(self), 2) array, and record i's slots per class, row i of a
+    (len(self), 3) array of class counts.  A loaded gallery takes the class
+    counts from the snapshot's index or the text's parse, Gallery(records)
+    from packing the templates; they count a stored -0.0, which
+    `nonzero_counts` takes out.  Other modules read the slots through
     `amplitudes` and `nonzero_counts` alone.  Records are built on first use
     and kept, record i from item i of the id, provenance and od columns.
     `subset` gives the Gallery of some of the records over the same slots."""
 
     def __init__(self, records=(), *, _loaded=None):
         # _loaded: (subject ids, provenances, od centres, values, positions,
-        # ranges, the files' columns or None).  The files' columns are, for
-        # a directory load_gallery read, each `.rtpl` file's sha256 hex
-        # digest, byte length, stat key (size, inode, mtime_ns, ctime_ns) of
-        # the stat its load took and record count, all in filename order.
+        # ranges, class counts, file rows or None).  The file rows are, for
+        # a directory load_gallery read, each `.rtpl` file's _FILES row, with
+        # the stat its load took, in filename order.
         if _loaded is None:
             records = list(records)
+            values, positions, counts = _pack([r.template.vectors for r in records])
             _loaded = ([r.subject_id for r in records], [r.source_image for r in records],
-                       [r.od for r in records], *_pack([r.template.vectors for r in records]), None)
+                       [r.od for r in records], values, positions, _ranges(counts), counts, None)
         (self._ids, self._images, self._ods, self._values, self._positions, self._ranges,
-         self._file_columns) = _loaded
+         self._counts, self._files) = _loaded
         self._values.flags.writeable = self._positions.flags.writeable = False
         self._records = [None] * len(self._ids)
         self._by_id = _positions(self._ids)
@@ -219,13 +233,19 @@ class Gallery:
 
     def nonzero_counts(self) -> np.ndarray:
         """Each record's occupied slots per class, as a (len(self), 3) array:
-        row i is record i's FeatureTemplate.nonzero_counts.  A stored -0.0
-        keeps its position but occupies no slot."""
-        occupied, classes = self._values != 0, self._positions // SLOTS
-        before = np.zeros((3, len(occupied) + 1), dtype=np.intp)  # [c, j]: class c's among slots :j
-        for c in range(3):  # a cumsum per class takes about a quarter of one over (slots, 3)
-            np.cumsum(occupied & (classes == c), out=before[c, 1:])
-        return (before[:, self._ranges[:, 1]] - before[:, self._ranges[:, 0]]).T
+        row i is record i's FeatureTemplate.nonzero_counts, its class counts
+        less its stored -0.0 slots, which keep their bits but occupy no slot."""
+        counts = self._counts.astype(np.intp)
+        zeros = np.flatnonzero(self._values == 0)
+        if zeros.size and len(counts):
+            # Ranges do not overlap, so a slot's record is the last one, in
+            # (lo, hi) order, that starts at or before it, if it ends after it.
+            lo, hi = self._ranges.T
+            order = np.lexsort((hi, lo))
+            owner = order[np.searchsorted(lo[order], zeros, "right") - 1]
+            inside = (lo[owner] <= zeros) & (zeros < hi[owner])
+            np.subtract.at(counts, (owner[inside], self._positions[zeros[inside]] // SLOTS), 1)
+        return counts
 
     @property
     def records(self) -> tuple:
@@ -235,30 +255,42 @@ class Gallery:
     def subject_ids(self) -> list[str]:
         return list(self._ids)
 
+    @property
+    def _file_columns(self):
+        """The files' columns of a directory load_gallery read, in filename
+        order, or None: each file's sha256 hex digest, byte length, stat key
+        (byte length, inode, mtime_ns, ctime_ns) and record count."""
+        if self._files is None:
+            return None
+        files = self._files
+        return ([digest.hex() for digest in files["digest"].tolist()], files["bytes"].tolist(),
+                list(zip(*(files[name].tolist() for name in _STAT_KEY))),
+                files["records"].tolist())
+
     def get(self, subject_id: str):
         i = self._by_id.get(subject_id)
         return None if i is None else self[i]
 
     def subset(self, positions) -> Gallery:
         """The Gallery of the records at `positions`, in that order, reading
-        this gallery's slots in place; it has no files' columns."""
+        this gallery's slots in place; it has no file rows."""
         positions = np.asarray(positions, dtype=np.intp)
         at = positions.tolist()
         return Gallery(_loaded=(*(list(map(column.__getitem__, at))
                                   for column in (self._ids, self._images, self._ods)),
-                                self._values, self._positions, self._ranges[positions], None))
+                                self._values, self._positions, self._ranges[positions],
+                                self._counts[positions], None))
 
 
 @dataclass(frozen=True)
 class _StoredOds:
-    """A loaded gallery's od column: record i's centre is built, as the
-    text parse builds it, when it is read."""
-    x: list
-    y: list
-    source: list
+    """A loaded gallery's _RECORDS rows, in gallery order: record i's od
+    centre is built, as the text parse builds it, when it is read."""
+    rows: np.ndarray
 
     def __getitem__(self, i: int) -> OdCenter:
-        return _stored_od(self.x[i], self.y[i], self.source[i])
+        x, y = self.rows["od"][i].tolist()
+        return _stored_od(x, y, _SOURCES[self.rows["source"][i]])
 
 
 def _positions(subject_ids) -> dict:
@@ -275,11 +307,20 @@ def _positions(subject_ids) -> dict:
 def _pack(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The occupied slots of a list of (3, SLOTS) rows, those nonzero or with
     the sign bit set (so -0.0 keeps its bits): their `<f8` values, their
-    `<u2` positions within a row's 1080 slots, and each row's [lo, hi)."""
+    `<u2` positions within a row's 1080 slots, and each row's per class."""
     flat = np.array(rows, _AMPLITUDES).reshape(-1)
-    slots = np.flatnonzero((flat != 0) | np.signbit(flat))
-    bounds = np.searchsorted(slots, np.arange(len(rows) + 1) * _ROW_SLOTS)
-    return flat[slots], (slots % _ROW_SLOTS).astype(_POSITIONS), np.column_stack([bounds[:-1], bounds[1:]])
+    occupied = (flat != 0) | np.signbit(flat)
+    slots = np.flatnonzero(occupied)
+    counts = np.count_nonzero(occupied.reshape(-1, 3, SLOTS), axis=2)
+    return flat[slots], (slots % _ROW_SLOTS).astype(_POSITIONS), counts
+
+
+def _ranges(counts) -> np.ndarray:
+    """Each record's [lo, hi), as a (len(counts), 2) array, of slots that
+    hold the records' slots one after another, given their class counts."""
+    sizes = counts.sum(axis=1, dtype=np.intp)
+    ends = np.cumsum(sizes)
+    return np.column_stack([ends - sizes, ends])
 
 
 def format_amplitude(value: float) -> str:
@@ -369,7 +410,7 @@ def parse_records(text: str, source: str = "<string>") -> list[GalleryRecord]:
         if not (math.isfinite(od_x) and math.isfinite(od_y)):
             raise TemplateFormatError(source, base + 2, "od coordinates must be finite")
         od_source = od_parts[3]
-        if od_source not in ("detected", "manual"):
+        if od_source not in _SOURCES:
             raise TemplateFormatError(source, base + 2, f"unknown od source {od_source!r}")
 
         image_line = lines[i + 3]
@@ -421,52 +462,113 @@ def _stamp(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_ino, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _columns() -> dict:
-    """An index of no file: every column empty, in the index's order."""
-    return {name: [] for name in _COLUMNS}
+def _stored_time(time_ns: int) -> int:
+    """A stat time as the index's `<i8` holds it: one it cannot hold, which
+    os.utime can set (past 2262, say), is stored as the largest `<i8`, which
+    no snapshot's mtime passes, so its file is read on every load."""
+    return time_ns if _STAMP_MIN <= time_ns <= _STAMP_MAX else _STAMP_MAX
 
 
-def _check_columns(index) -> dict:
-    """`index` if it is a snapshot index whose records would all pass the
-    checks a parsed record gets (see the module docstring); ValueError
-    otherwise.  Each check runs once over a whole column."""
-    if type(index) is not dict or index.keys() != _COLUMNS.keys():
-        raise ValueError("not a snapshot index")
-    for name, kind in _COLUMNS.items():
-        if type(index[name]) is not list or not set(map(type, index[name])) <= {kind}:
-            raise ValueError(f"snapshot column {name} is not a list of {kind.__name__}")
-    digests, ids, records = index["digest"], index["subject"], index["records"]
-    if (len({len(index[name]) for name in _FILE_COLUMNS}) > 1 or min(records, default=0) < 0
-            or {len(index[name]) for name in _RECORD_COLUMNS} != {sum(records)}):
-        raise ValueError("snapshot columns do not have one row per file and per record")
-    if (not set(map(len, digests)) <= {64} or not _HEX_RE.fullmatch("".join(digests))
-            or min(index["inode"], default=0) < 0):
-        raise ValueError("invalid snapshot file entry")
-    # An id holding a newline would add a line to the join.
-    joined = "\n".join(ids)
-    if ids and (joined.count("\n") != len(ids) - 1 or not _IDS_RE.fullmatch(joined)
-                or len(set(ids)) != len(ids)):
+def _file_tables(digest: bytes, size: int, stamp: tuple, records) -> tuple:
+    """The index tables of one parsed file, of sha256 digest `digest`, byte
+    length `size` and stat key `stamp` (inode, mtime_ns, ctime_ns): its
+    _FILES row, its records' _RECORDS rows, their subject ids and
+    provenances, and their slots' values and positions."""
+    inode, mtime, ctime = stamp
+    values, positions, counts = _pack([r.template.vectors for r in records])
+    return (np.array([(digest, size, inode, _stored_time(mtime), _stored_time(ctime), len(records))], _FILES),
+            np.array([((r.od.x, r.od.y), c, _SOURCES.index(r.od.source))
+                      for r, c in zip(records, counts.tolist())], _RECORDS),
+            [r.subject_id for r in records], [r.source_image for r in records], values, positions)
+
+
+def _joined(tables) -> tuple:
+    """Index tables (see _file_tables) one after another."""
+    return tuple(list(itertools.chain(*parts)) if isinstance(parts[0], list) else np.concatenate(parts)
+                 for parts in zip(*tables))
+
+
+def _no_tables() -> tuple:
+    """The index tables of no file (see _file_tables)."""
+    return (np.empty(0, _FILES), np.empty(0, _RECORDS), [], [], np.empty(0, _AMPLITUDES),
+            np.empty(0, _POSITIONS))
+
+
+def _lines(text: str, n: int) -> list[str]:
+    """The n lines that `text` joins with newlines; ValueError for another count."""
+    lines = text.split("\n") if text or n else []
+    if len(lines) != n:
+        raise ValueError("snapshot text column does not have one line per record")
+    return lines
+
+
+def _parse_index(index: bytes) -> tuple:
+    """(file rows, record rows, subject ids, provenances) of a snapshot's
+    index; ValueError unless it is exactly as long as its counts imply and
+    every row passes the checks a parsed record gets, a column at a time."""
+    files, records, id_bytes, image_bytes = np.frombuffer(index, _COUNTS, 4).tolist()
+    at = 4 * _COUNTS.itemsize
+    if at + _FILES.itemsize * files + _RECORDS.itemsize * records + id_bytes + image_bytes != len(index):
+        raise ValueError("snapshot index length does not match its counts")
+    tables = []
+    for table_dtype, n in ((_FILES, files), (_RECORDS, records)):
+        table = np.empty(n, table_dtype)
+        for name in table_dtype.names:
+            field = table_dtype[name]
+            column = np.frombuffer(index, field.base, n * math.prod(field.shape), at)
+            table[name] = column.reshape(n, *field.shape)
+            at += column.nbytes
+        tables.append(table)
+    file_rows, record_rows = tables
+    ids = index[at:at + id_bytes].decode("ascii")
+    images = index[at + id_bytes:].decode("utf-8")
+    per_file = file_rows["records"]
+    if per_file.max(initial=0) > records or int(per_file.sum()) != records:
+        raise ValueError("snapshot record counts do not add up to its record rows")
+    id_list = _lines(ids, records)
+    if records and (not _IDS_RE.fullmatch(ids) or len(set(id_list)) != records):
         raise ValueError("invalid snapshot subject ids")
-    images = "".join(index["image"])
-    if ("\n" in images or "\r" in images
-            or not all(map(math.isfinite, itertools.chain(index["od_x"], index["od_y"])))
-            or not set(index["od_source"]) <= {"detected", "manual"}
-            or not 0 <= min(index["slots"], default=0) <= max(index["slots"], default=0) <= _ROW_SLOTS):
+    if ("\r" in images or not np.isfinite(record_rows["od"]).all() or (record_rows["source"] > 1).any()
+            or (record_rows["counts"] > SLOTS).any()):
         raise ValueError("invalid snapshot record")
-    return index
+    return file_rows, record_rows, id_list, _lines(images, records)
 
 
-def _parse_snapshot(fh) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, int]:
-    """(index columns, slot values, slot positions, bounds, mtime_ns) of an
-    open snapshot, record r's slots being bounds[r]:bounds[r + 1] and
-    mtime_ns the snapshot's own.  Raises ValueError or TypeError on
-    anything but a well-formed snapshot of valid, uniquely named records.
-    Each section's values and positions are read straight into the flat
-    arrays, one readinto each, and checked together."""
+def _check_slots(values: np.ndarray, positions: np.ndarray, counts: np.ndarray) -> None:
+    """ValueError unless every amplitude is valid and, record by record, the
+    positions strictly increase and each class's run of `counts` lies in that
+    class's 360 slots.  Slots are taken _CHECK_SLOTS at a time."""
+    runs = counts.reshape(-1)
+    ends = np.cumsum(runs, dtype=np.intp)
+    starts = ends - runs
+    row_starts = starts[::3]
+    for lo in range(0, len(values), _CHECK_SLOTS):
+        if not valid_amplitudes(values[lo:lo + _CHECK_SLOTS]):
+            raise ValueError("snapshot amplitudes must be 0 or in (0, 360]")
+        # A position may be at or below the one before it only where a record starts.
+        p = positions[lo:lo + _CHECK_SLOTS + 1]
+        steps = np.flatnonzero(p[1:] <= p[:-1]) + (lo + 1)
+        at = np.minimum(np.searchsorted(row_starts, steps), len(row_starts) - 1)
+        if not np.array_equal(row_starts[at], steps):
+            raise ValueError("snapshot positions must increase within a row")
+    # Increasing within its row, a run lies in its class if its ends do.
+    occupied = runs > 0
+    floors = np.tile(np.arange(0, _ROW_SLOTS, SLOTS), len(counts))[occupied]
+    if not ((positions[starts[occupied]] >= floors).all()
+            and (positions[ends[occupied] - 1] < floors + SLOTS).all()):
+        raise ValueError("snapshot positions must lie in their class's slots")
+
+
+def _parse_snapshot(fh) -> tuple:
+    """(file rows, record rows, subject ids, provenances, slot values, slot
+    positions, mtime_ns) of an open snapshot, mtime_ns the snapshot's own,
+    clamped to `<i8`.  Raises ValueError on anything but a well-formed
+    snapshot of valid, uniquely named records.  The values and the
+    positions are each read with one readinto straight into the flat
+    arrays."""
     import hashlib
-    import json
 
-    written = os.fstat(fh.fileno()).st_mtime_ns
+    written = min(max(os.fstat(fh.fileno()).st_mtime_ns, _STAMP_MIN), _STAMP_MAX)
     size = fh.seek(0, os.SEEK_END)
     fh.seek(max(size - _TRAILER_BYTES, 0))
     trailer = fh.read()
@@ -477,44 +579,33 @@ def _parse_snapshot(fh) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, int]:
         raise ValueError("not a snapshot")
     fh.seek(end)
     index = fh.read(size - _TRAILER_BYTES - end)
-    columns = _check_columns(json.loads(index))
-    counts = columns["slots"]
-    bounds = np.fromiter(itertools.accumulate(counts, initial=0), np.intp, len(counts) + 1)
-    if _SLOT_BYTES * bounds[-1] != end - len(head):
-        raise ValueError("snapshot slot counts do not match its body")
+    files, records, ids, images = _parse_index(index)
+    total = int(records["counts"].sum())
+    if _SLOT_BYTES * total != end - len(head):
+        raise ValueError("snapshot class counts do not match its body")
     fh.seek(len(head))
-    body = hashlib.sha256(head)
-    values = np.empty(bounds[-1], _AMPLITUDES)
-    positions = np.empty(bounds[-1], _POSITIONS)
-    for lo in range(0, len(counts), BLOCK_ROWS):
-        row_counts = counts[lo:lo + BLOCK_ROWS]
-        section = slice(bounds[lo], bounds[lo + len(row_counts)])
-        for part in (values[section], positions[section]):
-            if fh.readinto(part) != part.nbytes:
-                raise ValueError("truncated snapshot")
-            body.update(part)
-        if not valid_amplitudes(values[section]):
-            raise ValueError("snapshot amplitudes must be 0 or in (0, 360]")
-        # Below 1080, a position's slot in the section increases exactly
-        # when the positions increase within each row.
-        slots = np.repeat(np.arange(0, len(row_counts) * _ROW_SLOTS, _ROW_SLOTS, np.int32), row_counts)
-        slots += positions[section]
-        if not ((positions[section] < _ROW_SLOTS).all() and (slots[1:] > slots[:-1]).all()):
-            raise ValueError("snapshot positions must increase within a row, below 1080")
-    body.update(index + trailer[:8])
-    if body.digest() != trailer[8:]:
+    digest = hashlib.sha256(head)
+    values, positions = np.empty(total, _AMPLITUDES), np.empty(total, _POSITIONS)
+    for part in (values, positions):
+        if fh.readinto(part) != part.nbytes:
+            raise ValueError("truncated snapshot")
+        digest.update(part)
+    digest.update(index)
+    digest.update(trailer[:8])
+    if digest.digest() != trailer[8:]:
         raise ValueError("snapshot digest mismatch")
-    return columns, values, positions, bounds, written
+    _check_slots(values, positions, records["counts"])
+    return files, records, ids, images, values, positions, written
 
 
-def _read_snapshot(dir_fd: int) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, int]:
-    """_parse_snapshot of the directory's snapshot; empty columns and no
-    slots for a snapshot that is missing, not a regular file or fails any check."""
+def _read_snapshot(dir_fd: int) -> tuple:
+    """_parse_snapshot of the directory's snapshot; empty tables for a
+    snapshot that is missing, not a regular file or fails any check."""
     try:
         with open(open_input(SNAPSHOT_NAME, dir_fd), "rb") as fh:
             return _parse_snapshot(fh)
-    except (OSError, ValueError, TypeError, RecursionError):
-        return _columns(), np.empty(0, _AMPLITUDES), np.empty(0, _POSITIONS), np.zeros(1, np.intp), 0
+    except (OSError, ValueError):
+        return (*_no_tables(), 0)
 
 
 def _in_directory(call, directory: Path, dir_fd: int, name: str):
@@ -528,13 +619,14 @@ def _in_directory(call, directory: Path, dir_fd: int, name: str):
 
 def _load_directory(p: Path) -> Gallery:
     """The gallery of a directory's `*.rtpl` files, in filename order: the
-    snapshot's slots and columns for the files whose stat key or digest it
+    snapshot's slots and rows for the files whose stat key or digest it
     holds, the parsed records', appended, for the others."""
     import hashlib
 
     dir_fd = os.open(p, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        columns, values, positions, bounds, written = _read_snapshot(dir_fd)
+        *tables, written = _read_snapshot(dir_fd)
+        files = tables[0]
         names = sorted(n for n in os.listdir(dir_fd) if n.endswith(".rtpl"))
         # Every file is stat'ed before any is read, and a stat's error is
         # raised after the files listed before it load, so errors keep
@@ -550,65 +642,47 @@ def _load_directory(p: Path) -> Gallery:
         # Git's rule for racily clean entries: a file changed in the same
         # clock tick as the snapshot's write may keep the stat it had, so
         # only a stat older than the write vouches for the file's bytes.
-        mtimes, ctimes = columns["mtime_ns"], columns["ctime_ns"]
-        clean = dict(itertools.compress(
-            zip(zip(columns["bytes"], columns["inode"], mtimes, ctimes), itertools.count()),
-            map(written.__gt__, map(max, mtimes, ctimes))))
-        entries = list(map(clean.get, keys))  # each file's entry in the columns
+        clean = np.flatnonzero(written > np.maximum(files["mtime_ns"], files["ctime_ns"]))
+        vouched = files[clean]
+        by_stat = dict(zip(zip(*(vouched[name].tolist() for name in _STAT_KEY)), clean.tolist()))
+        entries = list(map(by_stat.get, keys))  # each file's row in the tables
+        misses = [k for k, entry in enumerate(entries) if entry is None]
         memo, parsed = None, []
-        for k in [k for k, entry in enumerate(entries) if entry is None]:
+        for k in misses:
             data = _in_directory(read_input, p, dir_fd, names[k])
-            key = hashlib.sha256(data).hexdigest(), len(data)
+            key = hashlib.sha256(data).digest(), len(data)
             if memo is None:
-                memo = dict(zip(zip(columns["digest"], columns["bytes"]), itertools.count()))
+                memo = dict(zip(zip(files["digest"].tolist(), files["bytes"].tolist()), itertools.count()))
             if key not in memo:
                 source = str(p / names[k])
-                records = parse_records(_decode(data, source), source)
-                # The parsed records follow the snapshot's, and so do their slots.
-                memo[key] = len(columns["digest"])
-                _append_entry(columns, key, keys[k][1:], records)
-                parsed.append(_pack([r.template.vectors for r in records]))
+                # The parsed files' rows follow the snapshot's, and so do their slots.
+                parsed.append(_file_tables(*key, keys[k][1:], parse_records(_decode(data, source), source)))
+                memo[key] = len(files) + len(parsed) - 1
             entries[k] = memo[key]
     finally:
         os.close(dir_fd)
     if failure is not None:
         raise failure
     # Joined only with parsed slots: a copy of the snapshot's doubles the peak.
-    if parsed:
-        slot_counts = np.concatenate([ranges[:, 1] - ranges[:, 0] for _, _, ranges in parsed])
-        bounds = np.concatenate([bounds, bounds[-1] + np.cumsum(slot_counts)])
-        values = np.concatenate([values, *(v for v, _, _ in parsed)])
-        positions = np.concatenate([positions, *(pos for _, pos, _ in parsed)])
-    per_entry = np.array(columns["records"], dtype=np.intp)
+    files, records, ids, images, values, positions = _joined([tables, *parsed]) if parsed else tables
+    per_file = files["records"].astype(np.intp)
     entries = np.array(entries, dtype=np.intp)
-    counts = per_entry[entries]
-    firsts = (np.cumsum(per_entry) - per_entry)[entries]  # each file's first row in the columns
+    counts = per_file[entries]
+    firsts = (np.cumsum(per_file) - per_file)[entries]  # each file's first record row
     total = int(counts.sum())
     if not total:
         raise EmptyGalleryError(f"no records under {p}")
-    # Record i of the gallery, of file k, is column row firsts[k] plus i
+    # Record i of the gallery, of file k, is record row firsts[k] plus i
     # less the gallery position of k's first record.
     rows = np.repeat(firsts + counts - np.cumsum(counts), counts) + np.arange(total)
-    ranges = np.column_stack([bounds[rows], bounds[rows + 1]])
-    entries, rows = entries.tolist(), rows.tolist()
-    files = (list(map(columns["digest"].__getitem__, entries)),
-             list(map(columns["bytes"].__getitem__, entries)), keys, counts.tolist())
-    ids, images, x, y, source = (list(map(columns[name].__getitem__, rows))
-                                 for name in ("subject", "image", "od_x", "od_y", "od_source"))
-    return Gallery(_loaded=(ids, images, _StoredOds(x, y, source), values, positions, ranges, files))
-
-
-def _append_entry(columns: dict, key: tuple, stamp: tuple, records) -> None:
-    """Append to the index columns a file's entry, of content key (digest
-    hex, byte length) and stat key `stamp`, and its records' rows, all but
-    their slot counts."""
-    for name, value in zip(_FILE_COLUMNS, (*key, *stamp, len(records))):
-        columns[name].append(value)
-    columns["subject"] += (r.subject_id for r in records)
-    columns["od_x"] += (r.od.x for r in records)
-    columns["od_y"] += (r.od.y for r in records)
-    columns["od_source"] += (r.od.source for r in records)
-    columns["image"] += (r.source_image for r in records)
+    gallery_files = files[entries]
+    for k in misses:  # a read file's row takes the stat this load took
+        row = gallery_files[k]
+        row["inode"], row["mtime_ns"], row["ctime_ns"] = keys[k][1], *map(_stored_time, keys[k][2:])
+    ranges = _ranges(records["counts"])[rows]
+    records, at = records[rows], rows.tolist()
+    return Gallery(_loaded=(list(map(ids.__getitem__, at)), list(map(images.__getitem__, at)),
+                            _StoredOds(records), values, positions, ranges, records["counts"], gallery_files))
 
 
 def load_gallery(path) -> Gallery:
@@ -646,34 +720,22 @@ def gallery_lock(directory):
         os.close(fd)
 
 
-def _loaded(gallery: Gallery) -> tuple[dict, object]:
-    """The index columns, all but the slot counts, of the files that
-    load_gallery read, in the gallery's order, and their records' slots."""
-    columns = _columns()
-    if gallery._file_columns is None:
-        return columns, iter(())
-    digests, sizes, keys, counts = gallery._file_columns
-    _, inodes, mtimes, ctimes = zip(*keys)
-    ods = gallery._ods
-    # Every column but the slot counts, the last, in the index's order.
-    for name, column in zip(_COLUMNS, (digests, sizes, inodes, mtimes, ctimes, counts, gallery._ids,
-                                       ods.x, ods.y, ods.source, gallery._images)):
-        columns[name] += column
-    ranges = gallery._ranges.tolist()
-    return columns, ((gallery._values[lo:hi], gallery._positions[lo:hi]) for lo, hi in ranges)
+def _slot_runs(ranges: np.ndarray) -> list[slice]:
+    """The [lo, hi) ranges, in order, as slices, merging each range into the
+    one before it where that one ends at its start."""
+    if not len(ranges):
+        return []
+    lo, hi = ranges.T
+    cuts = np.flatnonzero(lo[1:] != hi[:-1]) + 1
+    return list(map(slice, lo[np.r_[0, cuts]].tolist(), hi[np.r_[cuts - 1, len(lo) - 1]].tolist()))
 
 
-def _write_body(write, slots) -> list:
-    """Write records' (values, positions) `slots` as the snapshot body,
-    BLOCK_ROWS records per section; return each record's slot count."""
-    counts = []
-    slots = iter(slots)
-    while batch := list(itertools.islice(slots, BLOCK_ROWS)):
-        values, positions = zip(*batch)
-        write(np.concatenate(values))
-        write(np.concatenate(positions))
-        counts += map(len, values)
-    return counts
+def _index(files, records, ids, images) -> bytes:
+    """The snapshot index of the tables (see the module docstring)."""
+    ids, images = "\n".join(ids).encode("ascii"), "\n".join(images).encode("utf-8")
+    head = np.array([len(files), len(records), len(ids), len(images)], _COUNTS)
+    return b"".join([head.tobytes(), *(table[name].tobytes() for table in (files, records)
+                                       for name in table.dtype.names), ids, images])
 
 
 def add_records(directory, records) -> None:
@@ -681,8 +743,11 @@ def add_records(directory, records) -> None:
     write the snapshot of the files loaded and written.  Every record is
     checked first: an enrolled id, an id repeated among `records` or an
     existing file raises ValueError and leaves the gallery unchanged.  The
-    old snapshot is removed before the first `.rtpl` write, so a path that
-    cannot be replaced fails the batch with the gallery unchanged."""
+    old snapshot, and any temporary file a killed writer left, is removed
+    before the first `.rtpl` write, so a path that cannot be replaced fails
+    the batch with the gallery unchanged."""
+    import hashlib
+
     directory = Path(directory)
     records = list(records)
     _positions([r.subject_id for r in records])
@@ -697,32 +762,35 @@ def add_records(directory, records) -> None:
                 raise ValueError(f"subject {r.subject_id!r} already enrolled; gallery unchanged")
             if target.exists():
                 raise ValueError(f"{target} already exists; gallery unchanged")
+        for name in os.listdir(directory):
+            if _TEMPORARY_RE.fullmatch(name):
+                (directory / name).unlink(missing_ok=True)
         (directory / SNAPSHOT_NAME).unlink(missing_ok=True)
-        import hashlib
-        import json
 
+        # Each written file is packed as it is written, so one parsed
+        # template at a time is held.
+        new = [_no_tables()]
+        for target, r in targets.items():
+            data = save_template(r, target)
+            # Rendering rounds amplitudes: the rows are what the bytes parse
+            # to.  Stat after the rename, which moves the file's ctime.
+            new.append(_file_tables(hashlib.sha256(data).digest(), len(data), _stamp(stat_input(target)),
+                                    parse_records(data.decode("utf-8"), str(target))))
+        new = _joined(new)
+        loaded = (_no_tables()[:4] if enrolled._files is None
+                  else (enrolled._files, enrolled._ods.rows, enrolled._ids, enrolled._images))
         with _replacing(directory / SNAPSHOT_NAME) as fh:
-            body = hashlib.sha256()
+            digest = hashlib.sha256()
 
             def write(chunk):
                 fh.write(chunk)
-                body.update(chunk)
-
-            index, loaded_slots = _loaded(enrolled)
-
-            def written_slots():
-                for target, r in targets.items():
-                    data = save_template(r, target)
-                    # Rendering rounds amplitudes: the entry is what the bytes parse to.
-                    written = parse_records(data.decode("utf-8"), str(target))
-                    # Stat after the rename, which moves the file's ctime.
-                    _append_entry(index, (hashlib.sha256(data).hexdigest(), len(data)),
-                                  _stamp(stat_input(target)), written)
-                    for rec in written:
-                        yield _pack([rec.template.vectors])[:2]
+                digest.update(chunk)
 
             write(_SNAPSHOT_HEAD)
-            index["slots"] = _write_body(write, itertools.chain(loaded_slots, written_slots()))
-            tail = json.dumps(index).encode("ascii")
-            write(tail + len(tail).to_bytes(8, "little"))
-            fh.write(body.digest())
+            for slots, new_slots in ((enrolled._values, new[4]), (enrolled._positions, new[5])):
+                for run in _slot_runs(enrolled._ranges):
+                    write(slots[run])
+                write(new_slots)
+            index = _index(*_joined([loaded, new[:4]]))
+            write(index + len(index).to_bytes(8, "little"))
+            fh.write(digest.digest())

@@ -490,6 +490,20 @@ class TestAddRecords:
         assert (tmp_path / "a.rtpl").read_bytes() == before
         assert load_gallery(tmp_path).subject_ids == ["other"]
 
+    def test_enrol_removes_a_killed_writers_temporary_files(self, tmp_path):
+        """A writer killed between creating a temporary file and renaming it
+        leaves `.<name>.<pid>.<8 hex>.tmp`.  The next add_records removes
+        every name of that form, and no other."""
+        gal = TestSnapshot().gallery(tmp_path / "gal")
+        stale = [".p0.rtpl.4242.0a1b2c3d.tmp", "..snapshot.17.ffffffff.tmp", ".q.rtpl.99999.00000000.tmp"]
+        near_misses = [".p0.rtpl.4242.0A1B2C3D.tmp", ".p0.rtpl.4242.0a1b2c3.tmp", ".p0.rtpl.42x.0a1b2c3d.tmp",
+                       "p0.rtpl.4242.0a1b2c3d.tmp", ".p0.rtpl.4242.0a1b2c3d.tmp.keep"]
+        for name in stale + near_misses:
+            (gal / name).write_bytes(b"partial")
+        add_records(gal, [record(np.random.default_rng(71), sid="q")])
+        assert sorted(p.name for p in gal.iterdir() if ".tmp" in p.name) == sorted(near_misses)
+        assert load_gallery(gal).subject_ids == ["p0", "p1", "p2", "p3", "q"]
+
 
 class TestLock:
     def test_lock_creates_and_releases(self, tmp_path):
@@ -645,68 +659,97 @@ def settle(gallery: Path) -> int:
     return now
 
 
+SOURCES = ["detected", "manual"]
+FILE_COLUMNS = {"bytes": "<u8", "inode": "<u8", "mtime_ns": "<i8", "ctime_ns": "<i8", "records": "<u8"}
+RECORD_COLUMNS = ["subject", "od_x", "od_y", "od_source", "image", "counts"]
+
+
 def split_snapshot(data: bytes):
-    """(head, slots, index) of a snapshot's bytes: slots holds each record's
-    (positions, values) in index order, and the index is its columns, the
-    record's slot counts in index["slots"]."""
+    """(head, slots, index) of a version 5 snapshot's bytes: slots holds each
+    record's (positions, values) in index order, and the index is its
+    columns as lists: `digest` as hex, `od_x` and `od_y` apart, `od_source`
+    as its byte, each record's class counts in `counts`, and the texts
+    `subject` and `image` split into lines."""
     body = data[:-32]
     n = int.from_bytes(body[-8:], "little")
-    index = json.loads(body[-8 - n:-8])
-    counts = index["slots"]
-    slots, at = [], 24
-    for lo in range(0, len(counts), BLOCK_ROWS):
-        section = counts[lo:lo + BLOCK_ROWS]
-        total = sum(section)
-        values = np.frombuffer(body, "<f8", total, at)
-        positions = np.frombuffer(body, "<u2", total, at + 8 * total)
-        at += 10 * total
-        for end, count in zip(np.cumsum(section).tolist(), section):
-            slots.append((positions[end - count:end].copy(), values[end - count:end].copy()))
-    assert at == len(body) - 8 - n
+    raw = body[-8 - n:-8]
+    files, records, id_bytes, image_bytes = np.frombuffer(raw, "<u8", 4).tolist()
+    at = 32
+
+    def take(dtype, rows, width=1):
+        nonlocal at
+        column = np.frombuffer(raw, dtype, rows * width, at)
+        at += column.nbytes
+        return column.reshape(rows, width) if width > 1 else column
+
+    index = {"digest": [bytes(d).hex() for d in take("u1", files, 32)]}
+    index.update((name, take(dtype, files).tolist()) for name, dtype in FILE_COLUMNS.items())
+    od = take("<f8", records, 2)
+    counts = take("<u2", records, 3)
+    index.update(od_x=od[:, 0].tolist(), od_y=od[:, 1].tolist(), counts=counts.tolist(),
+                 od_source=take("u1", records).tolist())
+    ids, images = raw[at:at + id_bytes].decode("ascii"), raw[at + id_bytes:].decode("utf-8")
+    assert at + id_bytes + image_bytes == n
+    index.update(subject=ids.split("\n") if records else [], image=images.split("\n") if records else [])
+    total = int(counts.sum())
+    assert 24 + 10 * total == len(body) - 8 - n
+    values = np.frombuffer(body, "<f8", total, 24)
+    positions = np.frombuffer(body, "<u2", total, 24 + 8 * total)
+    sizes = counts.sum(axis=1).tolist()
+    slots = [(positions[end - size:end].copy(), values[end - size:end].copy())
+             for end, size in zip(np.cumsum(sizes).tolist(), sizes)]
     return body[:24], slots, index
 
 
-def join_snapshot(head, slots, index) -> bytes:
-    """A snapshot with a valid trailer around whatever it is given: the
-    records' slots in sections of BLOCK_ROWS, values then positions."""
-    sections = []
-    for lo in range(0, len(slots), BLOCK_ROWS):
-        block = slots[lo:lo + BLOCK_ROWS]
-        sections += [np.concatenate([v for _, v in block]).astype("<f8").tobytes(),
-                     np.concatenate([p for p, _ in block]).astype("<u2").tobytes()]
-    tail = json.dumps(index).encode("ascii")
-    body = head + b"".join(sections) + tail + len(tail).to_bytes(8, "little")
+def join_snapshot(head, slots, index, tail=b"") -> bytes:
+    """A version 5 snapshot with a valid trailer around whatever it is
+    given: every record's values then every record's positions, then the
+    index of the columns present, its counts those of `digest` and `counts`,
+    a provenance given as bytes written as it is, and `tail` after the
+    index."""
+    values = np.concatenate([np.empty(0), *(v for _, v in slots)]).astype("<f8")
+    positions = np.concatenate([np.empty(0), *(p for p, _ in slots)]).astype("<u2")
+    ids = "\n".join(index["subject"]).encode("utf-8")
+    images = b"\n".join(i if isinstance(i, bytes) else i.encode("utf-8") for i in index["image"])
+    columns = [b"".join(map(bytes.fromhex, index["digest"]))]
+    columns += [np.array(index[name], dtype).tobytes() for name, dtype in FILE_COLUMNS.items() if name in index]
+    columns += [np.column_stack([index["od_x"], index["od_y"]]).astype("<f8").tobytes(),
+                np.array(index["counts"], "<u2").tobytes(), np.array(index["od_source"], "u1").tobytes()]
+    counts = np.array([len(index["digest"]), len(index["counts"]), len(ids), len(images)], "<u8")
+    raw = b"".join([counts.tobytes(), *columns, ids, images, tail])
+    body = head + values.tobytes() + positions.tobytes() + raw + len(raw).to_bytes(8, "little")
     return body + hashlib.sha256(body).digest()
-
-
-RECORD_COLUMNS = ["subject", "od_x", "od_y", "od_source", "image", "slots"]
 
 
 def forge(head, slots, index, case):
     """Edit a split snapshot into one that must be ignored as a whole."""
     positions, values = slots[0]
+    tail = b""
     if case == "foreign version":
-        head = b"RETINA-SNAPSHOT v1\n".ljust(24, b"\0")
+        head = b"RETINA-SNAPSHOT v4\n".ljust(24, b"\0")
     elif case == "nan amplitude":
         values[0] = np.nan
     elif case == "amplitude over 360":
         values[1] = 360.5
     elif case == "nan od":
         index["od_x"][0] = float("nan")
-    elif case == "od as text":
-        index["od_y"][0] = "292.0"
+    elif case == "source byte 2":
+        index["od_source"][0] = 2
     elif case == "od source as number":
-        index["od_source"][0] = 1
+        # The source's text, not its number: the first letter of "manual".
+        index["od_source"][0] = ord("m")
     elif case == "unknown od source":
-        index["od_source"][0] = "guessed"
+        index["od_source"][0] = 255
     elif case == "provenance not text":
-        index["image"][0] = ["left_eye.pgm"]
+        index["image"][0] = b"left\xed\xa0\x80eye"  # a UTF-16 surrogate, encoded
+    elif case == "non-UTF-8 provenance":
+        index["image"][0] = "éil.pgm".encode("latin-1")
     elif case == "provenance with newline":
         index["image"][0] = "left\neye"
     elif case == "bad id":
         index["subject"][0] = "bad id"
-    elif case == "id not text":
-        index["subject"][0] = 7
+    elif case == "non-ASCII id":
+        index["subject"][0] = "pé"
     elif case == "duplicate ids":
         index["subject"][0] = index["subject"][1]
     elif case == "record missing amplitudes":
@@ -719,70 +762,83 @@ def forge(head, slots, index, case):
         del index["image"][0]
     elif case == "column one entry short":
         del index["ctime_ns"][-1]
+    elif case == "ids one line short":
+        del index["subject"][-1]
+    elif case == "ids one line long":
+        index["subject"].append("extra")
     elif case == "record counts not summing":
         index["records"][0] += 1
-    elif case == "digest not hex":
-        index["digest"][0] = "z" * 64
-    elif case == "63-character digest":
-        index["digest"][0] = index["digest"][0][:63]
-    elif case == "index not an object":
-        index = list(index.values())
+    elif case == "31-byte digest":
+        index["digest"][0] = index["digest"][0][:62]
+    elif case == "index one byte off":
+        tail = b"\0"
     elif case == "position 1080":
         positions[-1] = 1080
     elif case == "repeated position":
         positions[1] = positions[0]
     elif case == "decreasing positions":
         positions[[0, 1]] = positions[[1, 0]]
+    elif case == "slot outside its class":
+        # The last class-1 slot counted in class 2: positions still increase.
+        index["counts"][0][0] -= 1
+        index["counts"][0][1] += 1
     elif case == "count one slot more":
-        index["slots"][0] += 1
+        index["counts"][0][0] += 1
     elif case == "count one slot less":
-        index["slots"][0] -= 1
-    elif case == "count as text":
-        index["slots"][0] = str(index["slots"][0])
-    elif case == "count as bool":
-        # A record of one slot whose count is True, which adds up as 1.
-        slots = [(positions[:1], values[:1]), *slots[1:]]
-        index["slots"][0] = True
+        index["counts"][0][0] -= 1
+    elif case == "class count 361":
+        index["counts"][0][0] = 361
     elif case == "stat key missing":
         for name in ("inode", "mtime_ns", "ctime_ns"):
             del index[name]
     elif case == "stat key of two ints":
         del index["ctime_ns"]
-    elif case == "stat key as text":
-        index["inode"] = " ".join(map(str, index["inode"]))
-    elif case == "mtime as float":
-        index["mtime_ns"][0] = float(index["mtime_ns"][0])
-    elif case == "negative inode":
-        index["inode"][0] = -1
-    elif case == "inode as bool":
-        index["inode"][0] = True
-    return join_snapshot(head, slots, index)
+    return join_snapshot(head, slots, index, tail)
 
 
-FORGED = ["foreign version", "nan amplitude", "amplitude over 360", "nan od", "od as text",
-          "od source as number", "unknown od source", "provenance not text",
-          "provenance with newline", "bad id", "id not text", "duplicate ids",
+FORGED = ["foreign version", "nan amplitude", "amplitude over 360", "nan od", "source byte 2",
+          "od source as number", "unknown od source", "provenance not text", "non-UTF-8 provenance",
+          "provenance with newline", "bad id", "non-ASCII id", "duplicate ids",
           "record missing amplitudes", "amplitudes missing a record", "short row",
-          "column one entry short", "record counts not summing", "digest not hex",
-          "63-character digest", "index not an object", "position 1080", "repeated position",
-          "decreasing positions", "count one slot more", "count one slot less", "count as text",
-          "count as bool", "stat key missing", "stat key of two ints", "stat key as text",
-          "mtime as float", "negative inode", "inode as bool"]
+          "column one entry short", "ids one line short", "ids one line long",
+          "record counts not summing", "31-byte digest", "index one byte off", "position 1080",
+          "repeated position", "decreasing positions", "slot outside its class",
+          "count one slot more", "count one slot less", "class count 361", "stat key missing",
+          "stat key of two ints"]
 
 
-def v3_snapshot(directory, version="v3") -> bytes:
-    """The version 3 snapshot of a directory's v4 one: an entry per file,
-    `[digest hex, byte length, rows, [inode, mtime_ns, ctime_ns]]`, each row
-    `[subject, od x, od y, od source, provenance, slot count]`; or, for
-    version "v2", the same entries without their stat key."""
-    _, slots, index = split_snapshot((directory / SNAPSHOT_NAME).read_bytes())
-    rows = [list(row) for row in zip(*(index[name] for name in RECORD_COLUMNS))]
-    starts = np.cumsum([0, *index["records"]]).tolist()
-    entries = [[digest, size, rows[lo:hi], [inode, mtime, ctime]][:4 if version == "v3" else 3]
-               for digest, size, inode, mtime, ctime, lo, hi in zip(
-                   index["digest"], index["bytes"], index["inode"], index["mtime_ns"],
-                   index["ctime_ns"], starts, starts[1:])]
-    return join_snapshot(f"RETINA-SNAPSHOT {version}\n".encode().ljust(24, b"\0"), slots, entries)
+V4_SECTION_ROWS = 32  # records per section of a version 4 snapshot's body
+
+
+def v4_snapshot(directory, version="v4") -> bytes:
+    """The version 4 snapshot of a directory's version 5 one: its slots in
+    sections of 32 records, each the section's values then its positions,
+    and an ASCII JSON index of columns, digests as hex, od sources as text
+    and each record's slot count in place of its class counts; or, for
+    version "v3", an entry per file, `[digest hex, byte length, rows,
+    [inode, mtime_ns, ctime_ns]]`, each row `[subject, od x, od y, od
+    source, provenance, slot count]`; or, for "v2", the same entries without
+    their stat key."""
+    _, slots, columns = split_snapshot((directory / SNAPSHOT_NAME).read_bytes())
+    columns.update(od_source=[SOURCES[s] for s in columns["od_source"]], slots=[len(p) for p, _ in slots])
+    index = {name: columns[name] for name in ["digest", *FILE_COLUMNS, *RECORD_COLUMNS[:-1], "slots"]}
+    if version != "v4":
+        rows = [list(row) for row in zip(*(index[name] for name in
+                                          ["subject", "od_x", "od_y", "od_source", "image", "slots"]))]
+        starts = np.cumsum([0, *index["records"]]).tolist()
+        index = [[digest, size, rows[lo:hi], [inode, mtime, ctime]][:4 if version == "v3" else 3]
+                 for digest, size, inode, mtime, ctime, lo, hi in zip(
+                     index["digest"], index["bytes"], index["inode"], index["mtime_ns"],
+                     index["ctime_ns"], starts, starts[1:])]
+    sections = []
+    for lo in range(0, len(slots), V4_SECTION_ROWS):
+        block = slots[lo:lo + V4_SECTION_ROWS]
+        sections += [np.concatenate([v for _, v in block]).astype("<f8").tobytes(),
+                     np.concatenate([p for p, _ in block]).astype("<u2").tobytes()]
+    tail = json.dumps(index).encode("ascii")
+    body = (f"RETINA-SNAPSHOT {version}\n".encode().ljust(24, b"\0") + b"".join(sections)
+            + tail + len(tail).to_bytes(8, "little"))
+    return body + hashlib.sha256(body).digest()
 
 
 def v1_snapshot(gallery) -> bytes:
@@ -912,7 +968,7 @@ class TestSnapshot:
         assert index["subject"] == ["a", "b", "behind", "c", "d"]
 
     def test_snapshot_out_of_filename_order_loads_unopened(self, tmp_path, reads):
-        """A v4 snapshot whose rows are not in filename order, as add_records
+        """A snapshot whose rows are not in filename order, as add_records
         once wrote it, serves every file unopened and loads as the text
         does; the next add_records rewrites it in filename order."""
         gal = self.gallery(tmp_path)
@@ -977,17 +1033,17 @@ class TestSnapshot:
         assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
         assert got == load_outcome_from_text(gal)
 
-    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
-    def test_older_snapshot_is_ignored_and_rewritten_as_v4(self, tmp_path, parses, version):
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4"])
+    def test_older_snapshot_is_ignored_and_rewritten_as_v5(self, tmp_path, parses, version):
         gal = self.gallery(tmp_path)
         snapshot = gal / SNAPSHOT_NAME
-        snapshot.write_bytes(v1_snapshot(load_gallery(gal)) if version == "v1" else v3_snapshot(gal, version))
+        snapshot.write_bytes(v1_snapshot(load_gallery(gal)) if version == "v1" else v4_snapshot(gal, version))
         parses.clear()
         got = load_outcome(gal)
         assert sorted(parses) == ["p0.rtpl", "p1.rtpl", "p2.rtpl", "p3.rtpl"]
         assert got == load_outcome_from_text(gal)
         add_records(gal, [record(np.random.default_rng(89), sid="v2")])
-        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v4\n")
+        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v5\n")
         parses.clear()
         got = load_outcome(gal)
         assert parses == []
@@ -1017,7 +1073,7 @@ class TestSnapshot:
     def test_special_snapshot_is_ignored_and_replaced(self, tmp_path, parses, kind):
         """A snapshot that is a FIFO or a device is ignored unread, like a
         damaged one: the load, in a child as in TestGalleryListing, takes the
-        records from their text, and the next add_records writes a v4
+        records from their text, and the next add_records writes a v5
         snapshot in its place."""
         gal = self.gallery(tmp_path)
         expected = load_outcome_from_text(gal)
@@ -1027,7 +1083,7 @@ class TestSnapshot:
         done = run_cli_limited("synth", "--subjects", "1", "--out", gal)
         assert done.returncode == 0, done.stderr
         assert snapshot.is_file() and not snapshot.is_symlink()
-        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v4\n")
+        assert snapshot.read_bytes().startswith(b"RETINA-SNAPSHOT v5\n")
         parses.clear()
         got = load_outcome(gal)
         assert parses == []
@@ -1286,6 +1342,28 @@ class TestStatKey:
         assert reads == []
         assert got == load_outcome_from_text(gal)
 
+    def test_file_dated_past_2262_is_read_on_every_load(self, tmp_path, reads, parses):
+        """An mtime_ns of 2**63 or more, which os.utime can set and `<i8`
+        cannot hold, is stored as the largest `<i8`, which no snapshot's
+        mtime passes: the file is read and hashed on every load, and its
+        records still come from the snapshot by digest."""
+        gal = self.gallery(tmp_path)
+        path = gal / "p0.rtpl"
+        late = 2 ** 63 + 10 ** 9
+        os.utime(path, ns=(late, late))
+        if path.stat().st_mtime_ns != late:
+            pytest.skip("the filesystem clamps file times")
+        add_records(gal, [record(np.random.default_rng(98), sid="q")])
+        assert split_snapshot((gal / SNAPSHOT_NAME).read_bytes())[2]["mtime_ns"][0] == 2 ** 63 - 1
+        # Dated as late as `<i8` allows, the snapshot vouches for every other file.
+        os.utime(gal / SNAPSHOT_NAME, ns=(2 ** 63 - 2, 2 ** 63 - 2))
+        for _ in range(2):
+            reads.clear()
+            parses.clear()
+            got = load_outcome(gal)
+            assert reads == ["p0.rtpl"] and parses == []
+            assert got == load_outcome_from_text(gal)
+
     def test_edge_rows_load_as_the_text_does(self, tmp_path, reads):
         """An empty file, an empty, a non-ASCII and a spaced provenance with
         `#`, and a 64-character id come through the snapshot's columns as
@@ -1382,13 +1460,15 @@ def test_snapshot_rows_are_the_texts_bits(seed, kinds):
         gal = Path(tmp)
         add_records(gal, records)
         with open(gal / SNAPSHOT_NAME, "rb") as fh:
-            columns, values, positions, bounds, _ = store._parse_snapshot(fh)
+            files, rows, _, _, values, positions, _ = store._parse_snapshot(fh)
         through_snapshot = load_gallery(gal)
         (gal / SNAPSHOT_NAME).unlink()
         text = load_gallery(gal)
-    assert len(columns["digest"]) == len(records)
-    # The snapshot's slots, values bit for bit and in the same ranges, are
-    # the ones the text's records pack to.
+    assert len(files) == len(records)
+    # The snapshot's slots, values bit for bit and in the same ranges, and
+    # its class counts are the ones the text's records pack to.
+    assert np.array_equal(rows["counts"], text._counts)
+    bounds = np.cumsum([0, *rows["counts"].sum(axis=1)])
     assert np.array_equal(values.view(np.uint64), text._values.view(np.uint64))
     assert np.array_equal(positions, text._positions)
     assert np.array_equal(text._ranges, np.column_stack([bounds[:-1], bounds[1:]]))
