@@ -18,14 +18,16 @@ the total is the class-weighted sum w1*si1 + w2*si2 + w3*si3.  The distant
 class gets the largest weight because far corners pin down rotation best.
 
 Exact kernel.  Every exact score comes from one kernel, which scores one
-query against many enrolled rows at once.  It stacks the rows class-major,
-lists every occupied-slot pair (row slot p, query slot q) of each class in
-row-major (p, q) order, evaluates their cosine terms as one array, and adds
-them up with a single np.bincount whose bins are offset by (class * rows +
-row) * 360.  The cosine is taken once per pair of distinct amplitudes of a
-class, which np.unique gives with every slot's index into them, and copied
-to every slot pair holding those values: a pure function of its inputs, so
-every term is bit-for-bit the value the plain expression gives.
+query against many enrolled rows at once.  It takes the rows' slots as
+store.Gallery.slots gives them (np.nonzero gives a dense row's, the
+query's too; a stored -0.0 is skipped), lists every occupied-slot pair
+(row slot p, query slot q) of each class in row-major (p, q) order,
+evaluates their cosine terms as one array, and adds them up with a single
+np.bincount whose bins are offset by (class * rows + row) * 360.  The
+cosine is taken once per pair of distinct amplitudes of a class, which
+np.unique gives with every slot's index into them, and copied to every
+slot pair holding those values: a pure function of its inputs, so every
+term is bit-for-bit the value the plain expression gives.
 bincount adds weights in input order, and each bin only ever receives the
 pairs of its own row and class, in the (p, q) order of a plain double loop
 over (phi, tau); so every profile is bit-for-bit identical to the naive
@@ -39,10 +41,10 @@ one of one row and identify --top-k 3 one of about 3 rows.
 
 FFT screen.  Since cos 2(a - b) = cos 2a cos 2b + sin 2a sin 2b, each class
 profile is the circular cross-correlation of the rows' cos 2a and sin 2a
-planes (0 on empty slots) with the query's.  Both screens gather rows,
-scattered from the stored slots by store.Gallery.amplitudes, BLOCK_ROWS
-at a time, into one reused buffer and compute planes, spectra and totals
-through the same functions, so the bound below covers both.  GalleryScreen gathers every
+planes (0 on empty slots) with the query's.  Both screens scatter the
+planes of BLOCK_ROWS records at a time straight from their slots, read by
+store.Gallery.slots, and compute spectra and totals through the same
+functions, so the bound below covers both.  GalleryScreen reads every
 record once per gallery, in record order, and keeps the conjugated rfft of
 its planes (about 17 KB per record, plus about 6 KB of work arrays); per
 query and class, one irfft gives every record's profile, and so every
@@ -104,9 +106,10 @@ The ceiling.  Let m_c be the smaller of the row's and the query's occupied
 slots in class c.  A term of S_c(phi) needs both of its slots occupied, and
 each row slot meets one query slot per shift, so S_c sums at most m_c
 terms and |S_c| <= m_c: the real total is at most w1 m1 + w2 m2 + w3 m3.
-A gallery's row counts come from store.Gallery.nonzero_counts, the class
-counts stored with its slots (a loaded snapshot's are checked against the
-positions) less any stored -0.0, so no pass over the slots finds them.
+A gallery's row counts are store.Gallery.class_counts, the class counts
+stored with its slots (a loaded snapshot's are checked against the
+positions), so no pass over the slots finds them.  They count a stored
+-0.0, which no term reads; that can only raise m_c, and so the ceiling.
 The screened total lies within B / 2 of the real one (the bound above
 before its factor 2), so it is at most w1 m1 + w2 m2 + w3 m3 + B / 2.  The
 ceiling U = fl(w1 m1 + w2 m2 + w3 m3) + B, the products taken in the
@@ -116,7 +119,7 @@ adding B, both far inside the other half of B; so every screened total is
 at most its record's U.
 
 Callers.  verify, total_si and sim_profile use the exact kernel alone, and
-so does identify without top_k, reading a store.Gallery's rows.  With
+so does identify without top_k, reading a store.Gallery's slots.  With
 top_k = k below the gallery size it screens the records in descending U,
 ties in record order, BLOCK_ROWS at a time, and after each chunk sets the
 cut S_k - 2B, S_k being the k-th largest screened total so far.  It stops
@@ -212,73 +215,78 @@ def _check_amplitudes(v: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} amplitudes must be 0 or in (0, 360]")
 
 
-def _run_profiles(run: list, query: list) -> np.ndarray:
-    """Profiles of one run of enrolled rows, shaped (classes, rows, SLOTS)."""
-    planes = np.stack(run, axis=1)
-    classes, n, _ = planes.shape
-    # Occupied slots in (class, row, slot) order: flat index (c*n + row)*360
-    # + p, so p ascends within every row and class.
-    flat = np.flatnonzero(planes != 0)  # NaN included, for the check below
-    amps = planes.ravel()[flat]
-    _check_amplitudes(amps, "enrolled")
-    ends = np.searchsorted(flat, [(c + 1) * n * SLOTS for c in range(classes)]).tolist()
+def _slots(rows: np.ndarray) -> tuple:
+    """The occupied slots of dense rows, an (n, classes, SLOTS) array, in the
+    form store.Gallery.slots gives: values, positions within a row, and
+    each slot's row."""
+    flat = rows.reshape(-1)
+    at = np.flatnonzero(flat)  # NaN included, for the checks
+    row, positions = np.divmod(at, flat.size // len(rows))
+    return flat[at], positions, row
+
+
+def _run_profiles(slots, n: int, query: list) -> np.ndarray:
+    """Profiles of one run of n enrolled rows, given as their slots (see
+    store.Gallery.slots), shaped (classes, n, SLOTS)."""
+    values, positions, rows = slots
+    _check_amplitudes(values, "enrolled")
+    classes = len(query)
+    c, p = np.divmod(positions, SLOTS)
     # Pair (p, q) lands in its row and class's block of 360 bins, at the
     # shift aligning slot p with slot q: (q - p) % 360 - 1, the zero offset
-    # aliased to 359.  With f - p the block start, that is f - 2p - 1 + q,
-    # plus 360 when q <= p.
-    p = flat % SLOTS
-    base = flat - 2 * p - 1
+    # aliased to 359.  With f the block start, that is f - p - 1 + q, plus
+    # 360 when q <= p.
+    base = (c * n + rows) * SLOTS - p - 1
+    c[values == 0] = classes  # a stored -0.0 occupies no slot
     terms = []
     bins = []
-    lo = 0
-    for hi, (q, q_values, q_inverse) in zip(ends, query):
+    for cls, (q, q_values, q_inverse) in enumerate(query):
+        # The class's slots keep their (row, p) order.
+        at = c == cls
         # cos(2.0 * ((a - b) * pi / 180.0)) once per pair of distinct
         # amplitudes, then spread to every slot pair in row-major (p, q) order.
-        a_values, a_inverse = np.unique(amps[lo:hi], return_inverse=True)
+        a_values, a_inverse = np.unique(values[at], return_inverse=True)
         t = np.subtract.outer(a_values, q_values)
         t *= np.pi
         t /= 180.0
         t *= 2.0
         np.cos(t, out=t)
         terms.append(t.take(a_inverse, 0).take(q_inverse, 1).ravel())
-        k = np.add.outer(base[lo:hi], q)
-        np.add(k, SLOTS, out=k, where=np.greater_equal.outer(p[lo:hi], q))
+        k = np.add.outer(base[at], q)
+        np.add(k, SLOTS, out=k, where=np.greater_equal.outer(p[at], q))
         bins.append(k.ravel())
-        lo = hi
     profiles = np.bincount(np.concatenate(bins), weights=np.concatenate(terms),
                            minlength=classes * n * SLOTS)
     return profiles.reshape(classes, n, SLOTS)
 
 
-def _profiles(rows, query: np.ndarray):
-    """Yield the profiles of `query` (classes, SLOTS) against each array of
-    the same shape in `rows`, as (classes, run length, SLOTS) blocks of
-    consecutive rows."""
+def _profiles(slots, counts, query: np.ndarray):
+    """Yield the profiles of `query` (classes, SLOTS) against enrolled rows
+    0, 1, ..., as (classes, run length, SLOTS) blocks of consecutive rows.
+    Row i has at most counts[i] occupied slots, and slots(run), run a slice
+    of rows, gives theirs (see store.Gallery.slots)."""
     _check_amplitudes(query, "query")
-    flat = np.flatnonzero(query)
-    bounds = [0, *np.searchsorted(flat, [(c + 1) * SLOTS for c in range(len(query))]).tolist()]
-    q = flat % SLOTS
-    amps = query.ravel()[flat]
-    query_classes = [(q[lo:hi], *np.unique(amps[lo:hi], return_inverse=True))
+    values, positions, _ = _slots(query[None])
+    bounds = np.searchsorted(positions, np.arange(len(query) + 1) * SLOTS).tolist()
+    q = positions % SLOTS
+    query_classes = [(q[lo:hi], *np.unique(values[lo:hi], return_inverse=True))
                      for lo, hi in zip(bounds, bounds[1:])]
     widest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    run, cost = [], 0
-    for r in rows:
-        r_cost = np.count_nonzero(r) * widest + r.size
-        if run and cost + r_cost > _PAIR_BUDGET:
-            yield _run_profiles(run, query_classes)
-            run, cost = [], 0
-        run.append(r)
+    lo, cost = 0, 0
+    for hi, r_cost in enumerate((np.asarray(counts) * widest + query.size).tolist()):
+        if hi > lo and cost + r_cost > _PAIR_BUDGET:
+            yield _run_profiles(slots(slice(lo, hi)), hi - lo, query_classes)
+            lo, cost = hi, 0
         cost += r_cost
-    if run:
-        yield _run_profiles(run, query_classes)
+    yield _run_profiles(slots(slice(lo, len(counts))), len(counts) - lo, query_classes)
 
 
 def sim_profile(enrolled: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Similarity over all cyclic shifts; index j holds shift phi = j + 1."""
     vin = _check_vector(enrolled, "enrolled")
     vout = _check_vector(query, "query")
-    (profiles,) = _profiles([vin[None]], vout[None])
+    slots = _slots(vin[None, None])
+    (profiles,) = _profiles(lambda run: slots, [len(slots[0])], vout[None])
     return profiles[0, 0]
 
 
@@ -291,11 +299,11 @@ def si_class(profile: np.ndarray) -> tuple[float, int]:
     return float(profile[j]), j + 1
 
 
-def _score(rows, query: FeatureTemplate, weights: Weights | None) -> list[MatchScore]:
-    """MatchScore of the query against every (3, SLOTS) array of rows, in order."""
+def _score(slots, counts, query: FeatureTemplate, weights: Weights | None) -> list[MatchScore]:
+    """MatchScore of the query against every enrolled row (see _profiles), in order."""
     weights = weights or Weights()
     scores = []
-    for profiles in _profiles(rows, query.vectors):
+    for profiles in _profiles(slots, counts, query.vectors):
         # Profiles are finite, so the maximum is the value at the argmax.
         si = profiles.max(axis=2)
         shifts = profiles.argmax(axis=2) + 1  # smallest shift wins ties
@@ -306,7 +314,8 @@ def _score(rows, query: FeatureTemplate, weights: Weights | None) -> list[MatchS
 
 
 def total_si(enrolled: FeatureTemplate, query: FeatureTemplate, weights: Weights | None = None) -> MatchScore:
-    return _score([enrolled.vectors], query, weights)[0]
+    slots = _slots(enrolled.vectors[None])
+    return _score(lambda run: slots, [len(slots[0])], query, weights)[0]
 
 
 def identify(query: FeatureTemplate, gallery, weights: Weights | None = None,
@@ -327,12 +336,13 @@ def identify(query: FeatureTemplate, gallery, weights: Weights | None = None,
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be at least 1")
     weights = weights or Weights()
-    positions = range(len(gallery))
+    positions = np.arange(len(gallery))
     if top_k is not None and top_k < len(gallery):
-        positions = _top_candidates(query, gallery, weights, top_k).tolist()
+        positions = _top_candidates(query, gallery, weights, top_k)
     ids = gallery.subject_ids
-    scores = _score(map(gallery.amplitudes, positions), query, weights)
-    scored = [(ids[i], score) for i, score in zip(positions, scores)]
+    scores = _score(lambda run: gallery.slots(positions[run]), gallery.class_counts()[positions].sum(axis=1),
+                    query, weights)
+    scored = [(ids[i], score) for i, score in zip(positions.tolist(), scores)]
     scored.sort(key=lambda item: (-item[1].total, item[0]))
     return scored[:top_k]
 
@@ -350,34 +360,26 @@ def _bound(weights: Weights) -> float:
     return _BOUND_PER_WEIGHT * (weights.w1 + weights.w2 + weights.w3) + np.finfo(float).tiny
 
 
-def _spectra(vectors: np.ndarray, name: str) -> np.ndarray:
+def _spectra(slots, n: int, name: str) -> np.ndarray:
     """Conjugated rfft of the cos 2a and sin 2a planes (0 on empty slots) of
-    a (block, 3, SLOTS) array: shape (2, 3, block, SLOTS // 2 + 1), the cos
-    planes first."""
-    _check_amplitudes(vectors, name)
-    vectors = vectors.transpose(1, 0, 2)  # class-major
-    occupied = vectors != 0
-    angle = vectors[occupied] * (np.pi / 90.0)
-    planes = np.zeros((2, *vectors.shape))
-    planes[0][occupied] = np.cos(angle)
-    planes[1][occupied] = np.sin(angle)
+    n rows given as their slots (see store.Gallery.slots): shape (2, 3, n,
+    SLOTS // 2 + 1), the cos planes first."""
+    values, positions, rows = slots
+    _check_amplitudes(values, name)
+    occupied = values != 0  # a stored -0.0 occupies no slot
+    c, p = np.divmod(positions[occupied], SLOTS)
+    at = (c * n + rows[occupied]) * SLOTS + p  # class-major
+    angle = values[occupied] * (np.pi / 90.0)
+    planes = np.zeros((2, 3, n, SLOTS))
+    planes.reshape(2, -1)[:, at] = np.cos(angle), np.sin(angle)
     spectra = np.fft.rfft(planes, axis=-1)
     return np.conj(spectra, out=spectra)
-
-
-def _gathered_spectra(gallery: Gallery, positions, vectors: np.ndarray) -> np.ndarray:
-    """_spectra of the records at `positions`, at most BLOCK_ROWS, gathered
-    into `vectors`, one (BLOCK_ROWS, 3, SLOTS) buffer for every chunk: it
-    stays in cache, where a fresh array per chunk cost about 10% more."""
-    for j, i in enumerate(positions):
-        vectors[j] = gallery.amplitudes(i)
-    return _spectra(vectors[:len(positions)], "enrolled")
 
 
 def _query_spectra(query: FeatureTemplate) -> np.ndarray:
     """The rfft, not conjugated, of the query's planes: shape (2, 3, SLOTS //
     2 + 1), the cos planes first."""
-    return np.conj(_spectra(query.vectors[None], "query")[:, :, 0])
+    return np.conj(_spectra(_slots(query.vectors[None]), 1, "query")[:, :, 0])
 
 
 def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndarray:
@@ -403,18 +405,17 @@ def _top_candidates(query: FeatureTemplate, gallery: Gallery, weights: Weights, 
     screened so far; see the module docstring.  Nothing gallery-sized is
     built besides the slot counts, the ceilings and the screened totals."""
     bound = _bound(weights)
-    m = np.minimum(gallery.nonzero_counts(), np.count_nonzero(query.vectors, axis=1)).T
+    m = np.minimum(gallery.class_counts(), np.count_nonzero(query.vectors, axis=1)).T
     ceiling = weights.w1 * m[0] + weights.w2 * m[1] + weights.w3 * m[2] + bound
     order = np.argsort(-ceiling, kind="stable")
     query_spectra = _query_spectra(query)
     work = np.empty((2, BLOCK_ROWS, SLOTS // 2 + 1), dtype=np.complex128)
-    vectors = np.empty((BLOCK_ROWS, 3, SLOTS))
     screened = np.empty(len(order))
     cut, end = -np.inf, 0
     # A NaN cut keeps every record, and so screens every one.
     while end < len(order) and not ceiling[order[end]] < cut:
         chunk = order[end:end + BLOCK_ROWS]
-        cos, sin = _gathered_spectra(gallery, chunk.tolist(), vectors)
+        cos, sin = _spectra(gallery.slots(chunk), len(chunk), "enrolled")
         screened[end:end + len(chunk)] = _screened_totals(cos, sin, query_spectra, weights,
                                                           work[:, :len(chunk)])
         end += len(chunk)
@@ -438,10 +439,11 @@ class GalleryScreen:
         # One C-contiguous row per record: a strided or padded layout slows totals().
         self._cos = np.empty((3, len(gallery), SLOTS // 2 + 1), dtype=np.complex128)
         self._sin = np.empty_like(self._cos)
-        records, vectors = range(len(gallery)), np.empty((BLOCK_ROWS, 3, SLOTS))
+        records = range(len(gallery))
         for lo in records[::BLOCK_ROWS]:
             chunk = slice(lo, lo + BLOCK_ROWS)
-            self._cos[:, chunk], self._sin[:, chunk] = _gathered_spectra(gallery, records[chunk], vectors)
+            self._cos[:, chunk], self._sin[:, chunk] = _spectra(gallery.slots(records[chunk]),
+                                                                len(records[chunk]), "enrolled")
         # One class's products at a time, in arrays kept for every query:
         # products allocated per query were, in some heap layouts, returned
         # to the OS and faulted back in on every query.

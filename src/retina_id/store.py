@@ -60,8 +60,8 @@ slots and each od centre, are built only when asked for, but every row of
 the snapshot's index is checked at load as GalleryRecord and OdCenter
 check a parsed record, a column at a time: the sha256 is no MAC, so a
 row no caller reads may still be forged.  The layout is this module's
-alone: the matcher reads rows through Gallery.amplitudes and slot counts
-through Gallery.nonzero_counts.  The directory is listed with os.listdir
+alone: other modules read it through Gallery.slots and
+Gallery.class_counts.  The directory is listed with os.listdir
 (every name ending in `.rtpl`, hidden ones included, case-sensitive); each
 file is stat'ed by imaging.stat_input and read by imaging.read_input, the
 snapshot opened by imaging.open_input, all through the directory's
@@ -189,10 +189,10 @@ class Gallery:
     i of a (len(self), 2) array, and record i's slots per class, row i of a
     (len(self), 3) array of class counts.  A loaded gallery takes the class
     counts from the snapshot's index or the text's parse, Gallery(records)
-    from packing the templates; they count a stored -0.0, which
-    `nonzero_counts` takes out.  Other modules read the slots through
-    `amplitudes` and `nonzero_counts` alone.  Records are built on first use
-    and kept, record i from item i of the id, provenance and od columns.
+    from packing the templates; they count a stored -0.0.  Other modules
+    read the layout through `slots` and `class_counts` alone.  Records are
+    built on first use and kept, record i from item i of the id, provenance
+    and od columns, its template a read-only row scattered from its slots.
     `subset` gives the Gallery of some of the records over the same slots."""
 
     def __init__(self, records=(), *, _loaded=None):
@@ -207,13 +207,19 @@ class Gallery:
                        [r.od for r in records], values, positions, _ranges(counts), counts, None)
         (self._ids, self._images, self._ods, self._values, self._positions, self._ranges,
          self._counts, self._files) = _loaded
-        self._values.flags.writeable = self._positions.flags.writeable = False
+        for column in (self._values, self._positions, self._counts):
+            column.flags.writeable = False
         self._records = [None] * len(self._ids)
         self._by_id = _positions(self._ids)
 
     def __getitem__(self, i: int) -> GalleryRecord:
         if self._records[i] is None:
-            self._records[i] = GalleryRecord(self._ids[i], FeatureTemplate(self.amplitudes(i)),
+            # The template is a fresh read-only row scattered from the slots.
+            lo, hi = self._ranges[i].tolist()
+            row = np.zeros(_ROW_SLOTS)
+            row[self._positions[lo:hi]] = self._values[lo:hi]
+            row.flags.writeable = False
+            self._records[i] = GalleryRecord(self._ids[i], FeatureTemplate(row.reshape(3, SLOTS)),
                                              self._images[i], self._ods[i])
         return self._records[i]
 
@@ -223,29 +229,20 @@ class Gallery:
     def __len__(self):
         return len(self._ids)
 
-    def amplitudes(self, i: int) -> np.ndarray:
-        """Record i's (3, SLOTS) amplitudes, a fresh read-only row."""
-        lo, hi = self._ranges[i].tolist()
-        row = np.zeros(_ROW_SLOTS)
-        row[self._positions[lo:hi]] = self._values[lo:hi]
-        row.flags.writeable = False
-        return row.reshape(3, SLOTS)
+    def slots(self, at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored slots of the records at positions `at`, in that order,
+        each record's in slot order: their values, their positions within a
+        row's 1080 slots as intp, and each slot's index into `at`."""
+        lo, hi = self._ranges[np.asarray(at, dtype=np.intp)].T
+        sizes = hi - lo
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        index = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(len(rows))
+        return self._values[index], self._positions[index].astype(np.intp), rows
 
-    def nonzero_counts(self) -> np.ndarray:
-        """Each record's occupied slots per class, as a (len(self), 3) array:
-        row i is record i's FeatureTemplate.nonzero_counts, its class counts
-        less its stored -0.0 slots, which keep their bits but occupy no slot."""
-        counts = self._counts.astype(np.intp)
-        zeros = np.flatnonzero(self._values == 0)
-        if zeros.size and len(counts):
-            # Ranges do not overlap, so a slot's record is the last one, in
-            # (lo, hi) order, that starts at or before it, if it ends after it.
-            lo, hi = self._ranges.T
-            order = np.lexsort((hi, lo))
-            owner = order[np.searchsorted(lo[order], zeros, "right") - 1]
-            inside = (lo[owner] <= zeros) & (zeros < hi[owner])
-            np.subtract.at(counts, (owner[inside], self._positions[zeros[inside]] // SLOTS), 1)
-        return counts
+    def class_counts(self) -> np.ndarray:
+        """Each record's stored slots per class, a read-only (len(self), 3)
+        array; a stored -0.0 is counted."""
+        return self._counts
 
     @property
     def records(self) -> tuple:

@@ -7,7 +7,7 @@ from retina_id import matcher
 from retina_id.encoder import FeatureTemplate, PolarCorner, encode
 from retina_id.evaluation import ExperimentSpec, build_synthetic_gallery, far_frr_sweep, perturb
 from retina_id.matcher import MatchScore, Weights, identify, si_class, sim_profile, total_si, verify
-from retina_id.store import GalleryRecord
+from retina_id.store import Gallery, GalleryRecord
 
 from oracles import shift_remap, sim_profile_brute
 
@@ -20,6 +20,15 @@ def random_vector(rng, n_pulses):
     amps[amps == 0.0] = 360.0
     v[slots] = amps
     return v
+
+
+def profile_runs(records, query: FeatureTemplate) -> list:
+    """The runs of the exact kernel's profiles of the query against a
+    Gallery of the records, as identify splits it."""
+    gallery = Gallery(records)
+    positions = np.arange(len(gallery))
+    return list(matcher._profiles(lambda run: gallery.slots(positions[run]),
+                                  gallery.class_counts().sum(axis=1), query.vectors))
 
 
 def random_template(rng):
@@ -310,7 +319,7 @@ class TestBatchedScorer:
 
     def test_gallery_spans_several_runs(self, gallery, query):
         records, _ = gallery
-        runs = list(matcher._profiles([r.template.vectors for r in records], query.vectors))
+        runs = profile_runs(records, query)
         assert len(runs) >= 4
         assert max(block.shape[1] for block in runs) > 1
 
@@ -382,8 +391,7 @@ class TestRepeatedAmplitudes:
         return [GalleryRecord(subject_id=sid, template=t) for sid, t in templates.items()]
 
     def test_dense_query_splits_into_runs_of_several_rows(self, records, templates):
-        rows = [rec.template.vectors for rec in records]
-        runs = list(matcher._profiles(rows, templates["dense"].vectors))
+        runs = profile_runs(records, templates["dense"])
         assert len(runs) >= 2
         assert runs[0].shape[1] >= 3  # scattered, wrapped and straddle share a run
 

@@ -122,9 +122,9 @@ def test_no_private_imports_across_modules():
 
 def test_only_store_reads_the_gallery_layout():
     """A Gallery's slot values, positions and ranges, and its files'
-    columns, are store's alone: other modules read amplitudes and slot
-    counts through Gallery.amplitudes and Gallery.nonzero_counts."""
-    layout = ("_values", "_positions", "_ranges", "_file_columns")
+    columns, are store's alone: other modules read its slots through
+    Gallery.slots and its class counts through Gallery.class_counts."""
+    layout = ("_values", "_positions", "_ranges", "_counts", "_file_columns")
     assert all(hasattr(store.Gallery(), name) for name in layout)
     offenders = [
         (path.name, node.lineno, node.attr)

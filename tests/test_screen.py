@@ -49,10 +49,14 @@ def amplitudes(rng: np.random.Generator, size=None):
 
 def template(kind: str, rng: np.random.Generator) -> FeatureTemplate:
     v = np.zeros((3, SLOTS))
-    if kind == "sparse":
+    if kind in ("sparse", "signed"):
         for row in v:
             slots = rng.choice(SLOTS, int(rng.integers(1, 40)), replace=False)
             row[slots] = amplitudes(rng, slots.size)
+        if kind == "signed":
+            # A Gallery stores a -0.0 slot and the top-k ceiling counts it,
+            # but no profile term reads it.
+            v.reshape(-1)[rng.choice(v.size, int(rng.integers(1, 40)), replace=False)] = -0.0
     elif kind == "pulses":
         # Runs of one amplitude, as encode paints them.
         for row, width in zip(v, (2, 4, 6)):
@@ -355,14 +359,16 @@ class TestTopK:
         exact = {sid: ms.total for sid, ms in full}
         assert exact["top"] - exact["near"] == pytest.approx(1.5 * bound, rel=1e-6)
         assert exact["top"] - exact["far"] == pytest.approx(3.0 * bound, rel=1e-6)
-        by_amplitudes = {rec.template.vectors.tobytes(): rec.subject_id for rec in records}
+        # Each record's one occupied slot names it.
+        by_amplitude = {rec.template.vectors[2, 100]: rec.subject_id for rec in records}
         scored = []
         score = matcher._score
 
-        def spy(rows, q, w):
-            rows = list(rows)
-            scored.append(sorted(by_amplitudes[r.tobytes()] for r in rows))
-            return score(rows, q, w)
+        def spy(slots, counts, q, w):
+            values, _, rows = slots(slice(0, len(counts)))
+            assert np.array_equal(rows, np.arange(len(counts)))
+            scored.append(sorted(by_amplitude[v] for v in values.tolist()))
+            return score(slots, counts, q, w)
 
         monkeypatch.setattr(matcher, "_score", spy)
         # k = 1: S_1 is top's total; near lies 1.5B below it, far 3B.  k = 2:
@@ -415,10 +421,10 @@ def spy_screened_rows(monkeypatch) -> list:
     rows = []
     spectra = matcher._spectra
 
-    def spy(vectors, name):
+    def spy(slots, n, name):
         if name == "enrolled":
-            rows.append(len(vectors))
-        return spectra(vectors, name)
+            rows.append(n)
+        return spectra(slots, n, name)
 
     monkeypatch.setattr(matcher, "_spectra", spy)
     return rows
@@ -586,7 +592,7 @@ def test_screen_spectra_are_contiguous_one_row_per_record(tmp_path):
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
-    kinds=st.lists(st.sampled_from(LIGHT_KINDS), min_size=1, max_size=6),
+    kinds=st.lists(st.sampled_from(LIGHT_KINDS + ("signed",)), min_size=1, max_size=6),
     full=st.sampled_from(FULL_KINDS + (None,)),
     twins=st.lists(st.integers(0, 6), max_size=3),
     weights=WEIGHT_CHOICES,
@@ -599,5 +605,9 @@ def test_top_k_is_the_full_rankings_head(seed, kinds, full, twins, weights, k):
     records = records_of(templates, [f"s{int(i):02d}" for i in rng.permutation(len(templates))])
     queries = templates[:2] + [FeatureTemplate(np.roll(templates[0].vectors, int(rng.integers(SLOTS)), axis=1)),
                                template(str(rng.choice(LIGHT_KINDS)), rng)]
+    # -0.0 + 0.0 is +0.0: a stored -0.0 occupies no slot, so the ranking is
+    # that of the same templates without it.
+    unsigned = [GalleryRecord(r.subject_id, FeatureTemplate(r.template.vectors + 0.0)) for r in records]
     for q in queries:
         assert_top_k_exact(q, records, weights, ks=(k,))
+        assert ranking_bits(identify(q, records, weights)) == ranking_bits(identify(q, unsigned, weights))

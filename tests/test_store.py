@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -467,6 +469,39 @@ class TestNoDescriptorLeak:
         assert self.open_fds() == before
 
 
+# A child that runs add_records(gallery, the records of the batch directory)
+# and kills itself with SIGKILL at a seeded point: right after it unlinks the
+# old snapshot, or before or after its k-th os.replace.
+KILLED_WRITER = """\
+import os, pathlib, signal, sys
+from retina_id.store import add_records, load_gallery
+
+gallery, batch, point, k = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+records = list(load_gallery(batch))
+replace, unlink, renames = os.replace, pathlib.Path.unlink, 0
+
+def kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def counted_replace(src, dst):
+    global renames
+    renames += 1
+    if point == "before" and renames == k:
+        kill()
+    replace(src, dst)
+    if point == "after" and renames == k:
+        kill()
+
+def watched_unlink(path, missing_ok=False):
+    unlink(path, missing_ok=missing_ok)
+    if point == "unlinked" and path.name == ".snapshot":
+        kill()
+
+os.replace, pathlib.Path.unlink = counted_replace, watched_unlink
+add_records(gallery, records)
+"""
+
+
 class TestAddRecords:
     def test_writes_one_file_per_record(self, tmp_path):
         records, _ = build_synthetic_gallery(3, 10, seed=4)
@@ -503,6 +538,47 @@ class TestAddRecords:
         add_records(gal, [record(np.random.default_rng(71), sid="q")])
         assert sorted(p.name for p in gal.iterdir() if ".tmp" in p.name) == sorted(near_misses)
         assert load_gallery(gal).subject_ids == ["p0", "p1", "p2", "p3", "q"]
+
+    @pytest.mark.parametrize("point, k", [("unlinked", 0), ("after", 1), ("after", 2), ("after", 4),
+                                          ("before", 1), ("before", 3), ("before", 5)])
+    def test_writer_killed_mid_batch_leaves_a_loadable_gallery(self, tmp_path, point, k):
+        """A child enrolling a batch of four records kills itself: right
+        after it unlinks the old snapshot, after its k-th rename, or just
+        before it, leaving that rename's temporary file (the fifth renames
+        the new snapshot).  The gallery loads as its text does and holds the
+        old records plus whole files of a prefix of the batch; the next
+        add_records removes the temporary file and writes a snapshot that
+        loads as the text does."""
+        gal = TestSnapshot().gallery(tmp_path / "gal")
+        old = sorted(p.name for p in gal.glob("*.rtpl"))
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        rng = np.random.default_rng(72)
+        for i in range(4):
+            save_template(record(rng, sid=f"q{i}"), batch / f"q{i}.rtpl")
+        src = str(Path(store.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", KILLED_WRITER, str(gal), str(batch), point, str(k)],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        names = sorted(p.name for p in gal.glob("*.rtpl"))
+        assert names[:len(old)] == old
+        written = names[len(old):]
+        assert written == [f"q{i}.rtpl" for i in range({"unlinked": 0, "after": k, "before": k - 1}[point])]
+        for name in written:
+            assert (gal / name).read_bytes() == (batch / name).read_bytes()
+        assert len([p for p in gal.iterdir() if p.name.endswith(".tmp")]) == (point == "before")
+        assert not (gal / SNAPSHOT_NAME).exists()
+        got = load_outcome(gal)
+        assert got == load_outcome_from_text(gal)
+        assert [sid for sid, *_ in got] == [name[:-len(".rtpl")] for name in names]
+
+        add_records(gal, [record(rng, sid="fresh")])
+        assert [p for p in gal.iterdir() if p.name.endswith(".tmp")] == []
+        assert (gal / SNAPSHOT_NAME).exists()
+        got = load_outcome(gal)
+        assert got == load_outcome_from_text(gal)
+        assert [sid for sid, *_ in got] == sorted(["fresh", *(name[:-len(".rtpl")] for name in names)])
 
 
 class TestLock:
@@ -1169,7 +1245,7 @@ class TestSnapshot:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.count_nonzero(gallery.amplitudes(n - 1)) == 3 * 360
+        assert np.count_nonzero(gallery[n - 1].template.vectors) == 3 * 360
         assert loaded(gallery) == load_outcome_from_text(tmp_path)
         assert peak < 1.5 * gallery_bytes
 
@@ -1438,6 +1514,32 @@ class TestLazyRecords:
 SPECIAL_AMPLITUDES = [-0.0, 1e-300, 360.0]
 
 
+def assert_slots_are_the_rows(gallery: Gallery, rng: np.random.Generator) -> None:
+    """Gallery.slots of every position, out of order, and then of some
+    repeated ones gives, scattered back, each record's template bit for bit,
+    rows in the order asked for and each row's slots in slot order."""
+    at = np.r_[rng.permutation(len(gallery)), rng.integers(0, len(gallery), 3)]
+    values, positions, rows = gallery.slots(at)
+    assert positions.dtype == rows.dtype == np.intp
+    assert (np.diff(rows * 3 * 360 + positions) > 0).all()
+    scattered = np.zeros((len(at), 3 * 360))
+    scattered[rows, positions] = values
+    want = np.array([gallery[i].template.vectors for i in at.tolist()])
+    assert np.array_equal(scattered.view(np.uint64), want.reshape(len(at), -1).view(np.uint64))
+
+
+def special_rows(rng: np.random.Generator, kind: str) -> np.ndarray:
+    """(3, 360) amplitudes: empty, or some slots holding SPECIAL_AMPLITUDES
+    over empty or fully occupied rows."""
+    v = np.zeros(3 * 360)
+    if kind == "full":
+        v[:] = rng.uniform(1e-9, 360.0, v.size)
+    if kind != "empty":
+        k = int(rng.integers(1, 80))
+        v[rng.choice(v.size, k, replace=False)] = rng.choice(SPECIAL_AMPLITUDES, k)
+    return v.reshape(3, 360)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        kinds=st.lists(st.sampled_from(["empty", "full", "mixed"]), min_size=1,
@@ -1445,25 +1547,30 @@ SPECIAL_AMPLITUDES = [-0.0, 1e-300, 360.0]
 def test_snapshot_rows_are_the_texts_bits(seed, kinds):
     """Rows mixing -0.0, 1e-300, 360.0, empty rows and rows with all 1080
     slots occupied load through the snapshot with the bits the text loads
-    with."""
+    with, and Gallery.slots reads them back: of the records' Gallery, of
+    the snapshot's load, of a load that appends a parsed file's slots and of
+    a subset."""
     rng = np.random.default_rng(seed)
-    records = []
-    for i, kind in enumerate(kinds):
-        v = np.zeros(3 * 360)
-        if kind == "full":
-            v[:] = rng.uniform(1e-9, 360.0, v.size)
-        if kind != "empty":
-            k = int(rng.integers(1, 80))
-            v[rng.choice(v.size, k, replace=False)] = rng.choice(SPECIAL_AMPLITUDES, k)
-        records.append(GalleryRecord(f"r{i:02d}", FeatureTemplate(v.reshape(3, 360))))
+    records = [GalleryRecord(f"r{i:02d}", FeatureTemplate(special_rows(rng, kind)))
+               for i, kind in enumerate(kinds)]
     with tempfile.TemporaryDirectory() as tmp:
         gal = Path(tmp)
         add_records(gal, records)
+        snapshot = (gal / SNAPSHOT_NAME).read_bytes()
         with open(gal / SNAPSHOT_NAME, "rb") as fh:
             files, rows, _, _, values, positions, _ = store._parse_snapshot(fh)
         through_snapshot = load_gallery(gal)
         (gal / SNAPSHOT_NAME).unlink()
         text = load_gallery(gal)
+        # A file the snapshot does not hold is parsed, its slots appended.
+        save_template(GalleryRecord("zz", FeatureTemplate(special_rows(rng, "mixed"))), gal / "zz.rtpl")
+        (gal / SNAPSHOT_NAME).write_bytes(snapshot)
+        appended = load_gallery(gal)
+    assert appended.subject_ids == text.subject_ids + ["zz"]
+    assert appended._ranges[-1, 0] == len(values)
+    for gallery in (Gallery(records), through_snapshot, appended,
+                    appended.subset(rng.permutation(len(appended)))):
+        assert_slots_are_the_rows(gallery, rng)
     assert len(files) == len(records)
     # The snapshot's slots, values bit for bit and in the same ranges, and
     # its class counts are the ones the text's records pack to.
@@ -1473,9 +1580,10 @@ def test_snapshot_rows_are_the_texts_bits(seed, kinds):
     assert np.array_equal(positions, text._positions)
     assert np.array_equal(text._ranges, np.column_stack([bounds[:-1], bounds[1:]]))
     for i in range(len(records)):
-        assert np.array_equal(through_snapshot.amplitudes(i).view(np.uint64),
-                              text.amplitudes(i).view(np.uint64))
+        assert np.array_equal(through_snapshot[i].template.vectors.view(np.uint64),
+                              text[i].template.vectors.view(np.uint64))
     assert loaded(through_snapshot) == loaded(text)
+    assert loaded(appended)[:-1] == loaded(text)
 
 
 def tiles(ranges, size: int) -> bool:
@@ -1563,10 +1671,8 @@ class TestBlockEquivalence:
         assert not block._values.flags.writeable and not block._positions.flags.writeable
         for i, rec in enumerate(block):
             assert not rec.template.vectors.flags.writeable
-            # Built once, from the row amplitudes scatters.
-            assert block[i] is rec
-            assert np.array_equal(rec.template.vectors.view(np.uint64),
-                                  block.amplitudes(i).view(np.uint64))
+            assert block[i] is rec  # built once
+        assert_slots_are_the_rows(block, np.random.default_rng(95))
         assert block.get("s002") is block.get("s002")
         # Gallery(records) packs the records' slots into read-only arrays of
         # its own, in record order.
@@ -1575,7 +1681,7 @@ class TestBlockEquivalence:
         assert np.array_equal(copy._ranges[:, 0], [0, *copy._ranges[:-1, 1]])
         assert copy._ranges[-1, 1] == len(copy._values)
         for i, rec in enumerate(block):
-            assert np.array_equal(copy.amplitudes(i), rec.template.vectors)
+            assert np.array_equal(copy[i].template.vectors, rec.template.vectors)
             assert not any(np.shares_memory(a, rec.template.vectors)
                            for a in (copy._values, copy._positions))
 
@@ -1593,12 +1699,12 @@ class TestBlockEquivalence:
         assert [r for r in loaded(g) if r[0] != "after"] == before
 
 
-def test_nonzero_counts_are_the_templates(tmp_path):
-    """Gallery.nonzero_counts is every record's FeatureTemplate.nonzero_counts,
-    in record order: of a Gallery of records, of a loaded gallery with
-    records out of order, a stale record and a parsed one, of a subset of
-    it, and of a gallery loaded through the snapshot whose stored slots
-    include -0.0, which occupies no slot."""
+def test_class_counts_are_the_packed_counts(tmp_path):
+    """Gallery.class_counts is, in record order and read-only, the class
+    counts _pack gives the records' templates, a stored -0.0 included: of a
+    Gallery of records, of a loaded gallery with records out of order, a
+    stale record and a parsed one, of a subset of it, and of a gallery
+    loaded through the snapshot whose stored slots include -0.0."""
     records, _ = build_synthetic_gallery(5, 20, seed=11)
     loaded_gallery = load_gallery(TestBlockEquivalence().gallery(tmp_path))
     signed = records[0].template.vectors.copy()
@@ -1609,9 +1715,13 @@ def test_nonzero_counts_are_the_templates(tmp_path):
     assert np.count_nonzero(np.signbit(signed_zeros._values)) == 2
     for g in (Gallery(records), loaded_gallery, loaded_gallery.subset([len(loaded_gallery) - 1, 3, 0, 17]),
               signed_zeros):
-        counts = g.nonzero_counts()
+        counts = g.class_counts()
         assert counts.shape == (len(g), 3)
-        assert np.array_equal(counts, [r.template.nonzero_counts() for r in g])
+        assert not counts.flags.writeable
+        assert np.array_equal(counts, store._pack([r.template.vectors for r in g])[2])
+    # The two -0.0 slots are counted, though no profile term reads them.
+    at = signed_zeros.subject_ids.index("signed")
+    assert signed_zeros.class_counts()[at].sum() == sum(FeatureTemplate(signed).nonzero_counts()) + 2
     screen = GalleryScreen(Gallery())
     assert screen._cos.shape == screen._sin.shape == (3, 0, 181)
 
@@ -1630,7 +1740,14 @@ def test_subset_reads_the_gallerys_blocks(tmp_path):
     assert view._file_columns is None
     assert loaded(view) == [loaded(gallery)[i] for i in positions]
     for j, i in enumerate(positions):
-        assert np.array_equal(view.amplitudes(j).view(np.uint64), gallery.amplitudes(i).view(np.uint64))
+        assert np.array_equal(view[j].template.vectors.view(np.uint64),
+                              gallery[i].template.vectors.view(np.uint64))
+    # The view's slots, of positions out of order and repeated, are the
+    # gallery's at the positions they stand for.
+    at = [2, 0, 3, 0, 1, 2]
+    got, want = view.slots(at), gallery.slots(np.array(positions)[at])
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(got, want))
+    assert_slots_are_the_rows(view, np.random.default_rng(94))
     assert view.get(gallery.subject_ids[5]) is None
     with pytest.raises(store.DuplicateSubjectError):
         gallery.subset([2, 2])
