@@ -230,11 +230,11 @@ def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
     bound B cannot rule out of first place in either ranking is a candidate.
     A lone candidate is first in both rankings, as an identify call on it
     alone would rank it whatever its score, so it is taken from the screen.
-    Two or more are re-scored in one exact identify call on the subset of
-    the gallery holding them, which reads its slots in place, and both
-    winners are taken from its exact totals: the raw one by descending
-    total, ties by subject id, and the normalised one by descending total /
-    self total (0 when the self total is not positive), ties by subject id.
+    Two or more are re-scored in one exact identify call on their records,
+    which packs their slots afresh, and both winners are taken from its
+    exact totals: the raw one by descending total, ties by subject id, and
+    the normalised one by descending total / self total (0 when the self
+    total is not positive), ties by subject id.
     """
     screened, bound = gallery.screen.totals(probe, gallery.weights)
     self_totals = gallery.self_totals
@@ -250,9 +250,9 @@ def _rank1(gallery: EvalGallery, probe) -> tuple[str, str]:
     if candidates.size == 1:
         sid = gallery.records.subject_ids[candidates[0]]
         return sid, sid
-    view = gallery.records.subset(candidates)
-    ranked = identify(probe, view, gallery.weights)
-    self_total = dict(zip(view.subject_ids, self_totals[candidates].tolist()))
+    records = [gallery.records[i] for i in candidates.tolist()]
+    ranked = identify(probe, records, gallery.weights)
+    self_total = dict(zip((r.subject_id for r in records), self_totals[candidates].tolist()))
 
     def normalized_key(item):
         sid, ms = item

@@ -19,9 +19,11 @@ class gets the largest weight because far corners pin down rotation best.
 
 Exact kernel.  Every exact score comes from one kernel, which scores one
 query against many enrolled rows at once.  It takes the rows' slots as
-store.Gallery.slots gives them (np.nonzero gives a dense row's, the
-query's too; a stored -0.0 is skipped), lists every occupied-slot pair
-(row slot p, query slot q) of each class in row-major (p, q) order,
+store.Gallery.slots gives them, and store.occupied_slots gives a dense
+row's, the query's too: a FeatureTemplate stays dense, since its vectors
+are a mutable array that slots cached on it would not follow.  A -0.0,
+stored or in the query, is skipped.  The kernel lists every occupied-slot
+pair (row slot p, query slot q) of each class in row-major (p, q) order,
 evaluates their cosine terms as one array, and adds them up with a single
 np.bincount whose bins are offset by (class * rows + row) * 360.  The
 cosine is taken once per pair of distinct amplitudes of a class, which
@@ -153,7 +155,7 @@ import numpy as np
 
 from .encoder import SLOTS, FeatureTemplate, valid_amplitudes
 from .harris import is_finite
-from .store import BLOCK_ROWS, Gallery
+from .store import Gallery, occupied_slots
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,10 @@ class MatchScore:
     total: float
     best_shift: tuple[int, int, int]
 
+
+# Records per chunk of the FFT screens, whose planes and spectra take about
+# 0.6 MB each.
+BLOCK_ROWS = 32
 
 # Bound on the work of one kernel run: every row costs its occupied slots
 # times the query's widest class (a bound on its slot pairs) plus its 3 * 360
@@ -213,16 +219,6 @@ def _check_vector(v: np.ndarray, name: str) -> np.ndarray:
 def _check_amplitudes(v: np.ndarray, name: str) -> None:
     if not valid_amplitudes(v):
         raise ValueError(f"{name} amplitudes must be 0 or in (0, 360]")
-
-
-def _slots(rows: np.ndarray) -> tuple:
-    """The occupied slots of dense rows, an (n, classes, SLOTS) array, in the
-    form store.Gallery.slots gives: values, positions within a row, and
-    each slot's row."""
-    flat = rows.reshape(-1)
-    at = np.flatnonzero(flat)  # NaN included, for the checks
-    row, positions = np.divmod(at, flat.size // len(rows))
-    return flat[at], positions, row
 
 
 def _run_profiles(slots, n: int, query: list) -> np.ndarray:
@@ -266,7 +262,9 @@ def _profiles(slots, counts, query: np.ndarray):
     Row i has at most counts[i] occupied slots, and slots(run), run a slice
     of rows, gives theirs (see store.Gallery.slots)."""
     _check_amplitudes(query, "query")
-    values, positions, _ = _slots(query[None])
+    values, positions, _ = occupied_slots(query[None])
+    occupied = values != 0  # a -0.0 occupies no slot
+    values, positions = values[occupied], positions[occupied]
     bounds = np.searchsorted(positions, np.arange(len(query) + 1) * SLOTS).tolist()
     q = positions % SLOTS
     query_classes = [(q[lo:hi], *np.unique(values[lo:hi], return_inverse=True))
@@ -285,7 +283,7 @@ def sim_profile(enrolled: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Similarity over all cyclic shifts; index j holds shift phi = j + 1."""
     vin = _check_vector(enrolled, "enrolled")
     vout = _check_vector(query, "query")
-    slots = _slots(vin[None, None])
+    slots = occupied_slots(vin[None, None])
     (profiles,) = _profiles(lambda run: slots, [len(slots[0])], vout[None])
     return profiles[0, 0]
 
@@ -314,7 +312,7 @@ def _score(slots, counts, query: FeatureTemplate, weights: Weights | None) -> li
 
 
 def total_si(enrolled: FeatureTemplate, query: FeatureTemplate, weights: Weights | None = None) -> MatchScore:
-    slots = _slots(enrolled.vectors[None])
+    slots = occupied_slots(enrolled.vectors[None])
     return _score(lambda run: slots, [len(slots[0])], query, weights)[0]
 
 
@@ -379,7 +377,7 @@ def _spectra(slots, n: int, name: str) -> np.ndarray:
 def _query_spectra(query: FeatureTemplate) -> np.ndarray:
     """The rfft, not conjugated, of the query's planes: shape (2, 3, SLOTS //
     2 + 1), the cos planes first."""
-    return np.conj(_spectra(_slots(query.vectors[None]), 1, "query")[:, :, 0])
+    return np.conj(_spectra(occupied_slots(query.vectors[None]), 1, "query")[:, :, 0])
 
 
 def _screened_totals(cos, sin, query_spectra, weights: Weights, work) -> np.ndarray:
@@ -405,7 +403,7 @@ def _top_candidates(query: FeatureTemplate, gallery: Gallery, weights: Weights, 
     screened so far; see the module docstring.  Nothing gallery-sized is
     built besides the slot counts, the ceilings and the screened totals."""
     bound = _bound(weights)
-    m = np.minimum(gallery.class_counts(), np.count_nonzero(query.vectors, axis=1)).T
+    m = np.minimum(gallery.class_counts(), query.nonzero_counts()).T
     ceiling = weights.w1 * m[0] + weights.w2 * m[1] + weights.w3 * m[2] + bound
     order = np.argsort(-ceiling, kind="stable")
     query_spectra = _query_spectra(query)

@@ -61,13 +61,18 @@ the snapshot's index is checked at load as GalleryRecord and OdCenter
 check a parsed record, a column at a time: the sha256 is no MAC, so a
 row no caller reads may still be forged.  The layout is this module's
 alone: other modules read it through Gallery.slots and
-Gallery.class_counts.  The directory is listed with os.listdir
-(every name ending in `.rtpl`, hidden ones included, case-sensitive); each
-file is stat'ed by imaging.stat_input and read by imaging.read_input, the
-snapshot opened by imaging.open_input, all through the directory's
-descriptor, and an OSError names the entry's path.  add_records writes the
-snapshot's rows in the order of the gallery it loaded, filename order, then
-the rows of the files it wrote; a load matches rows by key, not by order.
+Gallery.class_counts.  occupied_slots is the one rule that puts dense rows
+in that form, for this module's packing and for the matcher's dense
+inputs.  A FeatureTemplate stays dense: its vectors are a mutable array
+that every consumer re-reads, so slots cached on it could go stale.
+
+The directory is listed with os.listdir (every name ending in `.rtpl`,
+hidden ones included, case-sensitive); each file is stat'ed by
+imaging.stat_input and read by imaging.read_input, the snapshot opened by
+imaging.open_input, all through the directory's descriptor, and an OSError
+names the entry's path.  add_records writes the snapshot's rows in the
+order of the gallery it loaded, filename order, then the rows of the files
+it wrote; a load matches rows by key, not by order.
 
 Snapshot layout (v5): the 24-byte head below; the body; the index; the
 index's byte length as 8 bytes, little-endian; and last the sha256 digest
@@ -140,9 +145,6 @@ _SUBJECT_RE = re.compile(_SUBJECT + r"\Z")
 _IDS_RE = re.compile(f"{_SUBJECT}(?:\n{_SUBJECT})*")  # ids joined by newlines
 _TEMPORARY_RE = re.compile(r"\..+\.[0-9]+\.[0-9a-f]{8}\.tmp")  # _replacing's names
 _LINES_PER_RECORD = 7
-# Records per chunk of the FFT screens (see retina_id.matcher), whose planes
-# and spectra take about 0.6 MB each.
-BLOCK_ROWS = 32
 
 
 class TemplateFormatError(ValueError):
@@ -192,8 +194,7 @@ class Gallery:
     from packing the templates; they count a stored -0.0.  Other modules
     read the layout through `slots` and `class_counts` alone.  Records are
     built on first use and kept, record i from item i of the id, provenance
-    and od columns, its template a read-only row scattered from its slots.
-    `subset` gives the Gallery of some of the records over the same slots."""
+    and od columns, its template a read-only row scattered from its slots."""
 
     def __init__(self, records=(), *, _loaded=None):
         # _loaded: (subject ids, provenances, od centres, values, positions,
@@ -252,31 +253,9 @@ class Gallery:
     def subject_ids(self) -> list[str]:
         return list(self._ids)
 
-    @property
-    def _file_columns(self):
-        """The files' columns of a directory load_gallery read, in filename
-        order, or None: each file's sha256 hex digest, byte length, stat key
-        (byte length, inode, mtime_ns, ctime_ns) and record count."""
-        if self._files is None:
-            return None
-        files = self._files
-        return ([digest.hex() for digest in files["digest"].tolist()], files["bytes"].tolist(),
-                list(zip(*(files[name].tolist() for name in _STAT_KEY))),
-                files["records"].tolist())
-
     def get(self, subject_id: str):
         i = self._by_id.get(subject_id)
         return None if i is None else self[i]
-
-    def subset(self, positions) -> Gallery:
-        """The Gallery of the records at `positions`, in that order, reading
-        this gallery's slots in place; it has no file rows."""
-        positions = np.asarray(positions, dtype=np.intp)
-        at = positions.tolist()
-        return Gallery(_loaded=(*(list(map(column.__getitem__, at))
-                                  for column in (self._ids, self._images, self._ods)),
-                                self._values, self._positions, self._ranges[positions],
-                                self._counts[positions], None))
 
 
 @dataclass(frozen=True)
@@ -301,15 +280,26 @@ def _positions(subject_ids) -> dict:
     return by_id
 
 
+def occupied_slots(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied slots of (n, classes, SLOTS) rows, in row-major order and
+    in the form Gallery.slots gives: their `<f8` values, their positions
+    within a row as intp, and each slot's row.  A slot is occupied when it
+    is nonzero or has its sign bit set, so a -0.0 keeps its bits; a NaN is
+    occupied, so that the amplitude checks see it.  Zero rows give no slots."""
+    rows = np.asarray(rows, _AMPLITUDES)
+    flat = rows.reshape(-1)
+    at = np.flatnonzero(flat.view(np.uint64))  # +0.0 alone has no bit set
+    row, positions = np.divmod(at, math.prod(rows.shape[1:]))
+    return flat[at], positions, row
+
+
 def _pack(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The occupied slots of a list of (3, SLOTS) rows, those nonzero or with
-    the sign bit set (so -0.0 keeps its bits): their `<f8` values, their
-    `<u2` positions within a row's 1080 slots, and each row's per class."""
-    flat = np.array(rows, _AMPLITUDES).reshape(-1)
-    occupied = (flat != 0) | np.signbit(flat)
-    slots = np.flatnonzero(occupied)
-    counts = np.count_nonzero(occupied.reshape(-1, 3, SLOTS), axis=2)
-    return flat[slots], (slots % _ROW_SLOTS).astype(_POSITIONS), counts
+    """The occupied slots (see occupied_slots) of a list of (3, SLOTS) rows:
+    their `<f8` values, their `<u2` positions within a row's 1080 slots, and
+    each row's per class."""
+    values, positions, row = occupied_slots(np.reshape(rows, (-1, 3, SLOTS)))
+    counts = np.bincount(row * 3 + positions // SLOTS, minlength=3 * len(rows))
+    return values, positions.astype(_POSITIONS), counts.reshape(-1, 3)
 
 
 def _ranges(counts) -> np.ndarray:
@@ -336,7 +326,7 @@ def render_record(record: GalleryRecord) -> str:
     # An empty slot (+0.0) prints as "0", so only the others, usually a few
     # dozen of 1080, are formatted; Python floats format like numpy's, in
     # about half the time.
-    values, positions, _ = _pack([record.template.vectors])
+    values, positions, _ = occupied_slots(record.template.vectors[None])
     tokens = ["0"] * _ROW_SLOTS
     for i, value in zip(positions.tolist(), values.tolist()):
         tokens[i] = format_amplitude(value)

@@ -191,6 +191,36 @@ class TestTotal:
         t = random_template(np.random.default_rng(48))
         assert math.isfinite(total_si(t, t, top).total)
 
+    def test_signed_zeros_score_as_empty_slots(self):
+        # -0.0 in empty slots of the query and of the enrolled rows gives
+        # the bits the same rows give with +0.0, on every exact path and on
+        # identify's top_k screen.
+        rng = np.random.default_rng(49)
+
+        def signed(vectors):
+            v = vectors.copy()
+            empty = np.flatnonzero(v == 0)
+            v.reshape(-1)[rng.choice(empty, 40, replace=False)] = -0.0
+            return v
+
+        plain = [random_template(rng) for _ in range(6)]
+        plain.append(FeatureTemplate(shift_remap(plain[2].vectors, 7)))
+        signs = [FeatureTemplate(signed(t.vectors)) for t in plain]
+        assert all(np.signbit(t.vectors).sum() == 40 for t in signs)
+        for c in range(3):
+            assert np.array_equal(sim_profile(signs[0].vectors[c], signs[-1].vectors[c]).view(np.uint64),
+                                  sim_profile(plain[0].vectors[c], plain[-1].vectors[c]).view(np.uint64))
+        assert score_bits(total_si(signs[0], signs[-1])) == score_bits(total_si(plain[0], plain[-1]))
+        records = [[GalleryRecord(f"s{i}", t) for i, t in enumerate(ts[:-1])] for ts in (signs, plain)]
+        for top_k in (None, 1, 3):
+            got, want = (identify(ts[-1], recs, top_k=top_k) for ts, recs in zip((signs, plain), records))
+            assert [(sid, score_bits(ms)) for sid, ms in got] == [(sid, score_bits(ms)) for sid, ms in want]
+        assert got[0][0] == "s2"
+
+
+def score_bits(score: MatchScore) -> tuple:
+    return (*(float(x).hex() for x in (score.si1, score.si2, score.si3, score.total)), score.best_shift)
+
 
 class TestIdentify:
     def make_gallery(self, rng, n=8):

@@ -121,10 +121,12 @@ def test_no_private_imports_across_modules():
 
 
 def test_only_store_reads_the_gallery_layout():
-    """A Gallery's slot values, positions and ranges, and its files'
-    columns, are store's alone: other modules read its slots through
-    Gallery.slots and its class counts through Gallery.class_counts."""
-    layout = ("_values", "_positions", "_ranges", "_counts", "_file_columns")
+    """A Gallery's slot values, positions, ranges and class counts, and its
+    files' rows, are store's alone: other modules read its slots through
+    Gallery.slots and its class counts through Gallery.class_counts, and
+    put a dense row in the same form with store.occupied_slots.  A
+    FeatureTemplate stays dense, so no slots cached on it can go stale."""
+    layout = ("_values", "_positions", "_ranges", "_counts", "_files")
     assert all(hasattr(store.Gallery(), name) for name in layout)
     offenders = [
         (path.name, node.lineno, node.attr)

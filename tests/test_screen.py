@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from retina_id import matcher
 from retina_id.encoder import SLOTS, FeatureTemplate
 from retina_id.evaluation import EvalGallery, ExperimentSpec, far_frr_sweep, rotation_protocol
-from retina_id.matcher import GalleryScreen, Weights, identify, total_si
-from retina_id.store import (BLOCK_ROWS, DuplicateSubjectError, Gallery, GalleryRecord, add_records,
-                             load_gallery, save_template)
+from retina_id.matcher import BLOCK_ROWS, GalleryScreen, Weights, identify, total_si
+from retina_id.store import (DuplicateSubjectError, Gallery, GalleryRecord, add_records, load_gallery,
+                             save_template)
 
 from oracles import far_frr_sweep_exact, rotation_counts_exact
 

@@ -23,10 +23,9 @@ from retina_id import cli
 from retina_id.encoder import FeatureTemplate, encode, polarize
 from retina_id.evaluation import build_synthetic_gallery
 from retina_id.harris import Corner
-from retina_id.matcher import GalleryScreen, Weights, identify, verify
+from retina_id.matcher import BLOCK_ROWS, GalleryScreen, Weights, identify, verify
 from retina_id.optic_disc import OdCenter
 from retina_id.store import (
-    BLOCK_ROWS,
     SNAPSHOT_NAME,
     DuplicateSubjectError,
     EmptyGalleryError,
@@ -917,10 +916,20 @@ def v4_snapshot(directory, version="v4") -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
+def file_columns(gallery):
+    """The file rows of a directory load_gallery read, in filename order:
+    each file's sha256 hex digest, byte length, stat key (byte length,
+    inode, mtime_ns, ctime_ns) and record count."""
+    files = gallery._files
+    return ([digest.hex() for digest in files["digest"].tolist()], files["bytes"].tolist(),
+            list(zip(*(files[name].tolist() for name in ("bytes", "inode", "mtime_ns", "ctime_ns")))),
+            files["records"].tolist())
+
+
 def v1_snapshot(gallery) -> bytes:
     """The version 1 snapshot of a gallery that add_records wrote in
     filename order: dense amplitudes and five-field index rows."""
-    digests, sizes, _, counts = gallery._file_columns
+    digests, sizes, _, counts = file_columns(gallery)
     starts = np.cumsum([0, *counts]).tolist()
     index = [[digest, size, [[r.subject_id, r.od.x, r.od.y, r.od.source, r.source_image]
                              for r in gallery.records[lo:hi]]]
@@ -1463,7 +1472,7 @@ class TestStatKey:
 
     def test_files_lists_each_files_stat_key(self, tmp_path):
         gal = self.gallery(tmp_path)
-        digests, sizes, keys, counts = load_gallery(gal)._file_columns
+        digests, sizes, keys, counts = file_columns(load_gallery(gal))
         for start, digest, size, key in zip(np.cumsum([0, *counts]).tolist(), digests, sizes, keys):
             name = f"p{start}.rtpl"
             st = (gal / name).stat()
@@ -1549,7 +1558,7 @@ def test_snapshot_rows_are_the_texts_bits(seed, kinds):
     slots occupied load through the snapshot with the bits the text loads
     with, and Gallery.slots reads them back: of the records' Gallery, of
     the snapshot's load, of a load that appends a parsed file's slots and of
-    a subset."""
+    the Gallery of its records in another order."""
     rng = np.random.default_rng(seed)
     records = [GalleryRecord(f"r{i:02d}", FeatureTemplate(special_rows(rng, kind)))
                for i, kind in enumerate(kinds)]
@@ -1569,7 +1578,7 @@ def test_snapshot_rows_are_the_texts_bits(seed, kinds):
     assert appended.subject_ids == text.subject_ids + ["zz"]
     assert appended._ranges[-1, 0] == len(values)
     for gallery in (Gallery(records), through_snapshot, appended,
-                    appended.subset(rng.permutation(len(appended)))):
+                    Gallery([appended[i] for i in rng.permutation(len(appended)).tolist()])):
         assert_slots_are_the_rows(gallery, rng)
     assert len(files) == len(records)
     # The snapshot's slots, values bit for bit and in the same ranges, and
@@ -1645,7 +1654,7 @@ class TestBlockEquivalence:
         block, text = self.loads(self.gallery(tmp_path))
         n = len(text)
         assert block.subject_ids == text.subject_ids
-        assert block._file_columns == text._file_columns
+        assert file_columns(block) == file_columns(text)
         assert loaded(block) == loaded(text)
         rng = np.random.default_rng(92)
         queries = [block.get("s004").template, block.get("late").template,
@@ -1703,8 +1712,9 @@ def test_class_counts_are_the_packed_counts(tmp_path):
     """Gallery.class_counts is, in record order and read-only, the class
     counts _pack gives the records' templates, a stored -0.0 included: of a
     Gallery of records, of a loaded gallery with records out of order, a
-    stale record and a parsed one, of a subset of it, and of a gallery
-    loaded through the snapshot whose stored slots include -0.0."""
+    stale record and a parsed one, of the Gallery of some of its records,
+    and of a gallery loaded through the snapshot whose stored slots include
+    -0.0."""
     records, _ = build_synthetic_gallery(5, 20, seed=11)
     loaded_gallery = load_gallery(TestBlockEquivalence().gallery(tmp_path))
     signed = records[0].template.vectors.copy()
@@ -1713,8 +1723,8 @@ def test_class_counts_are_the_packed_counts(tmp_path):
     signed_zeros = load_gallery(tmp_path / "signed")
     assert (tmp_path / "signed" / SNAPSHOT_NAME).exists()
     assert np.count_nonzero(np.signbit(signed_zeros._values)) == 2
-    for g in (Gallery(records), loaded_gallery, loaded_gallery.subset([len(loaded_gallery) - 1, 3, 0, 17]),
-              signed_zeros):
+    for g in (Gallery(records), loaded_gallery,
+              Gallery([loaded_gallery[i] for i in (len(loaded_gallery) - 1, 3, 0, 17)]), signed_zeros):
         counts = g.class_counts()
         assert counts.shape == (len(g), 3)
         assert not counts.flags.writeable
@@ -1726,28 +1736,20 @@ def test_class_counts_are_the_packed_counts(tmp_path):
     assert screen._cos.shape == screen._sin.shape == (3, 0, 181)
 
 
-def test_subset_reads_the_gallerys_blocks(tmp_path):
-    """Gallery.subset lists the records at the given positions, in that
-    order, over the same slot arrays: records out of order, a stale record
-    and a parsed one included."""
-    gal = TestBlockEquivalence().gallery(tmp_path)
-    gallery = load_gallery(gal)
-    positions = [len(gallery) - 1, 3, 0, 17]
-    view = gallery.subset(positions)
-    assert view._values is gallery._values and view._positions is gallery._positions
-    assert np.array_equal(view._ranges, gallery._ranges[positions])
-    assert view.subject_ids == [gallery.subject_ids[i] for i in positions]
-    assert view._file_columns is None
-    assert loaded(view) == [loaded(gallery)[i] for i in positions]
-    for j, i in enumerate(positions):
-        assert np.array_equal(view[j].template.vectors.view(np.uint64),
-                              gallery[i].template.vectors.view(np.uint64))
-    # The view's slots, of positions out of order and repeated, are the
-    # gallery's at the positions they stand for.
-    at = [2, 0, 3, 0, 1, 2]
-    got, want = view.slots(at), gallery.slots(np.array(positions)[at])
-    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(got, want))
-    assert_slots_are_the_rows(view, np.random.default_rng(94))
-    assert view.get(gallery.subject_ids[5]) is None
-    with pytest.raises(store.DuplicateSubjectError):
-        gallery.subset([2, 2])
+def test_occupied_slots_are_the_nonzero_bits():
+    """store.occupied_slots keeps, in row-major order, every slot whose bits
+    are not those of +0.0: -0.0, NaN, a subnormal and 360 included; zero
+    rows and rows of one class give the same form."""
+    rows = np.zeros((2, 3, 360))
+    rows[0, 2, 359] = 360.0
+    rows[1, 0, 5] = -0.0
+    rows[1, 1, 0] = np.nan
+    rows[1, 2, 7] = 5e-324
+    values, positions, row = store.occupied_slots(rows)
+    assert positions.dtype == row.dtype == np.intp
+    assert positions.tolist() == [1079, 5, 360, 727] and row.tolist() == [0, 1, 1, 1]
+    assert values.view(np.uint64).tolist() == np.array([360.0, -0.0, np.nan, 5e-324]).view(np.uint64).tolist()
+    values, positions, row = store.occupied_slots(rows[1:, 2:])
+    assert (values.tolist(), positions.tolist(), row.tolist()) == ([5e-324], [7], [0])
+    for empty in (np.zeros((0, 3, 360)), rows[:, :, :0]):
+        assert all(len(a) == 0 for a in store.occupied_slots(empty))

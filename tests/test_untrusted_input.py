@@ -7,12 +7,18 @@ an in-process `cli.main` on the same file exits with the documented code:
 token reads as `float()` reads it.  Valid records survive a render/parse
 round trip unchanged.
 
+A gallery directory's `.snapshot`, its bytes mutated and its digest and
+mtime made to vouch for them, loads without error into records that the
+text format can hold, and the next enrolment rewrites what it loaded.
+
 Hypothesis rejects function-scoped fixtures under @given, so each example
 makes its files in a fresh TemporaryDirectory.
 """
 
 import contextlib
+import hashlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -27,9 +33,12 @@ from retina_id.harris import detect_corners
 from retina_id.imaging import RasterImage, load_image, save_image, to_intensity
 from retina_id.optic_disc import OdCenter, od_from_sidecar
 from retina_id.store import (
+    SNAPSHOT_NAME,
     EmptyGalleryError,
     GalleryRecord,
     TemplateFormatError,
+    add_records,
+    format_amplitude,
     load_gallery,
     parse_records,
     render_record,
@@ -214,3 +223,80 @@ class TestAmplitudeToken:
             assert not valid and exc.lineno == 7
         else:
             assert valid and got.tobytes() == np.float64(want).tobytes()
+
+
+SNAPSHOT_RECORDS = build_synthetic_gallery(4, 12, 5)[0]
+# Its file sorts after every other, so an enrolment appends it.
+LATE = parse_records(render_record(GalleryRecord("zz_late", build_synthetic_gallery(1, 12, 6)[0][0].template)))
+
+
+def mutated(body: bytes, kind: str, at: int, n: int, noise: bytes) -> bytes:
+    """`body` with the span [at, at + n) overwritten by `noise`, deleted or
+    duplicated, or with one bit of byte `at` flipped (bit n % 8)."""
+    if kind == "overwrite":
+        return body[:at] + noise[:n] + body[at + n:]
+    if kind == "delete":
+        return body[:at] + body[at + n:]
+    if kind == "duplicate":
+        return body[:at] + body[at:at + n] + body[at:]
+    return body[:at] + bytes([body[at] ^ 1 << n % 8]) + body[at + 1:]
+
+
+def text_form(record: GalleryRecord, rounded=np.ravel) -> tuple:
+    """A record's names, od source, and od and amplitude bits, each value
+    mapped by `rounded` first."""
+    od = record.od
+    return (record.subject_id, record.source_image, od.source,
+            *(np.asarray(rounded(v), dtype=np.float64).tobytes() for v in ([od.x, od.y], record.template.vectors)))
+
+
+def nine_digits(values) -> list:
+    """Values as the text's nine fractional digits give them back, a -0.0
+    and a value below that precision included."""
+    return [float(format_amplitude(v)) for v in np.ravel(values).tolist()]
+
+
+def as_loaded(gallery) -> list:
+    return [(r.subject_id, r.source_image, r.od, r.template.vectors.tobytes()) for r in gallery]
+
+
+class TestSnapshotMutations:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["overwrite", "flip", "delete", "duplicate"]),
+           st.integers(1, 16), st.binary(min_size=16, max_size=16))
+    def test_mutated_snapshot_loads_records_the_text_can_hold(self, data, kind, n, noise):
+        """Bytes before the trailer overwritten, flipped, deleted or
+        duplicated, with the sha256 recomputed and the snapshot's mtime
+        after every file's stat, so the checks behind the digest run and the
+        files' stat keys vouch for them.  The load raises nothing; every
+        record renders and parses back as it is, to the text's precision;
+        the class counts are the stored slots per class; and an enrolment
+        writes a snapshot that loads as the gallery it loaded plus the new
+        file.  The sha256 is no MAC, so a row of the snapshot may differ from
+        its file's text; a gallery that loaded as its text still does after
+        the enrolment."""
+        with tempfile.TemporaryDirectory() as tmp:
+            gal = Path(tmp)
+            add_records(gal, SNAPSHOT_RECORDS)
+            snapshot = gal / SNAPSHOT_NAME
+            written = snapshot.read_bytes()
+            body, length = written[:-40], written[-40:-32]
+            at = data.draw(st.integers(0, len(body) - 1), label="at")
+            body = mutated(body, kind, at, n, noise) + length
+            snapshot.write_bytes(body + hashlib.sha256(body).digest())
+            latest = max(max(p.stat().st_mtime_ns, p.stat().st_ctime_ns) for p in gal.glob("*.rtpl"))
+            os.utime(snapshot, ns=(latest + 10 ** 9, latest + 10 ** 9))
+            gallery = load_gallery(gal)
+            for record in gallery:
+                (back,) = parse_records(render_record(record))
+                assert text_form(back) == text_form(record, nine_digits)
+            counts = gallery.class_counts()
+            for i in range(len(gallery)):
+                _, positions, _ = gallery.slots([i])
+                assert np.bincount(positions // SLOTS, minlength=3).tolist() == counts[i].tolist()
+            add_records(gal, LATE)
+            after = as_loaded(load_gallery(gal))
+            snapshot.unlink()
+            text = as_loaded(load_gallery(gal))
+        assert after == as_loaded(gallery) + as_loaded(LATE)
+        assert after == text or as_loaded(gallery) != text[:-1]
